@@ -2,8 +2,8 @@
 
 A replay fixture is a JSONL file of recorded prompt/response pairs; running
 against it touches no network and reproduces the same bundles every time.
-The same gateway also supports live HTTP backends and record mode (see
-README), but every demo here is offline.
+The same gateway also supports live HTTP backends (see README), but every
+demo here is offline.
 """
 
 import tempfile
@@ -13,11 +13,10 @@ from kgforge import (
     LlmGateway,
     RelationMode,
     ReplayBackend,
-    cost_report,
     describe_relations,
     expand_descriptions,
 )
-from kgforge.synth import toy_fixture_records, toy_graph, write_toy_fixture
+from kgforge.synth import toy_graph, write_toy_fixture
 
 scratch = Path(tempfile.mkdtemp(prefix="kgforge_demo_"))
 fixture = scratch / "replay.jsonl"
@@ -42,11 +41,6 @@ composed = bundle_r.relation_text["/film/produced_by"]
 print("\nrelation text for produced by:")
 print(" ", composed[:120], "...")
 print("  parts joined by [SEP]:", composed.count("[SEP]") + 1)
-
-# Every exchange carries latency and backend metadata for cost accounting.
-exchanges = [gateway.query(prompt) for prompt, _, _ in __import__("kgforge.synth", fromlist=["x"]).toy_fixture_records()[:5]]
-report = cost_report(exchanges)
-print(f"\ncost report: {report.count} exchanges, backends: {sorted(report.by_backend)}")
 
 # Bundles serialize to a directory with the raw responses as an audit trail.
 out = bundle_e.save(scratch / "bundle_E")

@@ -7,9 +7,7 @@ from .gateway import (
     HttpBackend,
     LlmExchange,
     LlmGateway,
-    RecordBackend,
     ReplayBackend,
-    cost_report,
 )
 from .harness import (
     EvalReport,
@@ -67,7 +65,6 @@ __all__ = [
     "LlmExchange",
     "LlmGateway",
     "MatchScore",
-    "RecordBackend",
     "RelationMode",
     "RenderedPrompt",
     "ReplayBackend",
@@ -80,7 +77,6 @@ __all__ = [
     "apply_bundles",
     "augment_training_set",
     "compose_relation_text",
-    "cost_report",
     "dataset_stats",
     "describe_relations",
     "expand_descriptions",

@@ -18,10 +18,11 @@ On-disk layout (one directory per bundle):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from .gateway import GatewayError, LlmGateway, prompt_key
 from .kg import (
     KnowledgeGraph,
     Triple,
@@ -31,6 +32,7 @@ from .kg import (
     _triple_lines,
     kg_fingerprint,
 )
+from .templates import RenderedPrompt
 
 ENTITY_TEXT_FILE = "entity_text.tsv"
 RELATION_TEXT_FILE = "relation_text.tsv"
@@ -163,6 +165,44 @@ class AugmentationBundle:
         return bundle
 
 
+def query_audited(
+    bundle: AugmentationBundle,
+    gateway: LlmGateway,
+    prompts: Sequence[RenderedPrompt],
+    modes: Sequence[str] | None = None,
+) -> list[AuditItem]:
+    """Send ``prompts`` through the gateway in one batch and audit every exchange.
+
+    Appends one item per prompt to ``bundle.items``, in prompt order, and
+    returns those items. Each item's subject is the prompt's subject id and
+    its mode is the matching entry of ``modes``, if given. A failed exchange
+    keeps the error and the hash its prompt would have had; it never aborts
+    the batch.
+    """
+    results = gateway.batch_query(prompts)
+    if modes is None:
+        modes = [None] * len(prompts)
+    items = []
+    for prompt, result, mode in zip(prompts, results, modes):
+        if isinstance(result, GatewayError):
+            item = AuditItem(
+                subject=prompt.subject_id,
+                prompt_hash=prompt_key(prompt.text, gateway.params),
+                error=str(result),
+                mode=mode,
+            )
+        else:
+            item = AuditItem(
+                subject=prompt.subject_id,
+                prompt_hash=result.key,
+                response=result.response,
+                mode=mode,
+            )
+        items.append(item)
+    bundle.items.extend(items)
+    return items
+
+
 def apply_bundles(
     kg: KnowledgeGraph, bundles: Sequence[AugmentationBundle]
 ) -> KnowledgeGraph:
@@ -195,31 +235,14 @@ def apply_bundles(
                     desc[entity] = text
                 else:
                     desc.pop(entity, None)
-            result = _with_texts(result, entity_desc=desc)
+            result = replace(result, texts=replace(result.texts, entity_desc=desc))
         if bundle.relation_text:
             names = dict(result.texts.relation_name)
             for relation, text in bundle.relation_text.items():
                 if relation not in result.relations:
                     raise FingerprintMismatchError(f"bundle text for unknown relation {relation!r}")
                 names[relation] = text
-            result = _with_texts(result, relation_name=names)
+            result = replace(result, texts=replace(result.texts, relation_name=names))
         if bundle.extra_triples:
             result = augment_training_set(result, bundle.extra_triples)
     return result
-
-
-def _with_texts(kg: KnowledgeGraph, **updates) -> KnowledgeGraph:
-    from dataclasses import replace
-
-    from .kg import TextStore
-
-    texts = TextStore(
-        entity_name=updates.get("entity_name", kg.texts.entity_name),
-        entity_desc=updates.get("entity_desc", kg.texts.entity_desc),
-        relation_name=updates.get("relation_name", kg.texts.relation_name),
-    )
-    return replace(kg, texts=texts)
-
-
-def load_bundles(paths: Iterable[str | Path]) -> list[AugmentationBundle]:
-    return [AugmentationBundle.load(path) for path in paths]

@@ -27,12 +27,13 @@ from pathlib import Path
 
 from .gateway import (
     API_KEY_ENV,
+    DEFAULT_MAX_NEW_TOKENS,
+    DEFAULT_TEMPERATURE,
     ENDPOINT_ENV,
     MODEL_ENV,
     GenerationParams,
     HttpBackend,
     LlmGateway,
-    RecordBackend,
     ReplayBackend,
 )
 from .harness import TrainConfig
@@ -44,7 +45,7 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-GATEWAY_BACKENDS = ("replay", "http", "record")
+GATEWAY_BACKENDS = ("replay", "http")
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class GatewaySettings:
     endpoint: str | None = None
     api_key: str | None = None
     model: str | None = None
-    temperature: float = 0.2
-    max_new_tokens: int = 256
+    temperature: float = DEFAULT_TEMPERATURE
+    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
     concurrency: int = 4
     max_retries: int = 3
     cache: str | None = None
@@ -182,7 +183,12 @@ def generation_params(settings: GatewaySettings) -> GenerationParams:
 
 
 def build_gateway(settings: GatewaySettings) -> LlmGateway:
-    """Construct the configured gateway (replay, live HTTP, or recording HTTP)."""
+    """Construct the configured gateway (replay or live HTTP).
+
+    With ``cache`` set, every live response is appended to that file in
+    fixture format, so the file replays as a fixture and a re-run over it
+    resumes without repeating finished calls.
+    """
     if settings.backend == "replay":
         if not settings.fixture:
             raise ConfigError("gateway.backend=replay requires gateway.fixture")
@@ -199,10 +205,6 @@ def build_gateway(settings: GatewaySettings) -> LlmGateway:
             concurrency=settings.concurrency,
             max_retries=settings.max_retries,
         )
-        if settings.backend == "record":
-            if not settings.fixture:
-                raise ConfigError("gateway.backend=record requires gateway.fixture (output path)")
-            backend = RecordBackend(backend, settings.fixture)
     return LlmGateway(backend, params=generation_params(settings), cache_path=settings.cache)
 
 

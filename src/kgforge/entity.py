@@ -8,24 +8,14 @@ tokens suits Freebase-style graphs, 50 WordNet-style ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .bundle import AuditItem, AugmentationBundle
-from .gateway import GatewayError, LlmGateway, prompt_key
+from .bundle import AugmentationBundle, query_audited
+from .gateway import LlmGateway
 from .kg import KnowledgeGraph, kg_fingerprint
 from .templates import render_entity_prompt
 
 DEFAULT_BUDGET_TOKENS = 70
 
 EMPTY_GENERATION_FLAG = "empty generation"
-
-
-@dataclass(frozen=True)
-class EntityAugmentation:
-    entity: str
-    generated: str
-    merged: str
-    budget_tokens: int
 
 
 def token_count(text: str) -> int:
@@ -66,51 +56,19 @@ def expand_descriptions(
     so composition leaves their original description untouched. Raw responses
     are preserved verbatim in the audit trail.
     """
-    entities = list(kg.texts.entity_name)
     prompts = [
-        render_entity_prompt(kg.texts.name_of(entity), subject_id=entity) for entity in entities
+        render_entity_prompt(kg.texts.name_of(entity), subject_id=entity)
+        for entity in kg.texts.entity_name
     ]
-    results = gateway.batch_query(prompts)
-
     bundle = AugmentationBundle(kind="entity", fingerprint=kg_fingerprint(kg))
-    for entity, prompt, result in zip(entities, prompts, results):
-        original = kg.texts.desc_of(entity)
-        if isinstance(result, GatewayError):
-            bundle.items.append(
-                AuditItem(
-                    subject=entity,
-                    prompt_hash=prompt_key(prompt.text, gateway.params),
-                    error=str(result),
-                )
-            )
+    for item in query_audited(bundle, gateway, prompts):
+        if item.error is not None:
             continue
-        generated = result.response
-        flags: tuple[str, ...] = ()
-        if not generated.strip():
+        original = kg.texts.desc_of(item.subject)
+        if not item.response.strip():
             merged = original
-            flags = (EMPTY_GENERATION_FLAG,)
+            item.flags = (EMPTY_GENERATION_FLAG,)
         else:
-            merged = merge_entity_text(original, generated, budget_tokens)
-        bundle.entity_text[entity] = merged
-        bundle.items.append(
-            AuditItem(subject=entity, prompt_hash=result.key, response=generated, flags=flags)
-        )
+            merged = merge_entity_text(original, item.response, budget_tokens)
+        bundle.entity_text[item.subject] = merged
     return bundle
-
-
-def entity_augmentations(
-    bundle: AugmentationBundle, budget_tokens: int = DEFAULT_BUDGET_TOKENS
-) -> list[EntityAugmentation]:
-    """Reconstruct per-entity augmentation records from an entity bundle."""
-    if bundle.kind != "entity":
-        raise ValueError(f"expected an entity bundle, got kind {bundle.kind!r}")
-    responses = {item.subject: item.response or "" for item in bundle.items if item.error is None}
-    return [
-        EntityAugmentation(
-            entity=entity,
-            generated=responses.get(entity, ""),
-            merged=merged,
-            budget_tokens=budget_tokens,
-        )
-        for entity, merged in bundle.entity_text.items()
-    ]

@@ -16,7 +16,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -260,28 +260,6 @@ class ReplayBackend(Backend):
         return record["response"]
 
 
-class RecordBackend(Backend):
-    """Wraps another backend and appends every exchange to a fixture file."""
-
-    def __init__(self, inner: Backend, fixture_path: str | Path):
-        super().__init__()
-        self.inner = inner
-        self.name = f"record({inner.name})"
-        self.concurrency = inner.concurrency
-        self.fixture_path = Path(fixture_path)
-        self.fixture_path.parent.mkdir(parents=True, exist_ok=True)
-        self._file_lock = threading.Lock()
-
-    def generate(self, prompt_text: str, params: GenerationParams) -> str:
-        self._count()
-        response = self.inner.generate(prompt_text, params)
-        line = json.dumps(_fixture_record(prompt_text, params, response), ensure_ascii=False)
-        with self._file_lock, self.fixture_path.open("a", encoding="utf-8", newline="\n") as fh:
-            fh.write(line)
-            fh.write("\n")
-        return response
-
-
 def _prompt_text(prompt: RenderedPrompt | str) -> str:
     return prompt.text if isinstance(prompt, RenderedPrompt) else prompt
 
@@ -401,41 +379,3 @@ class LlmGateway:
                 with self._lock:
                     out.append(self._cache[key])
         return out
-
-
-@dataclass(frozen=True)
-class BackendCost:
-    count: int
-    total_latency: float
-    mean_latency: float
-
-
-@dataclass(frozen=True)
-class CostReport:
-    count: int
-    total_latency: float
-    mean_latency: float
-    by_backend: dict[str, BackendCost] = field(default_factory=dict)
-
-
-def cost_report(exchanges: Iterable[LlmExchange]) -> CostReport:
-    """Sums and means over recorded exchanges, grouped per backend."""
-    items = list(exchanges)
-    total = sum(x.latency for x in items)
-    groups: dict[str, list[LlmExchange]] = {}
-    for x in items:
-        groups.setdefault(x.backend, []).append(x)
-    by_backend = {
-        name: BackendCost(
-            count=len(group),
-            total_latency=sum(x.latency for x in group),
-            mean_latency=sum(x.latency for x in group) / len(group),
-        )
-        for name, group in groups.items()
-    }
-    return CostReport(
-        count=len(items),
-        total_latency=total,
-        mean_latency=total / len(items) if items else 0.0,
-        by_backend=by_backend,
-    )

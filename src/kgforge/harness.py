@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,19 +52,6 @@ class TrainConfig:
             raise ValueError(f"margin must be > 0, got {self.margin}")
         if self.norm not in (1, 2):
             raise ValueError(f"norm must be 1 or 2, got {self.norm}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "margin": self.margin,
-            "negatives_per_positive": self.negatives_per_positive,
-            "batch_size": self.batch_size,
-            "norm": self.norm,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -301,17 +288,18 @@ def _candidate_scores(model: EmbeddingModel, query: Query) -> np.ndarray:
 
 
 def rank_of_gold(scores: np.ndarray, gold_idx: int, excluded: Iterable[int] = ()) -> int:
-    """Pessimistic rank: 1 plus the number of allowed candidates scoring >= gold.
+    """Pessimistic rank: 1 plus the number of allowed candidates not scoring below gold.
 
     Tied candidates count as ranked above the gold entity, so a constant
-    scorer ranks the gold dead last.
+    scorer ranks the gold dead last. NaN compares as a tie: a NaN candidate
+    ranks above the gold, and a NaN gold ranks below every allowed candidate.
     """
     allowed = np.ones(len(scores), dtype=bool)
     excluded_list = list(excluded)
     if excluded_list:
         allowed[excluded_list] = False
     allowed[gold_idx] = False
-    return 1 + int(np.count_nonzero(scores[allowed] >= scores[gold_idx]))
+    return 1 + int(np.count_nonzero(~(scores[allowed] < scores[gold_idx])))
 
 
 def rank_entities(
@@ -349,22 +337,6 @@ class EvalReport:
     split: str = ""
     filtered: bool = True
     dataset_fingerprint: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "mr": self.mr,
-            "mrr": self.mrr,
-            "hits1": self.hits1,
-            "hits3": self.hits3,
-            "hits10": self.hits10,
-            "n_queries": self.n_queries,
-            "model_kind": self.model_kind,
-            "dim": self.dim,
-            "seed": self.seed,
-            "split": self.split,
-            "filtered": self.filtered,
-            "dataset_fingerprint": self.dataset_fingerprint,
-        }
 
     def metric(self, name: str) -> float:
         if name not in METRICS:
@@ -511,8 +483,8 @@ class SeedComparison:
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "base": self.base.to_dict(),
-            "augmented": self.augmented.to_dict(),
+            "base": asdict(self.base),
+            "augmented": asdict(self.augmented),
             "delta": self.delta,
         }
 
@@ -534,7 +506,7 @@ class ComparisonReport:
     def to_dict(self) -> dict:
         return {
             "split": self.split,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "n_seeds": len(self.rows),
             "rows": [row.to_dict() for row in self.rows],
             "median_delta": {m: self.median_delta(m) for m in METRICS},

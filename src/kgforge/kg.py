@@ -256,8 +256,3 @@ def kg_fingerprint(kg: KnowledgeGraph) -> str:
         digest.update(files[name].encode("utf-8"))
         digest.update(b"\0")
     return digest.hexdigest()
-
-
-def dataset_fingerprint(root_path: str | Path, mode: str = "strict") -> str:
-    """Fingerprint of the dataset stored at ``root_path``."""
-    return kg_fingerprint(load_dataset(root_path, mode=mode))

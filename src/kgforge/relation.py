@@ -7,29 +7,15 @@ reverse, joined by the literal separator token ``[SEP]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .bundle import AuditItem, AugmentationBundle
-from .gateway import GatewayError, LlmGateway, prompt_key
+from .bundle import AugmentationBundle, query_audited
+from .gateway import LlmGateway
 from .kg import KnowledgeGraph, kg_fingerprint
 from .templates import MODE_ORDER, RelationMode, render_relation_prompt
 
 SEPARATOR = "[SEP]"
 _ESCAPED = "[SEP ]"
-
-
-@dataclass(frozen=True)
-class RelationAugmentation:
-    relation: str
-    texts: tuple[tuple[RelationMode, str], ...]
-    composed: str
-
-    def text_for(self, mode: RelationMode) -> str | None:
-        for m, text in self.texts:
-            if m == mode:
-                return text
-        return None
 
 
 def escape_separator(text: str) -> str:
@@ -86,27 +72,12 @@ def describe_relations(
         render_relation_prompt(kg.texts.relation_name[relation], mode, subject_id=relation)
         for relation, mode in jobs
     ]
-    results = gateway.batch_query(prompts)
-
     bundle = AugmentationBundle(kind="relation", fingerprint=kg_fingerprint(kg))
-    texts_by_relation: dict[str, list[tuple[RelationMode, str]]] = {r: [] for r in relations}
-    for (relation, mode), prompt, result in zip(jobs, prompts, results):
-        if isinstance(result, GatewayError):
-            bundle.items.append(
-                AuditItem(
-                    subject=relation,
-                    mode=mode.value,
-                    prompt_hash=prompt_key(prompt.text, gateway.params),
-                    error=str(result),
-                )
-            )
-            continue
-        texts_by_relation[relation].append((mode, result.response))
-        bundle.items.append(
-            AuditItem(
-                subject=relation, mode=mode.value, prompt_hash=result.key, response=result.response
-            )
-        )
+    items = query_audited(bundle, gateway, prompts, modes=[mode.value for _, mode in jobs])
+    texts_by_relation: dict[str, list[tuple[str, str]]] = {r: [] for r in relations}
+    for item in items:
+        if item.error is None:
+            texts_by_relation[item.subject].append((item.mode, item.response))
     for relation in relations:
         texts = texts_by_relation[relation]
         if not texts:
@@ -115,25 +86,3 @@ def describe_relations(
             kg.texts.relation_name[relation], texts
         )
     return bundle
-
-
-def relation_augmentations(
-    bundle: AugmentationBundle, relation_names: Mapping[str, str]
-) -> list[RelationAugmentation]:
-    """Reconstruct per-relation records (mode texts plus composed form) from a bundle."""
-    if bundle.kind != "relation":
-        raise ValueError(f"expected a relation bundle, got kind {bundle.kind!r}")
-    texts: dict[str, list[tuple[RelationMode, str]]] = {}
-    for item in bundle.items:
-        if item.error is None and item.mode is not None:
-            texts.setdefault(item.subject, []).append((RelationMode(item.mode), item.response or ""))
-    return [
-        RelationAugmentation(
-            relation=relation,
-            texts=tuple(sorted(pairs, key=lambda p: MODE_ORDER.index(p[0]))),
-            composed=bundle.relation_text.get(
-                relation, relation_names.get(relation, relation)
-            ),
-        )
-        for relation, pairs in texts.items()
-    ]

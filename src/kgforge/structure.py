@@ -17,9 +17,9 @@ import string
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .bundle import AuditItem, AugmentationBundle
-from .gateway import GatewayError, LlmGateway, prompt_key
-from .kg import DanglingReferenceError, KnowledgeGraph, TextStore, Triple, kg_fingerprint
+from .bundle import AugmentationBundle, query_audited
+from .gateway import LlmGateway
+from .kg import DanglingReferenceError, KnowledgeGraph, Triple, kg_fingerprint
 from .templates import render_keyword_prompt
 
 NO_KEYWORDS_FLAG = "no keywords"
@@ -205,11 +205,7 @@ def augment_training_set(kg: KnowledgeGraph, triples: Sequence[Triple]) -> Knowl
         kg,
         relations=kg.relations | frozenset(new_relations),
         train=kg.train + tuple(triples),
-        texts=TextStore(
-            entity_name=kg.texts.entity_name,
-            entity_desc=kg.texts.entity_desc,
-            relation_name=relation_name,
-        ),
+        texts=replace(kg.texts, relation_name=relation_name),
         load_warnings=(),
     )
 
@@ -233,29 +229,17 @@ def extract_structure(
             source = kg.texts.name_of(entity)
             fallback.add(entity)
         prompts.append(render_keyword_prompt(source, subject_id=entity))
-    results = gateway.batch_query(prompts)
-
     bundle = AugmentationBundle(kind="structure", fingerprint=kg_fingerprint(kg))
     keyword_sets: dict[str, KeywordSet] = {}
-    for entity, prompt, result in zip(entities, prompts, results):
-        flags = (NAME_FALLBACK_FLAG,) if entity in fallback else ()
-        if isinstance(result, GatewayError):
-            bundle.items.append(
-                AuditItem(
-                    subject=entity,
-                    prompt_hash=prompt_key(prompt.text, gateway.params),
-                    error=str(result),
-                    flags=flags,
-                )
-            )
+    for item in query_audited(bundle, gateway, prompts):
+        if item.subject in fallback:
+            item.flags = (NAME_FALLBACK_FLAG,)
+        if item.error is not None:
             continue
         try:
-            keyword_sets[entity] = parse_keywords(result.response, entity=entity)
+            keyword_sets[item.subject] = parse_keywords(item.response, entity=item.subject)
         except KeywordParseError:
-            flags = flags + (NO_KEYWORDS_FLAG,)
-        bundle.items.append(
-            AuditItem(subject=entity, prompt_hash=result.key, response=result.response, flags=flags)
-        )
+            item.flags += (NO_KEYWORDS_FLAG,)
 
     pairs = top_k_pairs(keyword_sets, cfg)
     triples = synthesize_triples(

@@ -33,7 +33,7 @@ def test_save_load_round_trip(bundles, tmp_path):
         assert loaded.relation_text == bundle.relation_text
         assert loaded.extra_triples == bundle.extra_triples
         assert loaded.keyword_sets == bundle.keyword_sets
-        assert [item.to_dict() for item in loaded.items] == [item.to_dict() for item in bundle.items]
+        assert loaded.items == bundle.items
 
 
 def test_structure_bundle_writes_merged_train(bundles, tmp_path):

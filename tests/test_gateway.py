@@ -1,4 +1,4 @@
-"""Gateway contracts: caching, replay, recording, batching, HTTP client."""
+"""Gateway contracts: caching, replay, persisted cache as fixture, batching, HTTP client."""
 
 import json
 import threading
@@ -12,10 +12,8 @@ from kgforge.gateway import (
     HttpBackendError,
     LlmGateway,
     MalformedResponseError,
-    RecordBackend,
     ReplayBackend,
     ReplayMissError,
-    cost_report,
     prompt_key,
     read_fixture,
     write_fixture,
@@ -121,46 +119,19 @@ def test_batch_matches_sequential_queries(toy_fixture_path):
     assert [b.response for b in batched] == [s.response for s in singles]
 
 
-def test_record_then_replay_round_trip(tmp_path):
-    params = GenerationParams()
-    backend = RecordBackend(ScriptedBackend({"p1": "r1", "p2": "r2"}), tmp_path / "rec.jsonl")
-    gateway = LlmGateway(backend, params=params)
-    gateway.query("p1")
-    gateway.query("p2")
-    replayed = LlmGateway(ReplayBackend(tmp_path / "rec.jsonl"), params=params)
-    assert replayed.query("p1").response == "r1"
-    assert replayed.query("p2").response == "r2"
-
-
 def test_persistent_cache_doubles_as_fixture(tmp_path):
     params = GenerationParams()
     cache_path = tmp_path / "cache.jsonl"
-    gateway = LlmGateway(ScriptedBackend({"p": "r"}), params=params, cache_path=cache_path)
-    gateway.query("p")
-    assert len(read_fixture(cache_path)) == 1
+    backend = ScriptedBackend({"p1": "r1", "p2": "r2"})
+    gateway = LlmGateway(backend, params=params, cache_path=cache_path)
+    gateway.query("p1")
+    gateway.query("p2")
+    assert len(read_fixture(cache_path)) == 2
     # A fresh gateway over a dead backend serves from the persisted cache.
     warmed = LlmGateway(ScriptedBackend({}), params=params, cache_path=cache_path)
-    assert warmed.query("p").response == "r"
-    assert LlmGateway(ReplayBackend(cache_path), params=params).query("p").response == "r"
-
-
-def test_cost_report_empty_and_means(tmp_path):
-    empty = cost_report([])
-    assert empty.count == 0 and empty.total_latency == 0.0 and empty.mean_latency == 0.0
-
-    params = GenerationParams()
-    path = tmp_path / "fx.jsonl"
-    write_fixture(path, [("a", params, "ra"), ("b", params, "rb")])
-    gateway = LlmGateway(ReplayBackend(path), params=params)
-    exchanges = [gateway.query("a"), gateway.query("b")]
-    exchanges[0].latency, exchanges[1].latency = 2.0, 4.0
-    exchanges[1].backend = "other"
-    report = cost_report(exchanges)
-    assert report.count == 2
-    assert report.mean_latency == pytest.approx(3.0)
-    assert set(report.by_backend) == {"replay", "other"}
-    assert report.by_backend["replay"].count == 1
-    assert report.by_backend["replay"].mean_latency == pytest.approx(2.0)
+    assert warmed.query("p1").response == "r1"
+    replayed = LlmGateway(ReplayBackend(cache_path), params=params)
+    assert [replayed.query(p).response for p in ("p1", "p2")] == ["r1", "r2"]
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

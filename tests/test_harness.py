@@ -135,6 +135,12 @@ def test_rank_all_tied_is_entity_count():
     kg = make_kg(entities, ["r"], test=[Triple("e0", "r", "e1")])
     record = rank_entities(model, kg, Query("tail", "e0", "r", "e1"))
     assert record.raw_rank == len(entities)
+    # NaN counts as a tie: a NaN gold ranks last, a NaN candidate ranks above the gold.
+    scores = np.array([0.5, 0.9, float("nan"), 0.1])
+    assert rank_of_gold(scores, 2) == 4
+    assert rank_of_gold(scores, 2, excluded=[0]) == 3
+    assert rank_of_gold(scores, 1) == 2
+    assert rank_of_gold(scores, 3) == 4
 
 
 # Integer-valued scores keep the shifted addition exact; with arbitrary floats

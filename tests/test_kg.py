@@ -9,7 +9,6 @@ from kgforge.kg import (
     DatasetStats,
     FormatError,
     Triple,
-    dataset_fingerprint,
     dataset_stats,
     kg_fingerprint,
     load_dataset,
@@ -64,7 +63,7 @@ def test_writer_uses_lf_and_trailing_newline(toy_root, tmp_path):
 
 def test_loader_determinism(toy_root):
     assert load_dataset(toy_root) == load_dataset(toy_root)
-    assert dataset_fingerprint(toy_root) == dataset_fingerprint(toy_root)
+    assert kg_fingerprint(load_dataset(toy_root)) == kg_fingerprint(load_dataset(toy_root))
 
 
 def test_splits_are_disjoint(toy_kg):
@@ -136,9 +135,9 @@ def test_description_file_is_optional(tmp_path, toy_root):
 
 
 def test_fingerprint_tracks_content(toy_root, tmp_path, toy_kg):
-    base = dataset_fingerprint(toy_root)
+    base = kg_fingerprint(load_dataset(toy_root))
     assert base == kg_fingerprint(toy_kg)
     write_dataset(toy_kg, tmp_path)
     with (tmp_path / "train.txt").open("a", encoding="utf-8") as fh:
         fh.write("/m/bay\t/film/directed_by\t/m/bay\n")
-    assert dataset_fingerprint(tmp_path) != base
+    assert kg_fingerprint(load_dataset(tmp_path)) != base

@@ -7,7 +7,6 @@ from kgforge.relation import (
     compose_relation_text,
     describe_relations,
     escape_separator,
-    relation_augmentations,
 )
 from kgforge.synth import toy_fixture_records, toy_graph
 from kgforge.templates import RelationMode
@@ -63,8 +62,9 @@ def test_describe_relations_single_mode(replay_gateway):
         name = kg.texts.relation_name[relation]
         assert composed.startswith(name + " ")
         assert "[SEP]" not in composed
-    for aug in relation_augmentations(bundle, kg.texts.relation_name):
-        assert aug.text_for(G) is not None
+    global_items = [item for item in bundle.items if item.mode == G.value]
+    assert sorted(item.subject for item in global_items) == sorted(kg.relations)
+    assert all(item.response for item in global_items)
 
 
 def test_describe_relations_all_modes(replay_gateway):

@@ -1,11 +1,13 @@
 """Keyword parsing, matching score laws, top-k selection, triple synthesis."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgforge.gateway import GenerationParams, LlmGateway, ReplayBackend, write_fixture
 from kgforge.kg import DanglingReferenceError, Triple, dataset_stats
 from kgforge.structure import (
     KeywordParseError,
@@ -19,7 +21,8 @@ from kgforge.structure import (
     synthesize_triples,
     top_k_pairs,
 )
-from kgforge.synth import toy_graph
+from kgforge.synth import toy_fixture_records, toy_graph
+from kgforge.templates import render_keyword_prompt
 
 
 def kws(entity, *keywords):
@@ -234,3 +237,33 @@ def test_extract_structure_end_to_end(replay_gateway):
 
     augmented = augment_training_set(kg, bundle.extra_triples)
     assert len(augmented.train) == len(kg.train) + n_pairs + len(sets)
+
+
+def test_extract_structure_audit_flags(tmp_path):
+    # /m/usa loses its description, so its prompt falls back to the name, which
+    # the fixture does not cover; /m/la gets a response with no keywords in it.
+    kg = toy_graph()
+    desc = {e: text for e, text in kg.texts.entity_desc.items() if e != "/m/usa"}
+    kg = replace(kg, texts=replace(kg.texts, entity_desc=desc))
+    la_prompt = render_keyword_prompt(kg.texts.desc_of("/m/la")).text
+    params = GenerationParams()
+    records = [
+        (prompt, p, "1. ; - ,\n" if prompt == la_prompt else response)
+        for prompt, p, response in toy_fixture_records(params)
+    ]
+    path = tmp_path / "fx.jsonl"
+    write_fixture(path, records)
+    gateway = LlmGateway(ReplayBackend(path), params=params)
+    bundle = extract_structure(kg, gateway, StructureConfig(k=1, self_loop=True))
+
+    items = {item.subject: item for item in bundle.items}
+    assert [item.subject for item in bundle.items] == list(kg.texts.entity_name)
+    assert items["/m/usa"].flags == ("name fallback",)
+    assert items["/m/usa"].error is not None
+    assert items["/m/la"].flags == ("no keywords",)
+    assert items["/m/la"].error is None
+    assert all(not items[e].flags for e in items if e not in ("/m/usa", "/m/la"))
+    assert [item.subject for item in bundle.errors] == ["/m/usa"]
+    assert set(bundle.keyword_sets) == set(kg.entities) - {"/m/usa", "/m/la"}
+    loops = {t.head for t in bundle.extra_triples if t.head == t.tail}
+    assert loops == set(bundle.keyword_sets)
