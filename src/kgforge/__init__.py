@@ -15,7 +15,7 @@ from .harness import (
     ab_compare,
     link_prediction,
     metrics_from_ranks,
-    rank_entities,
+    rank_triples,
     score_triple,
     train,
     triplet_classification,
@@ -88,7 +88,7 @@ __all__ = [
     "merge_entity_text",
     "metrics_from_ranks",
     "parse_keywords",
-    "rank_entities",
+    "rank_triples",
     "render_entity_prompt",
     "render_keyword_prompt",
     "render_relation_prompt",

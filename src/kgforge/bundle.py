@@ -40,6 +40,7 @@ TRIPLES_FILE = "extra_triples.tsv"
 TRAIN_AUGMENTED_FILE = "train_augmented.txt"
 KEYWORDS_FILE = "keywords.json"
 AUDIT_FILE = "audit.json"
+SCHEMA_VERSION = 1
 
 KINDS = ("entity", "relation", "structure")
 
@@ -128,7 +129,7 @@ class AugmentationBundle:
                 newline="\n",
             )
         audit = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "fingerprint": self.fingerprint,
             "n_errors": len(self.errors),
@@ -148,6 +149,12 @@ class AugmentationBundle:
         if not audit_path.is_file():
             raise FileNotFoundError(f"not a bundle directory (no {AUDIT_FILE}): {root}")
         audit = json.loads(audit_path.read_text(encoding="utf-8"))
+        version = audit.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported bundle schema_version {version!r} in {audit_path} "
+                f"(expected {SCHEMA_VERSION})"
+            )
         bundle = cls(
             kind=audit["kind"],
             fingerprint=audit["fingerprint"],

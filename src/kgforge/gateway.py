@@ -13,7 +13,6 @@ reproducible.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -188,13 +187,6 @@ class HttpBackend(Backend):
         self.timeout = timeout
         self._session = session or requests.Session()
         self._semaphore = threading.Semaphore(self.concurrency)
-
-    @classmethod
-    def from_env(cls, **kwargs) -> "HttpBackend":
-        endpoint = os.environ.get(ENDPOINT_ENV)
-        if not endpoint:
-            raise GatewayError(f"{ENDPOINT_ENV} is not set; cannot build an HTTP backend")
-        return cls(endpoint=endpoint, api_key=os.environ.get(API_KEY_ENV), **kwargs)
 
     def generate(self, prompt_text: str, params: GenerationParams) -> str:
         self._count()

@@ -5,6 +5,11 @@ scoring) trained with seeded numpy SGD, filtered ranking with pessimistic tie
 handling, triplet classification via per-relation score thresholds, and A/B
 comparison of a base graph against an augmented one over multiple seeds.
 
+Outside the training steps, ``_scores`` is the only place that holds the
+scoring formulas: ``score_triple`` and triplet classification score rows of
+triples through it, and ``rank_triples`` scores each query against every
+entity through it, one query at a time.
+
 Training is single-threaded and fully determined by the config seed: the same
 seed reproduces embeddings bit for bit.
 """
@@ -65,24 +70,6 @@ class EmbeddingModel:
     norm: int = 2
     loss_history: tuple[float, ...] = ()
     config: TrainConfig | None = None
-
-    def entity_vector(self, entity: str) -> np.ndarray:
-        return self.entity_vectors[self._entity_idx(entity)]
-
-    def relation_vector(self, relation: str) -> np.ndarray:
-        return self.relation_vectors[self._relation_idx(relation)]
-
-    def _entity_idx(self, entity: str) -> int:
-        try:
-            return self.entity_index[entity]
-        except KeyError:
-            raise KeyError(f"unknown entity {entity!r}") from None
-
-    def _relation_idx(self, relation: str) -> int:
-        try:
-            return self.relation_index[relation]
-        except KeyError:
-            raise KeyError(f"unknown relation {relation!r}") from None
 
 
 def _normalize_rows(matrix: np.ndarray) -> None:
@@ -196,9 +183,11 @@ def train(kg: KnowledgeGraph, cfg: TrainConfig) -> EmbeddingModel:
             neg[~corrupt_head, 2] = random_entities[~corrupt_head]
             epoch_loss += step_fn(E, R, pos, neg, cfg)
         mean_loss = epoch_loss / (n_train * reps)
-        if not np.isfinite(mean_loss):
+        # A NaN margin loss compares False against 0 and is never summed, so
+        # the embeddings are checked as well as the loss.
+        if not (np.isfinite(mean_loss) and np.isfinite(E).all() and np.isfinite(R).all()):
             raise RuntimeError(
-                f"non-finite training loss at epoch {epoch} "
+                f"non-finite training loss or embeddings at epoch {epoch} "
                 f"(kind={cfg.kind}, lr={cfg.learning_rate}); lower the learning rate"
             )
         loss_history.append(mean_loss)
@@ -216,75 +205,42 @@ def train(kg: KnowledgeGraph, cfg: TrainConfig) -> EmbeddingModel:
     )
 
 
+def _triple_ids(model: EmbeddingModel, triples: Sequence[Triple]) -> np.ndarray:
+    """(n, 3) int64 rows of head, relation and tail indices."""
+
+    def idx(index: dict[str, int], name: str, kind: str) -> int:
+        try:
+            return index[name]
+        except KeyError:
+            raise KeyError(f"unknown {kind} {name!r}") from None
+
+    entities, relations = model.entity_index, model.relation_index
+    rows = [
+        (idx(entities, h, "entity"), idx(relations, r, "relation"), idx(entities, t, "entity"))
+        for h, r, t in triples
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def _scores(model: EmbeddingModel, vh: np.ndarray, vr: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Plausibility scores over the last axis; higher is more plausible for both kinds."""
+    if model.kind == "transe":
+        diff = (vh + vr) - vt
+        if model.norm == 1:
+            return -np.abs(diff).sum(axis=-1)
+        return -np.sqrt((diff**2).sum(axis=-1))
+    return np.einsum("...d,...d,...d->...", vh, vr, vt, optimize=True)
+
+
+def _triple_scores(model: EmbeddingModel, triples: Sequence[Triple]) -> np.ndarray:
+    ids = _triple_ids(model, triples)
+    E, R = model.entity_vectors, model.relation_vectors
+    return _scores(model, E[ids[:, 0]], R[ids[:, 1]], E[ids[:, 2]])
+
+
 def score_triple(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
     """Plausibility score of one triple; higher is more plausible for both kinds."""
-    vh = model.entity_vector(head)
-    vr = model.relation_vector(relation)
-    vt = model.entity_vector(tail)
-    if model.kind == "transe":
-        diff = vh + vr - vt
-        if model.norm == 1:
-            return float(-np.abs(diff).sum())
-        return float(-np.sqrt((diff**2).sum()))
-    return float((vh * vr * vt).sum())
-
-
-@dataclass(frozen=True)
-class Query:
-    """One link-prediction query; ``direction`` names the slot being predicted."""
-
-    direction: str
-    head: str
-    relation: str
-    tail: str
-
-    def __post_init__(self):
-        if self.direction not in ("head", "tail"):
-            raise ValueError(f"direction must be 'head' or 'tail', got {self.direction!r}")
-
-    @property
-    def gold(self) -> str:
-        return self.head if self.direction == "head" else self.tail
-
-
-@dataclass(frozen=True)
-class RankRecord:
-    query: Query
-    gold: str
-    raw_rank: int
-    filtered_rank: int
-
-
-class _FilterIndex:
-    """Known-true completions for (head, relation) and (relation, tail) slots."""
-
-    def __init__(self, kg: KnowledgeGraph, entity_index: dict[str, int]):
-        self.tails: dict[tuple[str, str], set[int]] = {}
-        self.heads: dict[tuple[str, str], set[int]] = {}
-        for h, r, t in (*kg.train, *kg.valid, *kg.test):
-            self.tails.setdefault((h, r), set()).add(entity_index[t])
-            self.heads.setdefault((r, t), set()).add(entity_index[h])
-
-    def known(self, query: Query) -> set[int]:
-        if query.direction == "tail":
-            return self.tails.get((query.head, query.relation), set())
-        return self.heads.get((query.relation, query.tail), set())
-
-
-def _candidate_scores(model: EmbeddingModel, query: Query) -> np.ndarray:
-    E = model.entity_vectors
-    vr = model.relation_vector(query.relation)
-    if model.kind == "transe":
-        if query.direction == "tail":
-            diff = (model.entity_vector(query.head) + vr)[None, :] - E
-        else:
-            diff = E + vr[None, :] - model.entity_vector(query.tail)[None, :]
-        if model.norm == 1:
-            return -np.abs(diff).sum(axis=1)
-        return -np.sqrt((diff**2).sum(axis=1))
-    if query.direction == "tail":
-        return E @ (model.entity_vector(query.head) * vr)
-    return E @ (vr * model.entity_vector(query.tail))
+    return float(_triple_scores(model, [(head, relation, tail)])[0])
 
 
 def rank_of_gold(scores: np.ndarray, gold_idx: int, excluded: Iterable[int] = ()) -> int:
@@ -302,25 +258,35 @@ def rank_of_gold(scores: np.ndarray, gold_idx: int, excluded: Iterable[int] = ()
     return 1 + int(np.count_nonzero(~(scores[allowed] < scores[gold_idx])))
 
 
-def rank_entities(
-    model: EmbeddingModel,
-    kg: KnowledgeGraph,
-    query: Query,
-    filter_index: "_FilterIndex | None" = None,
-) -> RankRecord:
-    """Raw and filtered rank of the query's gold entity among all entities.
+def rank_triples(
+    model: EmbeddingModel, kg: KnowledgeGraph, triples: Sequence[Triple], filtered: bool = True
+) -> list[int]:
+    """Tail rank, then head rank, of each triple among all entities.
 
     The filtered rank excludes candidates (other than the gold) whose
     completed triple appears anywhere in train/valid/test.
     """
-    if filter_index is None:
-        filter_index = _FilterIndex(kg, model.entity_index)
-    scores = _candidate_scores(model, query)
-    gold_idx = model._entity_idx(query.gold)
-    raw = rank_of_gold(scores, gold_idx)
-    known = filter_index.known(query) - {gold_idx}
-    filtered = rank_of_gold(scores, gold_idx, excluded=known)
-    return RankRecord(query=query, gold=query.gold, raw_rank=raw, filtered_rank=filtered)
+    ids = _triple_ids(model, triples).tolist()
+    # Known completions are collected only for the slots these triples query.
+    known_tails: dict[tuple[str, str], list[int]] = {(h, r): [] for h, r, _ in triples}
+    known_heads: dict[tuple[str, str], list[int]] = {(r, t): [] for _, r, t in triples}
+    if filtered:
+        entity_index = model.entity_index
+        for h, r, t in (*kg.train, *kg.valid, *kg.test):
+            tails = known_tails.get((h, r))
+            if tails is not None:
+                tails.append(entity_index[t])
+            heads = known_heads.get((r, t))
+            if heads is not None:
+                heads.append(entity_index[h])
+    E, R = model.entity_vectors, model.relation_vectors
+    ranks = []
+    for (h, r, t), (hi, ri, ti) in zip(triples, ids):
+        tail_scores = _scores(model, E[hi], R[ri], E)
+        ranks.append(rank_of_gold(tail_scores, ti, known_tails.get((h, r), ())))
+        head_scores = _scores(model, E, R[ri], E[ti])
+        ranks.append(rank_of_gold(head_scores, hi, known_heads.get((r, t), ())))
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -373,17 +339,9 @@ def link_prediction(
     triples = kg.split(split)
     if not triples:
         raise ValueError(f"split {split!r} is empty")
-    filter_index = _FilterIndex(kg, model.entity_index)
-    ranks = []
-    for h, r, t in triples:
-        for direction in ("tail", "head"):
-            record = rank_entities(
-                model, kg, Query(direction=direction, head=h, relation=r, tail=t), filter_index
-            )
-            ranks.append(record.filtered_rank if filtered else record.raw_rank)
     cfg = model.config
     return metrics_from_ranks(
-        ranks,
+        rank_triples(model, kg, triples, filtered),
         model_kind=model.kind,
         dim=model.dim,
         seed=cfg.seed if cfg else 0,
@@ -439,17 +397,10 @@ def triplet_classification(
         return Triple(triple.head, triple.relation, entities[rng.integers(len(entities))])
 
     def scored_pairs(split: tuple[Triple, ...]) -> list[tuple[str, float, float]]:
-        out = []
-        for triple in split:
-            negative = corrupt(triple)
-            out.append(
-                (
-                    triple.relation,
-                    score_triple(model, *triple),
-                    score_triple(model, *negative),
-                )
-            )
-        return out
+        negatives = [corrupt(triple) for triple in split]
+        scores = _triple_scores(model, [*split, *negatives]).tolist()
+        n = len(split)
+        return list(zip((triple.relation for triple in split), scores[:n], scores[n:]))
 
     valid_pairs = scored_pairs(kg.valid)
     test_pairs = scored_pairs(kg.test)

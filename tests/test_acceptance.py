@@ -17,13 +17,11 @@ import pytest
 
 from kgforge.cli import main
 from kgforge.harness import (
-    Query,
     TrainConfig,
-    _FilterIndex,
     ab_compare,
     metrics_from_ranks,
-    rank_entities,
     rank_of_gold,
+    rank_triples,
     train,
 )
 from kgforge.structure import (
@@ -271,13 +269,7 @@ def test_criterion_6_trainer_sanity():
     start = time.perf_counter()
     model = train(kg, cfg)
     rerun = train(kg, cfg)
-    index = _FilterIndex(kg, model.entity_index)
-    ranks = []
-    for h, r, t in kg.train:
-        for direction in ("tail", "head"):
-            ranks.append(
-                rank_entities(model, kg, Query(direction, h, r, t), index).filtered_rank
-            )
+    ranks = rank_triples(model, kg, kg.train)
     elapsed = time.perf_counter() - start
     report = metrics_from_ranks(ranks)
     assert report.hits10 >= 0.9

@@ -1,6 +1,7 @@
 """Bundle serialization and composition onto base graphs."""
 
 import itertools
+import json
 
 import pytest
 
@@ -34,6 +35,16 @@ def test_save_load_round_trip(bundles, tmp_path):
         assert loaded.extra_triples == bundle.extra_triples
         assert loaded.keyword_sets == bundle.keyword_sets
         assert loaded.items == bundle.items
+
+
+def test_load_rejects_unknown_schema_version(bundles, tmp_path):
+    out = bundles["E"].save(tmp_path / "E")
+    audit_path = out / "audit.json"
+    audit = json.loads(audit_path.read_text(encoding="utf-8"))
+    audit["schema_version"] = 2
+    audit_path.write_text(json.dumps(audit), encoding="utf-8")
+    with pytest.raises(ValueError, match="schema_version 2"):
+        AugmentationBundle.load(out)
 
 
 def test_structure_bundle_writes_merged_train(bundles, tmp_path):

@@ -33,7 +33,8 @@ def read_tree(root):
     for dirpath, _, filenames in os.walk(root):
         for name in filenames:
             path = os.path.join(dirpath, name)
-            tree[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as handle:
+                tree[os.path.relpath(path, root)] = handle.read()
     return tree
 
 

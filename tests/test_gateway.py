@@ -173,6 +173,7 @@ def chat_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 from kgforge.harness import (
     EmbeddingModel,
-    Query,
     SplitMismatchError,
     TrainConfig,
     _best_threshold,
+    _triple_scores,
     ab_compare,
     format_table,
     link_prediction,
     metrics_from_ranks,
-    rank_entities,
     rank_of_gold,
+    rank_triples,
     score_triple,
     train,
     triplet_classification,
@@ -115,26 +115,29 @@ def one_dim_rank_setup():
     return model, kg
 
 
+def tail_ranks(model, kg, triple):
+    """Raw and filtered rank of the triple's tail."""
+    raw_tail, _ = rank_triples(model, kg, [triple], filtered=False)
+    filtered_tail, _ = rank_triples(model, kg, [triple], filtered=True)
+    return raw_tail, filtered_tail
+
+
 def test_rank_gold_strictly_highest_is_one():
     model, kg = one_dim_rank_setup()
-    record = rank_entities(model, kg, Query("tail", "e3", "r", "e0"))
-    assert record.raw_rank == 1 and record.filtered_rank == 1
+    assert tail_ranks(model, kg, Triple("e3", "r", "e0")) == (1, 1)
 
 
 def test_rank_filtered_removes_known_candidates():
     # Two candidates outscore the gold; one of them is a known training triple.
     model, kg = one_dim_rank_setup()
-    record = rank_entities(model, kg, Query("tail", "e3", "r", "e2"))
-    assert record.raw_rank == 3
-    assert record.filtered_rank == 2
+    assert tail_ranks(model, kg, Triple("e3", "r", "e2")) == (3, 2)
 
 
 def test_rank_all_tied_is_entity_count():
     entities = ["e0", "e1", "e2", "e3", "e4"]
     model = make_model("distmult", {e: [0.0] for e in entities}, {"r": [1.0]})
     kg = make_kg(entities, ["r"], test=[Triple("e0", "r", "e1")])
-    record = rank_entities(model, kg, Query("tail", "e0", "r", "e1"))
-    assert record.raw_rank == len(entities)
+    assert rank_triples(model, kg, kg.test, filtered=False) == [len(entities)] * 2
     # NaN counts as a tie: a NaN gold ranks last, a NaN candidate ranks above the gold.
     scores = np.array([0.5, 0.9, float("nan"), 0.1])
     assert rank_of_gold(scores, 2) == 4
@@ -170,19 +173,20 @@ def test_filtered_rank_never_exceeds_raw_randomized():
         assert 1 <= filtered <= raw
 
 
-def oracle_ranks(model, kg, query):
+def oracle_ranks(model, kg, triple, direction):
     """Brute force: score every candidate triple one by one."""
     known = kg.all_triples()
+    gold = triple.head if direction == "head" else triple.tail
 
     def completed(candidate):
-        if query.direction == "head":
-            return Triple(candidate, query.relation, query.tail)
-        return Triple(query.head, query.relation, candidate)
+        if direction == "head":
+            return Triple(candidate, triple.relation, triple.tail)
+        return Triple(triple.head, triple.relation, candidate)
 
-    gold_score = score_triple(model, *completed(query.gold))
+    gold_score = score_triple(model, *completed(gold))
     raw = filtered = 1
     for candidate in kg.entities:
-        if candidate == query.gold:
+        if candidate == gold:
             continue
         outscores = score_triple(model, *completed(candidate)) >= gold_score
         raw += outscores
@@ -191,19 +195,26 @@ def oracle_ranks(model, kg, query):
     return raw, filtered
 
 
-def test_rank_entities_matches_brute_force_oracle():
+SCORERS = (("transe", 2), ("distmult", 2), ("transe", 1))
+
+
+def random_model(rng, kind, norm, entities, relations, dim=4):
+    return make_model(
+        kind,
+        {e: list(rng.normal(size=dim)) for e in entities},
+        {r: list(rng.normal(size=dim)) for r in relations},
+        norm=norm,
+    )
+
+
+def test_rank_triples_matches_brute_force_oracle():
     rng = np.random.default_rng(23)
-    for kind in ("transe", "distmult"):
+    for kind, norm in SCORERS:
         for _ in range(20):
             n_ent = int(rng.integers(3, 50))
             entities = [f"e{i}" for i in range(n_ent)]
             relations = ["r0", "r1"]
-            all_random = lambda: list(rng.normal(size=4))
-            model = make_model(
-                kind,
-                {e: all_random() for e in entities},
-                {r: all_random() for r in relations},
-            )
+            model = random_model(rng, kind, norm, entities, relations)
             triples = [
                 Triple(
                     entities[int(rng.integers(n_ent))],
@@ -214,11 +225,26 @@ def test_rank_entities_matches_brute_force_oracle():
             ]
             kg = make_kg(entities, relations, train=triples[:10], valid=triples[10:12], test=triples[12:])
             query_triple = triples[12]
-            for direction in ("tail", "head"):
-                query = Query(direction, *query_triple)
-                record = rank_entities(model, kg, query)
-                raw, filtered = oracle_ranks(model, kg, query)
-                assert (record.raw_rank, record.filtered_rank) == (raw, filtered)
+            (raw_tail, filtered_tail), (raw_head, filtered_head) = (
+                oracle_ranks(model, kg, query_triple, direction) for direction in ("tail", "head")
+            )
+            assert rank_triples(model, kg, [query_triple], filtered=False) == [raw_tail, raw_head]
+            assert rank_triples(model, kg, [query_triple]) == [filtered_tail, filtered_head]
+
+
+def test_triple_scores_rows_equal_score_triple():
+    rng = np.random.default_rng(5)
+    for kind, norm in SCORERS:
+        for _ in range(10):
+            entities = [f"e{i}" for i in range(int(rng.integers(2, 30)))]
+            relations = ["r0", "r1", "r2"]
+            model = random_model(rng, kind, norm, entities, relations, dim=int(rng.integers(1, 40)))
+            triples = [
+                Triple(*(str(rng.choice(names)) for names in (entities, relations, entities)))
+                for _ in range(25)
+            ]
+            rows = _triple_scores(model, triples)
+            assert rows.tolist() == [score_triple(model, *triple) for triple in triples]
 
 
 def test_metrics_oracle_1_2_4():
@@ -290,17 +316,21 @@ def test_training_aborts_on_divergence():
             train(kg, cfg)
 
 
+def test_training_rejects_non_finite_embeddings():
+    # NaN margin losses compare False against 0 and are never summed, so the
+    # loss alone stays finite here while the embeddings do not.
+    cfg = TrainConfig(
+        kind="transe", dim=8, epochs=3, learning_rate=1e308, batch_size=32, seed=0
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="non-finite"):
+            train(toy_graph(), cfg)
+
+
 def test_toy_memorization():
     kg = toy_graph()
     model = train(kg, TrainConfig(kind="transe", dim=16, epochs=200, seed=7))
-    from kgforge.harness import _FilterIndex
-
-    index = _FilterIndex(kg, model.entity_index)
-    ranks = []
-    for h, r, t in kg.train:
-        for direction in ("tail", "head"):
-            ranks.append(rank_entities(model, kg, Query(direction, h, r, t), index).filtered_rank)
-    report = metrics_from_ranks(ranks)
+    report = metrics_from_ranks(rank_triples(model, kg, kg.train))
     assert report.hits10 >= 0.9
     assert report.mrr >= 0.9  # stronger memorization signal than the 8-entity Hits@10
 
