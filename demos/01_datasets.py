@@ -10,28 +10,29 @@ from pathlib import Path
 from kgforge import dataset_stats, kg_fingerprint, load_dataset, write_dataset
 from kgforge.synth import write_toy_dataset
 
-scratch = Path(tempfile.mkdtemp(prefix="kgforge_demo_"))
-root = scratch / "toy"
-write_toy_dataset(root)
-print(f"dataset files in {root}:")
-for path in sorted(root.iterdir()):
-    print(f"  {path.name:<22} {len(path.read_text(encoding='utf-8').splitlines())} lines")
+with tempfile.TemporaryDirectory(prefix="kgforge_demo_") as tmp:
+    scratch = Path(tmp)
+    root = scratch / "toy"
+    write_toy_dataset(root)
+    print(f"dataset files in {root}:")
+    for path in sorted(root.iterdir()):
+        print(f"  {path.name:<22} {len(path.read_text(encoding='utf-8').splitlines())} lines")
 
-kg = load_dataset(root, mode="strict")
-print("\nstats:", dataset_stats(kg))
-print("fingerprint:", kg_fingerprint(kg)[:16], "...")
+    kg = load_dataset(root, mode="strict")
+    print("\nstats:", dataset_stats(kg))
+    print("fingerprint:", kg_fingerprint(kg)[:16], "...")
 
-# Names and descriptions ride along with the triples.
-entity = "/m/dotm"
-print(f"\n{entity} name: {kg.texts.name_of(entity)!r}")
-print(f"{entity} desc: {kg.texts.desc_of(entity)!r}")
-print("first train triple:", tuple(kg.train[0]))
+    # Names and descriptions ride along with the triples.
+    entity = "/m/dotm"
+    print(f"\n{entity} name: {kg.texts.name_of(entity)!r}")
+    print(f"{entity} desc: {kg.texts.desc_of(entity)!r}")
+    print("first train triple:", tuple(kg.train[0]))
 
-# Round trip: rewriting the loaded graph reproduces the files byte for byte.
-copy = scratch / "copy"
-write_dataset(kg, copy)
-identical = all(
-    (copy / p.name).read_bytes() == p.read_bytes() for p in root.iterdir() if p.is_file()
-)
-print("\nwrite(load(x)) byte-identical to x:", identical)
-print("reload equals original:", load_dataset(copy) == kg)
+    # Round trip: rewriting the loaded graph reproduces the files byte for byte.
+    copy = scratch / "copy"
+    write_dataset(kg, copy)
+    identical = all(
+        (copy / p.name).read_bytes() == p.read_bytes() for p in root.iterdir() if p.is_file()
+    )
+    print("\nwrite(load(x)) byte-identical to x:", identical)
+    print("reload equals original:", load_dataset(copy) == kg)

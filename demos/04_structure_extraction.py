@@ -30,12 +30,12 @@ score = match_score(a, b)
 print(f"match a~b: {score.n_matched} shared -> score {score.score}")
 
 # The full pipeline against the replay fixture.
-scratch = Path(tempfile.mkdtemp(prefix="kgforge_demo_"))
-fixture = scratch / "replay.jsonl"
-write_toy_fixture(fixture)
+with tempfile.TemporaryDirectory(prefix="kgforge_demo_") as tmp:
+    fixture = Path(tmp) / "replay.jsonl"
+    write_toy_fixture(fixture)
+    gateway = LlmGateway(ReplayBackend(fixture))
 
 kg = toy_graph()
-gateway = LlmGateway(ReplayBackend(fixture))
 cfg = StructureConfig(k=1, self_loop=True)
 bundle = extract_structure(kg, gateway, cfg)
 

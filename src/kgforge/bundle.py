@@ -186,7 +186,7 @@ def query_audited(
     keeps the error and the hash its prompt would have had; it never aborts
     the batch.
     """
-    results = gateway.batch_query(prompts)
+    results = gateway.batch_query([prompt.text for prompt in prompts])
     if modes is None:
         modes = [None] * len(prompts)
     items = []

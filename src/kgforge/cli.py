@@ -51,7 +51,10 @@ def cmd_enrich(args: argparse.Namespace) -> int:
     if args.budget_tokens is not None:
         overrides["budget_tokens"] = args.budget_tokens
     if args.modes:
-        overrides["relation_modes"] = tuple(RelationMode(m) for m in args.modes.split(","))
+        try:
+            overrides["relation_modes"] = tuple(RelationMode(m) for m in args.modes.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--modes: {exc}")
     cfg = with_overrides(cfg, **overrides)
 
     strategies = list(dict.fromkeys(args.strategy))

@@ -84,6 +84,16 @@ class RunConfig:
     n_seeds: int = 5
     eval_split: str = "test"
 
+    def __post_init__(self):
+        if self.dataset_mode not in ("strict", "lenient"):
+            raise ConfigError(f"dataset.mode must be strict or lenient, got {self.dataset_mode!r}")
+        if self.eval_split not in ("valid", "test"):
+            raise ConfigError(f"eval.split must be valid or test, got {self.eval_split!r}")
+        if self.n_seeds < 1:
+            raise ConfigError(f"eval.n_seeds must be >= 1, got {self.n_seeds}")
+        if self.budget_tokens < 1:
+            raise ConfigError(f"entity.budget_tokens must be >= 1, got {self.budget_tokens}")
+
 
 def _section(data: dict, key: str, allowed: set[str]) -> dict:
     raw = data.get(key, {})
@@ -95,7 +105,7 @@ def _section(data: dict, key: str, allowed: set[str]) -> dict:
     return raw
 
 
-def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
+def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
     if not path.is_file():
@@ -153,23 +163,13 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
             raise
         raise ConfigError(str(exc))
 
-    if cfg.dataset_mode not in ("strict", "lenient"):
-        raise ConfigError(f"dataset.mode must be strict or lenient, got {cfg.dataset_mode!r}")
-    if cfg.eval_split not in ("valid", "test"):
-        raise ConfigError(f"eval.split must be valid or test, got {cfg.eval_split!r}")
-    if cfg.n_seeds < 1:
-        raise ConfigError(f"eval.n_seeds must be >= 1, got {cfg.n_seeds}")
-    if cfg.budget_tokens < 1:
-        raise ConfigError(f"entity.budget_tokens must be >= 1, got {cfg.budget_tokens}")
-
-    if check_paths:
-        if not cfg.dataset_root.is_dir():
-            raise ConfigError(f"dataset.root does not exist: {cfg.dataset_root}")
-        if cfg.gateway.backend == "replay":
-            if not cfg.gateway.fixture:
-                raise ConfigError("gateway.backend=replay requires gateway.fixture")
-            if not Path(cfg.gateway.fixture).is_file():
-                raise ConfigError(f"gateway.fixture does not exist: {cfg.gateway.fixture}")
+    if not cfg.dataset_root.is_dir():
+        raise ConfigError(f"dataset.root does not exist: {cfg.dataset_root}")
+    if cfg.gateway.backend == "replay":
+        if not cfg.gateway.fixture:
+            raise ConfigError("gateway.backend=replay requires gateway.fixture")
+        if not Path(cfg.gateway.fixture).is_file():
+            raise ConfigError(f"gateway.fixture does not exist: {cfg.gateway.fixture}")
     return cfg
 
 
@@ -209,10 +209,15 @@ def build_gateway(settings: GatewaySettings) -> LlmGateway:
 
 
 def with_overrides(cfg: RunConfig, **updates) -> RunConfig:
-    """Apply flag overrides on top of a loaded config."""
+    """Apply flag overrides on top of a loaded config; a bad value raises ConfigError."""
     structure_updates = {
         k: updates.pop(k) for k in ("k", "self_loop", "same_as_relation") if k in updates
     }
-    if structure_updates:
-        updates["structure"] = replace(cfg.structure, **structure_updates)
-    return replace(cfg, **updates)
+    try:
+        if structure_updates:
+            updates["structure"] = replace(cfg.structure, **structure_updates)
+        return replace(cfg, **updates)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc))

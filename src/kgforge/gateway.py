@@ -5,9 +5,12 @@ Fixture files are JSON Lines, one object per exchange:
     {"hash": ..., "prompt": ..., "params": {...}, "response": ...}
 
 The hash is a SHA-256 over the prompt text plus generation parameters, so a
-fixture (or persisted cache, same format) is keyed purely by content. Replay
-backends never touch the network and make whole pipeline runs bit-for-bit
-reproducible.
+fixture (or persisted cache, same format) is keyed purely by content; both
+load into the same hash -> response map. ``LlmGateway.batch_query`` is the one
+way to query: it hashes each prompt once, sends each distinct miss to the
+backend, and returns an ``LlmExchange(key, response)`` or an in-place
+``GatewayError`` per prompt. Replay backends never touch the network and make
+whole pipeline runs bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import requests
-
-from .templates import RenderedPrompt
 
 DEFAULT_TEMPERATURE = 0.2
 DEFAULT_MAX_NEW_TOKENS = 256
@@ -84,27 +85,16 @@ def prompt_key(prompt_text: str, params: GenerationParams) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class LlmExchange:
-    prompt: str
-    params: GenerationParams
+    key: str
     response: str
-    latency: float
-    backend: str
-    timestamp: float
-
-    @property
-    def key(self) -> str:
-        return prompt_key(self.prompt, self.params)
 
 
-def _fixture_record(prompt: str, params: GenerationParams, response: str) -> dict:
-    return {
-        "hash": prompt_key(prompt, params),
-        "prompt": prompt,
-        "params": params.to_dict(),
-        "response": response,
-    }
+def _record_line(key: str, prompt: str, params: GenerationParams, response: str) -> str:
+    """One fixture line; fixtures and the persisted cache share this serializer."""
+    record = {"hash": key, "prompt": prompt, "params": params.to_dict(), "response": response}
+    return json.dumps(record, ensure_ascii=False) + "\n"
 
 
 def write_fixture(
@@ -116,27 +106,30 @@ def write_fixture(
     n = 0
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for prompt, params, response in records:
-            fh.write(json.dumps(_fixture_record(prompt, params, response), ensure_ascii=False))
-            fh.write("\n")
+            fh.write(_record_line(prompt_key(prompt, params), prompt, params, response))
             n += 1
     return n
 
 
-def read_fixture(path: str | Path) -> dict[str, dict]:
-    """Load a fixture file into a hash -> record map (later records win)."""
-    records: dict[str, dict] = {}
+def read_fixture(path: str | Path) -> dict[str, str]:
+    """Load a fixture file into a hash -> response map (later records win).
+
+    Records are split on "\\n" only: responses may hold U+2028, U+2029 or
+    U+0085, which ``json.dumps(ensure_ascii=False)`` leaves unescaped.
+    """
+    responses: dict[str, str] = {}
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"fixture file does not exist: {path}")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-            records[record["hash"]] = record
+            responses[record["hash"]] = record["response"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise GatewayError(f"{path.name}:{lineno}: bad fixture record ({exc})")
-    return records
+    return responses
 
 
 class Backend:
@@ -241,19 +234,15 @@ class ReplayBackend(Backend):
     def __init__(self, fixture_path: str | Path):
         super().__init__()
         self.fixture_path = Path(fixture_path)
-        self._records = read_fixture(self.fixture_path)
+        self._responses = read_fixture(self.fixture_path)
 
     def generate(self, prompt_text: str, params: GenerationParams) -> str:
         self._count()
         key = prompt_key(prompt_text, params)
-        record = self._records.get(key)
-        if record is None:
+        response = self._responses.get(key)
+        if response is None:
             raise ReplayMissError(key, prompt_text)
-        return record["response"]
-
-
-def _prompt_text(prompt: RenderedPrompt | str) -> str:
-    return prompt.text if isinstance(prompt, RenderedPrompt) else prompt
+        return response
 
 
 class LlmGateway:
@@ -272,102 +261,51 @@ class LlmGateway:
     ):
         self.backend = backend
         self.params = params or GenerationParams()
-        self._cache: dict[str, LlmExchange] = {}
         self._lock = threading.Lock()
         self._cache_path = Path(cache_path) if cache_path else None
+        self._cache: dict[str, str] = {}
         if self._cache_path and self._cache_path.is_file():
-            for key, record in read_fixture(self._cache_path).items():
-                self._cache[key] = LlmExchange(
-                    prompt=record["prompt"],
-                    params=GenerationParams(**record["params"]),
-                    response=record["response"],
-                    latency=0.0,
-                    backend="cache",
-                    timestamp=0.0,
-                )
+            self._cache = read_fixture(self._cache_path)
 
-    def query(self, prompt: RenderedPrompt | str, params: GenerationParams | None = None) -> LlmExchange:
-        """Return the cached exchange or fetch, cache, and return a new one."""
-        p = params or self.params
-        text = _prompt_text(prompt)
-        key = prompt_key(text, p)
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        start = time.perf_counter()
-        response = self.backend.generate(text, p)
-        exchange = LlmExchange(
-            prompt=text,
-            params=p,
-            response=response,
-            latency=time.perf_counter() - start,
-            backend=self.backend.name,
-            timestamp=time.time(),
-        )
-        self._store(key, exchange)
-        return exchange
+    def batch_query(self, texts: Sequence[str]) -> list[LlmExchange | GatewayError]:
+        """Query many prompt texts; output order matches input order.
 
-    def _store(self, key: str, exchange: LlmExchange) -> None:
-        with self._lock:
-            self._cache[key] = exchange
-            if self._cache_path:
-                line = json.dumps(
-                    _fixture_record(exchange.prompt, exchange.params, exchange.response),
-                    ensure_ascii=False,
-                )
-                with self._cache_path.open("a", encoding="utf-8", newline="\n") as fh:
-                    fh.write(line)
-                    fh.write("\n")
-
-    def batch_query(
-        self,
-        prompts: Sequence[RenderedPrompt | str],
-        params: GenerationParams | None = None,
-    ) -> list[LlmExchange | GatewayError]:
-        """Query many prompts; output order matches input order.
-
-        Failures come back in-place as :class:`GatewayError` values instead of
-        raising, so one bad prompt never sinks the batch. Duplicate prompts
-        cost a single backend call.
+        Each text is hashed once. Failures come back in-place as
+        :class:`GatewayError` values instead of raising, so one bad prompt
+        never sinks the batch. Duplicate prompts cost a single backend call.
         """
-        p = params or self.params
-        texts = [_prompt_text(prompt) for prompt in prompts]
-        keys = [prompt_key(text, p) for text in texts]
+        keys = [prompt_key(text, self.params) for text in texts]
+        with self._lock:
+            misses = {key: text for key, text in zip(keys, texts) if key not in self._cache}
 
-        pending: dict[str, str] = {}
-        for key, text in zip(keys, texts):
-            with self._lock:
-                hit = key in self._cache
-            if not hit and key not in pending:
-                pending[key] = text
-
-        def fetch(item: tuple[str, str]) -> tuple[str, LlmExchange | GatewayError]:
+        def fetch(item: tuple[str, str]) -> GatewayError | None:
             key, text = item
             try:
-                return key, self.query(text, p)
+                response = self.backend.generate(text, self.params)
             except GatewayError as exc:
-                return key, exc
+                return exc
+            self._store(key, text, response)
+            return None
 
-        results: dict[str, LlmExchange | GatewayError] = {}
-        if pending:
-            workers = max(1, self.backend.concurrency)
-            if workers == 1:
-                for item in pending.items():
-                    key, outcome = fetch(item)
-                    results[key] = outcome
-            else:
-                from concurrent.futures import ThreadPoolExecutor
+        workers = max(1, self.backend.concurrency)
+        if workers == 1 or not misses:
+            outcomes = [fetch(item) for item in misses.items()]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
 
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for key, outcome in pool.map(fetch, pending.items()):
-                        results[key] = outcome
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(fetch, misses.items()))
+        failures = {key: exc for key, exc in zip(misses, outcomes) if exc is not None}
 
-        out: list[LlmExchange | GatewayError] = []
-        for key in keys:
-            if key in results:
-                out.append(results[key])
-            else:
-                with self._lock:
-                    out.append(self._cache[key])
-        return out
+        with self._lock:
+            return [
+                failures[key] if key in failures else LlmExchange(key, self._cache[key])
+                for key in keys
+            ]
+
+    def _store(self, key: str, text: str, response: str) -> None:
+        with self._lock:
+            self._cache[key] = response
+            if self._cache_path:
+                with self._cache_path.open("a", encoding="utf-8", newline="\n") as fh:
+                    fh.write(_record_line(key, text, self.params, response))

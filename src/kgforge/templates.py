@@ -1,8 +1,8 @@
 """Prompt construction for the five enrichment query strategies.
 
-Templates live in ``templates.json`` (shipped as package data) so experiments
-can swap in a custom file without code changes. Each template carries exactly
-one placeholder; rendering is a pure string substitution, byte-for-byte.
+Templates live in ``templates.json`` (shipped as package data). Each template
+carries exactly one placeholder; rendering is a pure string substitution,
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import enum
 import json
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 
 class Strategy(str, enum.Enum):
@@ -66,7 +65,7 @@ class RenderedPrompt:
 class TemplateSet:
     """One template string per strategy, validated at construction."""
 
-    def __init__(self, templates: dict[Strategy, str], version: int = 1):
+    def __init__(self, templates: dict[Strategy, str]):
         for strategy in Strategy:
             if strategy not in templates:
                 raise TemplateError(f"missing template for strategy {strategy.value!r}")
@@ -76,7 +75,6 @@ class TemplateSet:
                     f"template {strategy.value!r} must contain {placeholder!r} exactly once"
                 )
         self.templates = dict(templates)
-        self.version = version
 
     @classmethod
     def from_mapping(cls, data: dict) -> "TemplateSet":
@@ -90,11 +88,7 @@ class TemplateSet:
                 templates[Strategy(key)] = str(value)
             except ValueError:
                 raise TemplateError(f"unknown strategy key {key!r}")
-        return cls(templates, version=int(data.get("version", 1)))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TemplateSet":
-        return cls.from_mapping(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls(templates)
 
     @classmethod
     def default(cls) -> "TemplateSet":

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from kgforge.cli import main
+from kgforge.gateway import ReplayBackend
 from kgforge.kg import load_dataset
 
 
@@ -204,6 +205,26 @@ def test_config_validation_failures(tmp_path, toy_root, capsys):
         encoding="utf-8",
     )
     assert main(["enrich", "--config", str(missing_fixture), "--strategy", "E"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--budget-tokens", "0"], ["--k", "-1"], ["--modes", "global,bogus"]],
+    ids=["budget-tokens", "k", "modes"],
+)
+def test_invalid_flag_is_config_error_before_any_query(run_config, monkeypatch, capsys, flags):
+    prompts = []
+
+    def generate(self, prompt_text, params):
+        prompts.append(prompt_text)
+        return "unused"
+
+    monkeypatch.setattr(ReplayBackend, "generate", generate)
+    config = run_config()
+    argv = ["enrich", "--config", str(config), "--strategy", "E", "--strategy", "R", "--strategy", "S"]
+    assert main(argv + flags) == 2
+    assert prompts == []
+    assert "config error" in capsys.readouterr().err
 
 
 def test_fixtures_toy_and_planted(tmp_path, capsys):

@@ -55,11 +55,11 @@ def test_http_with_cache_builds_a_persisting_gateway(tmp_path, monkeypatch):
     assert gateway.backend.endpoint == settings.endpoint
     assert (gateway.backend.concurrency, gateway.backend.max_retries) == (3, 5)
     monkeypatch.setattr(gateway.backend, "generate", lambda text, params: f"echo: {text}")
-    gateway.query("p")
-    assert [r["response"] for r in read_fixture(cache).values()] == ["echo: p"]
+    gateway.batch_query(["p"])
+    assert list(read_fixture(cache).values()) == ["echo: p"]
     # The cache file doubles as a replay fixture for the same generation params.
     replayed = LlmGateway(ReplayBackend(cache), params=gateway.params)
-    assert replayed.query("p").response == "echo: p"
+    assert replayed.batch_query(["p"])[0].response == "echo: p"
 
 
 def test_settings_defaults_match_generation_params(monkeypatch):

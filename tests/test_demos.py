@@ -1,4 +1,4 @@
-"""Every narrative demo script runs to completion against the installed package."""
+"""Every narrative demo script runs to completion and leaves no scratch directory behind."""
 
 import os
 import subprocess
@@ -13,7 +13,9 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -23,3 +25,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmpdir.glob("kgforge_demo_*"))

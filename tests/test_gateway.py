@@ -1,12 +1,15 @@
 """Gateway contracts: caching, replay, persisted cache as fixture, batching, HTTP client."""
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import kgforge.gateway
 from kgforge.gateway import (
+    Backend,
     GenerationParams,
     HttpBackend,
     HttpBackendError,
@@ -60,10 +63,12 @@ def test_replay_returns_fixture_verbatim(tmp_path):
     params = GenerationParams()
     path = tmp_path / "fx.jsonl"
     write_fixture(path, [("who is Michael Bay?", params, "Michael Bay is a director...")])
-    gateway = LlmGateway(ReplayBackend(path), params=params)
-    exchange = gateway.query("who is Michael Bay?")
+    backend = ReplayBackend(path)
+    gateway = LlmGateway(backend, params=params)
+    [exchange] = gateway.batch_query(["who is Michael Bay?"])
     assert exchange.response == "Michael Bay is a director..."
-    assert exchange.backend == "replay"
+    assert exchange.key == prompt_key("who is Michael Bay?", params)
+    assert backend.calls == 1
 
 
 def test_cache_idempotence_skips_backend(tmp_path):
@@ -72,9 +77,9 @@ def test_cache_idempotence_skips_backend(tmp_path):
     write_fixture(path, [("p", params, "r")])
     backend = ReplayBackend(path)
     gateway = LlmGateway(backend, params=params)
-    first = gateway.query("p")
+    [first] = gateway.batch_query(["p"])
     calls_after_first = backend.calls
-    second = gateway.query("p")
+    [second] = gateway.batch_query(["p"])
     assert backend.calls == calls_after_first
     assert second == first
 
@@ -85,9 +90,9 @@ def test_replay_miss_names_the_hash(tmp_path):
     write_fixture(path, [("known", params, "ok")])
     gateway = LlmGateway(ReplayBackend(path), params=params)
     missing_key = prompt_key("unknown", params)
-    with pytest.raises(ReplayMissError) as err:
-        gateway.query("unknown")
-    assert missing_key in str(err.value)
+    [result] = gateway.batch_query(["unknown"])
+    assert isinstance(result, ReplayMissError)
+    assert missing_key in str(result)
 
 
 def test_batch_preserves_order_and_reports_partial_failures(tmp_path):
@@ -115,7 +120,7 @@ def test_batch_matches_sequential_queries(toy_fixture_path):
     batch_gateway = LlmGateway(ReplayBackend(toy_fixture_path))
     batched = batch_gateway.batch_query(prompts)
     single_gateway = LlmGateway(ReplayBackend(toy_fixture_path))
-    singles = [single_gateway.query(p) for p in prompts]
+    singles = [single_gateway.batch_query([p])[0] for p in prompts]
     assert [b.response for b in batched] == [s.response for s in singles]
 
 
@@ -124,14 +129,89 @@ def test_persistent_cache_doubles_as_fixture(tmp_path):
     cache_path = tmp_path / "cache.jsonl"
     backend = ScriptedBackend({"p1": "r1", "p2": "r2"})
     gateway = LlmGateway(backend, params=params, cache_path=cache_path)
-    gateway.query("p1")
-    gateway.query("p2")
-    assert len(read_fixture(cache_path)) == 2
+    gateway.batch_query(["p1"])
+    gateway.batch_query(["p2"])
+    # Cache lines are byte-identical to a fixture written from the same records.
+    fixture_path = tmp_path / "fx.jsonl"
+    write_fixture(fixture_path, [("p1", params, "r1"), ("p2", params, "r2")])
+    assert cache_path.read_bytes() == fixture_path.read_bytes()
     # A fresh gateway over a dead backend serves from the persisted cache.
-    warmed = LlmGateway(ScriptedBackend({}), params=params, cache_path=cache_path)
-    assert warmed.query("p1").response == "r1"
+    dead = ScriptedBackend({})
+    warmed = LlmGateway(dead, params=params, cache_path=cache_path)
+    assert warmed.batch_query(["p1"])[0].response == "r1"
+    assert dead.calls == 0
     replayed = LlmGateway(ReplayBackend(cache_path), params=params)
-    assert [replayed.query(p).response for p in ("p1", "p2")] == ["r1", "r2"]
+    assert [r.response for r in replayed.batch_query(["p1", "p2"])] == ["r1", "r2"]
+
+
+def test_batch_hashes_each_prompt_once(tmp_path, monkeypatch):
+    calls = 0
+    real_prompt_key = kgforge.gateway.prompt_key
+
+    def counting_prompt_key(text, params):
+        nonlocal calls
+        calls += 1
+        return real_prompt_key(text, params)
+
+    monkeypatch.setattr(kgforge.gateway, "prompt_key", counting_prompt_key)
+    prompts = [f"p{i}" for i in range(5)]
+    backend = ScriptedBackend({p: f"r-{p}" for p in prompts})
+    gateway = LlmGateway(backend, cache_path=tmp_path / "cache.jsonl")
+    gateway.batch_query(prompts)
+    assert (calls, backend.calls) == (len(prompts), len(prompts))
+    calls = 0
+    gateway.batch_query(prompts)
+    assert (calls, backend.calls) == (len(prompts), len(prompts))
+
+
+class EchoBackend(Backend):
+    name = "echo"
+    concurrency = 4
+
+    def generate(self, prompt_text, params):
+        self._count()
+        return f"r-{prompt_text}"
+
+
+def test_threaded_batch_fetches_and_stores_each_miss_once(tmp_path):
+    prompts = [f"p{i}" for i in range(200)]
+    backend = EchoBackend()
+    cache_path = tmp_path / "cache.jsonl"
+    gateway = LlmGateway(backend, cache_path=cache_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = gateway.batch_query(prompts + prompts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.response for r in results] == [f"r-{p}" for p in prompts + prompts]
+    assert backend.calls == len(prompts)
+    assert cache_path.read_text(encoding="utf-8").count("\n") == len(prompts)
+    assert read_fixture(cache_path) == {prompt_key(p, gateway.params): f"r-{p}" for p in prompts}
+
+
+def test_unicode_line_separators_round_trip(tmp_path):
+    """U+2028, U+2029 and U+0085 stay unescaped in JSON but do not end a record."""
+    params = GenerationParams()
+    records = [
+        (f"prompt {sep} {i}", params, f"line one{sep}line two")
+        for i, sep in enumerate(("\u2028", "\u2029", "\u0085"))
+    ]
+    prompts = [prompt for prompt, _, _ in records]
+    responses = [response for _, _, response in records]
+    fixture_path = tmp_path / "fx.jsonl"
+    write_fixture(fixture_path, records)
+    assert list(read_fixture(fixture_path).values()) == responses
+    replayed = LlmGateway(ReplayBackend(fixture_path), params=params).batch_query(prompts)
+    assert [r.response for r in replayed] == responses
+
+    cache_path = tmp_path / "cache.jsonl"
+    live = ScriptedBackend(dict(zip(prompts, responses)))
+    LlmGateway(live, params=params, cache_path=cache_path).batch_query(prompts)
+    dead = ScriptedBackend({})
+    resumed = LlmGateway(dead, params=params, cache_path=cache_path).batch_query(prompts)
+    assert [r.response for r in resumed] == responses
+    assert dead.calls == 0
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

@@ -1,7 +1,5 @@
 """Rendering fidelity against frozen golden strings."""
 
-import json
-
 import pytest
 
 from kgforge.templates import (
@@ -89,24 +87,6 @@ def test_subject_id_defaults_to_value():
     assert render_entity_prompt("Michael Bay").subject_id == "Michael Bay"
     assert render_entity_prompt("Michael Bay", subject_id="/m/bay").subject_id == "/m/bay"
     assert render_entity_prompt("Michael Bay").strategy is Strategy.ENTITY_EXPAND
-
-
-def test_custom_template_file(tmp_path):
-    data = {
-        "version": 2,
-        "templates": {
-            "entity_expand": "Tell me about {Entity Name}:",
-            "relation_global": "What does {Relation Name} mean overall?",
-            "relation_local": "What does (h, {Relation Name}, t) say?",
-            "relation_reverse": "Passive form of {Relation Name}?",
-            "structure_keywords": "Keywords of: {Entity Description}?",
-        },
-    }
-    path = tmp_path / "templates.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    templates = TemplateSet.from_file(path)
-    assert templates.version == 2
-    assert templates.render_entity_prompt("Zed").text == "Tell me about Zed:"
 
 
 def test_template_validation_errors():
