@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -277,25 +278,7 @@ class LlmGateway:
         keys = [prompt_key(text, self.params) for text in texts]
         with self._lock:
             misses = {key: text for key, text in zip(keys, texts) if key not in self._cache}
-
-        def fetch(item: tuple[str, str]) -> GatewayError | None:
-            key, text = item
-            try:
-                response = self.backend.generate(text, self.params)
-            except GatewayError as exc:
-                return exc
-            self._store(key, text, response)
-            return None
-
-        workers = max(1, self.backend.concurrency)
-        if workers == 1 or not misses:
-            outcomes = [fetch(item) for item in misses.items()]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(fetch, misses.items()))
-        failures = {key: exc for key, exc in zip(misses, outcomes) if exc is not None}
+        failures = self._fetch(misses)
 
         with self._lock:
             return [
@@ -303,9 +286,40 @@ class LlmGateway:
                 for key in keys
             ]
 
-    def _store(self, key: str, text: str, response: str) -> None:
-        with self._lock:
-            self._cache[key] = response
-            if self._cache_path:
-                with self._cache_path.open("a", encoding="utf-8", newline="\n") as fh:
-                    fh.write(_record_line(key, text, self.params, response))
+    def _fetch(self, misses: dict[str, str]) -> dict[str, GatewayError]:
+        """Send each key -> text miss to the backend and cache its response.
+
+        A persisted cache is opened once per call that has misses; each line
+        is flushed as it is written, so a crash mid-batch leaves only
+        complete, replayable lines. Returns the failures by key.
+        """
+        if not misses:
+            return {}
+        with (
+            self._cache_path.open("a", encoding="utf-8", newline="\n")
+            if self._cache_path
+            else nullcontext()
+        ) as sink:
+
+            def fetch(item: tuple[str, str]) -> GatewayError | None:
+                key, text = item
+                try:
+                    response = self.backend.generate(text, self.params)
+                except GatewayError as exc:
+                    return exc
+                with self._lock:
+                    self._cache[key] = response
+                    if sink is not None:
+                        sink.write(_record_line(key, text, self.params, response))
+                        sink.flush()
+                return None
+
+            workers = max(1, self.backend.concurrency)
+            if workers == 1:
+                outcomes = [fetch(item) for item in misses.items()]
+            else:
+                from concurrent.futures import ThreadPoolExecutor
+
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    outcomes = list(pool.map(fetch, misses.items()))
+        return {key: exc for key, exc in zip(misses, outcomes) if exc is not None}

@@ -17,6 +17,8 @@ import string
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .bundle import AugmentationBundle, query_audited
 from .gateway import LlmGateway
 from .kg import DanglingReferenceError, KnowledgeGraph, Triple, kg_fingerprint
@@ -122,29 +124,35 @@ def top_k_pairs(
     For every entity the k highest-scoring partners are selected; ties break
     by (score descending, partner id ascending) and zero-score partners are
     never selected. Heads are processed in sorted id order, so the output is
-    a pure function of the mapping contents. Quadratic in entity count; meant
-    for desk-scale graphs.
+    a pure function of the mapping contents. Candidates come from a keyword
+    -> entity postings index, so the cost scales with the number of pairs
+    that share a keyword, not with the square of the entity count.
     """
     if cfg.k == 0:
         return []
     heads = sorted(keyword_sets)
-    sets = {e: keyword_sets[e].as_set() for e in heads}
-    sizes = {e: len(keyword_sets[e]) for e in heads}
+    postings: dict[str, list[int]] = {}
+    for i, head in enumerate(heads):
+        for word in keyword_sets[head].keywords:
+            postings.setdefault(word, []).append(i)
+    index = {word: np.array(ids) for word, ids in postings.items()}
+    sizes = np.array([len(keyword_sets[head]) for head in heads])
     selected: list[MatchScore] = []
-    for head in heads:
-        head_set = sets[head]
-        head_size = sizes[head]
-        candidates: list[tuple[float, str, int]] = []
-        for tail in heads:
-            if tail == head:
-                continue
-            matched = len(head_set & sets[tail])
-            if matched == 0:
-                continue
-            candidates.append((matched / min(head_size, sizes[tail]), tail, matched))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        for score, tail, matched in candidates[: cfg.k]:
-            selected.append(MatchScore(head=head, tail=tail, score=score, n_matched=matched))
+    for i, head in enumerate(heads):
+        shared = np.concatenate([index[word] for word in keyword_sets[head].keywords])
+        tails, matched = np.unique(shared, return_counts=True)
+        other = tails != i
+        tails, matched = tails[other], matched[other]
+        # Heads are sorted, so tail index order is id order; the int / int
+        # division is the same correctly rounded float64 as Python's.
+        scores = matched / np.minimum(sizes[i], sizes[tails])
+        best = np.lexsort((tails, -scores))[: cfg.k]
+        selected.extend(
+            MatchScore(head=head, tail=heads[tail], score=score, n_matched=n_matched)
+            for tail, score, n_matched in zip(
+                tails[best].tolist(), scores[best].tolist(), matched[best].tolist()
+            )
+        )
     return selected
 
 

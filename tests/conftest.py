@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a failure reproduces.
+settings.register_profile("kgforge", derandomize=True)
+settings.load_profile("kgforge")
 
 from kgforge.gateway import LlmGateway, ReplayBackend
 from kgforge.synth import toy_graph, write_toy_dataset, write_toy_fixture

@@ -38,6 +38,7 @@ from kgforge.templates import (
     render_keyword_prompt,
     render_relation_prompt,
 )
+from test_structure import brute_force_top_k
 
 PUBLIC_STATS = {
     "FB15k237": (14541, 237, 272115, 17535, 20466),
@@ -192,26 +193,6 @@ def test_criterion_3_matching_score_law():
     print(f"PASS criterion 3: matching-score law over {n_pairs} pairs in {elapsed:.2f}s")
 
 
-def _brute_force_top_k(keyword_sets, k):
-    out = []
-    for head in sorted(keyword_sets):
-        rows = []
-        head_words = set(keyword_sets[head].keywords)
-        for tail in sorted(keyword_sets):
-            if tail == head:
-                continue
-            common = head_words & set(keyword_sets[tail].keywords)
-            if not common:
-                continue
-            score = len(common) / min(
-                len(keyword_sets[head].keywords), len(keyword_sets[tail].keywords)
-            )
-            rows.append((score, tail, len(common)))
-        rows.sort(key=lambda row: (-row[0], row[1]))
-        out.extend((head, tail, score, m) for score, tail, m in rows[:k])
-    return out
-
-
 def test_criterion_4_top_k_brute_force_equivalence():
     rng = random.Random(444)
     vocabulary = [f"w{i}" for i in range(10)]
@@ -228,7 +209,7 @@ def test_criterion_4_top_k_brute_force_equivalence():
             (p.head, p.tail, p.score, p.n_matched)
             for p in top_k_pairs(sets, StructureConfig(k=k))
         ]
-        assert got == _brute_force_top_k(sets, k)
+        assert got == brute_force_top_k(sets, k)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"PASS criterion 4: top-k equals exhaustive oracle on {n_instances} instances in {elapsed:.2f}s")
@@ -330,7 +311,7 @@ def test_criterion_8_count_law(replay_gateway, k, self_loop):
     augmented = augment_training_set(kg, bundle.extra_triples)
 
     sets = {e: KeywordSet(entity=e, keywords=w) for e, w in bundle.keyword_sets.items()}
-    n_pairs = len(_brute_force_top_k(sets, k))
+    n_pairs = len(brute_force_top_k(sets, k))
     expected = n_pairs + (len(sets) if self_loop else 0)
     assert len(augmented.train) - len(kg.train) == expected
     print(f"PASS criterion 8: count law holds for k={k} self_loop={self_loop} (+{expected})")

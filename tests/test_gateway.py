@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +143,78 @@ def test_persistent_cache_doubles_as_fixture(tmp_path):
     assert dead.calls == 0
     replayed = LlmGateway(ReplayBackend(cache_path), params=params)
     assert [r.response for r in replayed.batch_query(["p1", "p2"])] == ["r1", "r2"]
+
+
+def test_cache_is_opened_once_per_batch_with_misses(tmp_path, monkeypatch):
+    appends = []
+    real_open = Path.open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        if "a" in mode:
+            appends.append(self)
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    params = GenerationParams()
+    prompts = [f"p{i}" for i in range(5)]
+    cache_path = tmp_path / "cache.jsonl"
+    backend = ScriptedBackend({p: f"r-{p}" for p in prompts})
+    gateway = LlmGateway(backend, params=params, cache_path=cache_path)
+    gateway.batch_query(prompts[:3])
+    assert appends == [cache_path]
+    gateway.batch_query(prompts[:3])
+    assert appends == [cache_path]
+    gateway.batch_query(prompts)
+    assert appends == [cache_path, cache_path]
+    assert backend.calls == len(prompts)
+    fixture_path = tmp_path / "fx.jsonl"
+    write_fixture(fixture_path, [(p, params, f"r-{p}") for p in prompts])
+    assert cache_path.read_bytes() == fixture_path.read_bytes()
+
+
+class FailingBackend(ScriptedBackend):
+    """Scripted backend that raises ``error`` for one prompt."""
+
+    def __init__(self, responses, failing_prompt, error):
+        super().__init__(responses)
+        self.failing_prompt = failing_prompt
+        self.error = error
+
+    def generate(self, prompt_text, params):
+        if prompt_text == self.failing_prompt:
+            raise self.error
+        return super().generate(prompt_text, params)
+
+
+def test_gateway_error_mid_batch_keeps_every_other_cache_line(tmp_path):
+    params = GenerationParams()
+    prompts = [f"p{i}" for i in range(5)]
+    cache_path = tmp_path / "cache.jsonl"
+    backend = FailingBackend({p: f"r-{p}" for p in prompts}, "p2", HttpBackendError("down"))
+    results = LlmGateway(backend, params=params, cache_path=cache_path).batch_query(prompts)
+    assert isinstance(results[2], HttpBackendError)
+    kept = [p for p in prompts if p != "p2"]
+    assert read_fixture(cache_path) == {prompt_key(p, params): f"r-{p}" for p in kept}
+    fixture_path = tmp_path / "fx.jsonl"
+    write_fixture(fixture_path, [(p, params, f"r-{p}") for p in kept])
+    assert cache_path.read_bytes() == fixture_path.read_bytes()
+
+
+def test_crash_mid_batch_leaves_complete_replayable_cache_lines(tmp_path):
+    params = GenerationParams()
+    prompts = [f"p{i}" for i in range(5)]
+    responses = {p: f"r-{p}" for p in prompts}
+    cache_path = tmp_path / "cache.jsonl"
+    crashing = FailingBackend(responses, "p2", RuntimeError("backend crashed"))
+    with pytest.raises(RuntimeError, match="backend crashed"):
+        LlmGateway(crashing, params=params, cache_path=cache_path).batch_query(prompts)
+    assert cache_path.read_text(encoding="utf-8").endswith("\n")
+    assert read_fixture(cache_path) == {prompt_key(p, params): f"r-{p}" for p in prompts[:2]}
+    # A re-run resumes from the cache and fetches only what the crash lost.
+    resumed = ScriptedBackend(responses)
+    results = LlmGateway(resumed, params=params, cache_path=cache_path).batch_query(prompts)
+    assert [r.response for r in results] == [f"r-{p}" for p in prompts]
+    assert resumed.calls == 3
 
 
 def test_batch_hashes_each_prompt_once(tmp_path, monkeypatch):

@@ -95,16 +95,17 @@ def test_match_score_properties(sa, sb):
 
 def brute_force_top_k(keyword_sets, k):
     """Independent oracle: exhaustive score-sort per head."""
+    words = {entity: set(ks.keywords) for entity, ks in keyword_sets.items()}
     out = []
     for head in sorted(keyword_sets):
         rows = []
         for tail in sorted(keyword_sets):
             if tail == head:
                 continue
-            common = set(keyword_sets[head].keywords) & set(keyword_sets[tail].keywords)
+            common = words[head] & words[tail]
             if not common:
                 continue
-            score = len(common) / min(len(keyword_sets[head].keywords), len(keyword_sets[tail].keywords))
+            score = len(common) / min(len(words[head]), len(words[tail]))
             rows.append((score, tail, len(common)))
         rows.sort(key=lambda row: (-row[0], row[1]))
         out.extend((head, tail, score, m) for score, tail, m in rows[:k])
@@ -137,20 +138,64 @@ def test_top_k_tie_breaks_by_partner_id():
     assert chosen["x"] == "a"  # tied 0.6 with both; lexicographically smaller wins
 
 
-def test_top_k_agrees_with_brute_force_on_random_instances():
-    rng = random.Random(40)
-    vocabulary = [f"w{i}" for i in range(12)]
-    for _ in range(30):
-        n = rng.randint(2, 20)
-        sets = {}
-        for i in range(n):
-            size = rng.randint(1, 7)
-            sets[f"e{i:02d}"] = KeywordSet(
-                entity=f"e{i:02d}", keywords=tuple(rng.sample(vocabulary, size))
-            )
-        k = rng.randint(1, 4)
-        got = [(p.head, p.tail, p.score, p.n_matched) for p in top_k_pairs(sets, StructureConfig(k=k))]
-        assert got == brute_force_top_k(sets, k)
+@st.composite
+def keyword_mappings(draw):
+    """Up to ~300 entities over an eight-word vocabulary, so score ties are dense."""
+    n = draw(st.integers(0, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    ids = rng.sample(range(10 * n + 1), n)  # sorted id order differs from insertion order
+    return {
+        f"e{i}": KeywordSet(entity=f"e{i}", keywords=tuple(rng.sample("abcdefgh", rng.randint(1, 7))))
+        for i in ids
+    }
+
+
+@given(sets=keyword_mappings(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_top_k_agrees_with_brute_force_on_random_instances(sets, data):
+    k = data.draw(st.integers(0, len(sets) + 1), label="k")
+    pairs = top_k_pairs(sets, StructureConfig(k=k))
+    assert [(p.head, p.tail, p.score, p.n_matched) for p in pairs] == brute_force_top_k(sets, k)
+    assert all(type(p.score) is float and type(p.n_matched) is int for p in pairs)
+
+
+def test_top_k_empty_mapping_and_single_entity():
+    for k in (0, 1, 2):
+        assert top_k_pairs({}, StructureConfig(k=k)) == []
+        assert top_k_pairs({"a": kws("a", "x", "y")}, StructureConfig(k=k)) == []
+
+
+def test_top_k_at_fb15k237_entity_count():
+    """14,541 entities, five keywords each from 2,000 words, k=3."""
+    rng = random.Random(237)
+    vocabulary = [f"w{i}" for i in range(2000)]
+    sets = {
+        f"/m/{i:05d}": KeywordSet(entity=f"/m/{i:05d}", keywords=tuple(rng.sample(vocabulary, 5)))
+        for i in range(14541)
+    }
+    k = 3
+    pairs = top_k_pairs(sets, StructureConfig(k=k))
+    chosen: dict[str, list] = {}
+    for p in pairs:
+        chosen.setdefault(p.head, []).append((p.tail, p.score, p.n_matched))
+
+    holders: dict[str, set[str]] = {}
+    for entity, kw in sets.items():
+        for word in kw.keywords:
+            holders.setdefault(word, set()).add(entity)
+    for head, kw in sets.items():
+        n_overlapping = len(set().union(*(holders[w] for w in kw.keywords)) - {head})
+        assert len(chosen.get(head, ())) == min(k, n_overlapping)
+
+    head_words = {head: set(kw.keywords) for head, kw in sets.items()}
+    for head in rng.sample(sorted(sets), 50):
+        rows = []
+        for tail, words in head_words.items():
+            common = len(head_words[head] & words)
+            if tail != head and common:
+                rows.append((-common / 5, tail, common))
+        expected = [(tail, -neg, m) for neg, tail, m in sorted(rows)[:k]]
+        assert chosen.get(head, []) == expected
 
 
 def test_synthesize_counts_pairs_plus_self_loops():
