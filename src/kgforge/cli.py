@@ -11,15 +11,14 @@ import sys
 from pathlib import Path
 
 from .bundle import AugmentationBundle, apply_bundles
-from .config import ConfigError, build_gateway, load_config, with_overrides
+from .config import ConfigError, build_gateway, load_config, parse_relation_modes, with_overrides
 from .entity import expand_descriptions
 from .gateway import GatewayError
 from .harness import ab_compare, format_table
-from .kg import DatasetError, dataset_stats, load_dataset, write_dataset
+from .kg import MODES, DatasetError, dataset_stats, load_dataset, write_dataset
 from .relation import describe_relations
 from .structure import extract_structure
 from .synth import planted_alias_graph, write_toy_dataset, write_toy_fixture
-from .templates import RelationMode
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -51,15 +50,12 @@ def cmd_enrich(args: argparse.Namespace) -> int:
     if args.budget_tokens is not None:
         overrides["budget_tokens"] = args.budget_tokens
     if args.modes:
-        try:
-            overrides["relation_modes"] = tuple(RelationMode(m) for m in args.modes.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"--modes: {exc}")
+        overrides["relation_modes"] = parse_relation_modes(args.modes.split(","))
     cfg = with_overrides(cfg, **overrides)
 
     strategies = list(dict.fromkeys(args.strategy))
-    kg = load_dataset(cfg.dataset_root, mode=cfg.dataset_mode)
     gateway = build_gateway(cfg.gateway)
+    kg = load_dataset(cfg.dataset_root, mode=cfg.dataset_mode)
     out_root = Path(args.out) if args.out else cfg.output_dir
 
     n_errors = 0
@@ -143,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="print dataset statistics")
     p_stats.add_argument("root", help="dataset directory")
-    p_stats.add_argument("--mode", choices=("strict", "lenient"), default="strict")
+    p_stats.add_argument("--mode", choices=MODES, default=MODES[0])
     p_stats.add_argument("--json", action="store_true", help="machine-readable output")
     p_stats.set_defaults(func=cmd_stats)
 

@@ -1,9 +1,9 @@
 """Run configuration: one JSON file drives enrich, compose, and eval runs.
 
-Schema (all sections optional unless noted):
+Schema (every key optional except dataset.root):
 
     {
-      "dataset":   {"root": "path", "mode": "strict"},      # root required
+      "dataset":   {"root": "path", "mode": <one of kg.MODES>},
       "output_dir": "out",
       "seed": 7,
       "entity":    {"budget_tokens": 70},
@@ -14,6 +14,13 @@ Schema (all sections optional unless noted):
       "eval":      {"n_seeds": 5, "split": "test"}
     }
 
+A key the file omits takes its default from the dataclass it sets:
+RunConfig, StructureConfig, GatewaySettings or TrainConfig. The top-level
+"seed" is the default for train.seed. Values are taken as typed; a wrong
+type or an out-of-range value is a ConfigError. The replay fixture is
+checked only when ``enrich`` builds the gateway, so compose and eval run
+without one.
+
 Gateway endpoint, API key and model fall back to the LLM_ENDPOINT,
 LLM_API_KEY, and LLM_MODEL environment variables.
 """
@@ -22,9 +29,11 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .entity import DEFAULT_BUDGET_TOKENS
 from .gateway import (
     API_KEY_ENV,
     DEFAULT_MAX_NEW_TOKENS,
@@ -37,8 +46,9 @@ from .gateway import (
     ReplayBackend,
 )
 from .harness import TrainConfig
+from .kg import MODES, require_int
 from .structure import StructureConfig
-from .templates import RelationMode
+from .templates import MODE_ORDER, RelationMode
 
 
 class ConfigError(ValueError):
@@ -66,43 +76,59 @@ class GatewaySettings:
             raise ConfigError(f"gateway.backend must be one of {GATEWAY_BACKENDS}, got {self.backend!r}")
 
 
+def parse_relation_modes(names) -> tuple[RelationMode, ...]:
+    """Parse relation mode names, as listed in relation.modes or given to --modes."""
+    try:
+        return tuple(RelationMode(name) for name in names)
+    except (TypeError, ValueError):
+        valid = [mode.value for mode in MODE_ORDER]
+        raise ConfigError(f"relation modes must be drawn from {valid}, got {names!r}") from None
+
+
+def _file_key(key: str, parse=None, **kwargs):
+    """A RunConfig field that the file sets at ``key`` ("section.name" or a top-level name)."""
+    return field(metadata={"json": key, "parse": parse}, **kwargs)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    dataset_root: Path
-    dataset_mode: str = "strict"
-    output_dir: Path = Path("out")
-    seed: int = 7
-    budget_tokens: int = 70
-    relation_modes: tuple[RelationMode, ...] = (
-        RelationMode.GLOBAL,
-        RelationMode.LOCAL,
-        RelationMode.REVERSE,
+    dataset_root: Path = _file_key("dataset.root", Path)
+    dataset_mode: str = _file_key("dataset.mode", default=MODES[0])
+    output_dir: Path = _file_key("output_dir", Path, default=Path("out"))
+    budget_tokens: int = _file_key("entity.budget_tokens", default=DEFAULT_BUDGET_TOKENS)
+    relation_modes: tuple[RelationMode, ...] = _file_key(
+        "relation.modes", parse_relation_modes, default=MODE_ORDER
     )
     structure: StructureConfig = field(default_factory=StructureConfig)
     gateway: GatewaySettings = field(default_factory=GatewaySettings)
     train: TrainConfig = field(default_factory=TrainConfig)
-    n_seeds: int = 5
-    eval_split: str = "test"
+    n_seeds: int = _file_key("eval.n_seeds", default=5)
+    eval_split: str = _file_key("eval.split", default="test")
 
     def __post_init__(self):
-        if self.dataset_mode not in ("strict", "lenient"):
-            raise ConfigError(f"dataset.mode must be strict or lenient, got {self.dataset_mode!r}")
+        if self.dataset_mode not in MODES:
+            raise ConfigError(f"dataset.mode must be one of {MODES}, got {self.dataset_mode!r}")
         if self.eval_split not in ("valid", "test"):
             raise ConfigError(f"eval.split must be valid or test, got {self.eval_split!r}")
-        if self.n_seeds < 1:
-            raise ConfigError(f"eval.n_seeds must be >= 1, got {self.n_seeds}")
-        if self.budget_tokens < 1:
-            raise ConfigError(f"entity.budget_tokens must be >= 1, got {self.budget_tokens}")
+        if not self.relation_modes:
+            raise ConfigError("relation.modes must name at least one mode")
+        require_int("eval.n_seeds", self.n_seeds, 1)
+        require_int("entity.budget_tokens", self.budget_tokens, 1)
 
 
-def _section(data: dict, key: str, allowed: set[str]) -> dict:
-    raw = data.get(key, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section {key!r} must be an object")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in section {key!r}: {sorted(unknown)}")
-    return raw
+#: Config file sections that each set one whole dataclass field of RunConfig.
+_SECTIONS = {"structure": StructureConfig, "gateway": GatewaySettings, "train": TrainConfig}
+
+
+@contextmanager
+def _config_errors():
+    """Report a bad value met while building a config as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -117,59 +143,37 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
-    known_sections = {"dataset", "output_dir", "seed", "entity", "relation", "structure", "gateway", "train", "eval"}
-    unknown = set(data) - known_sections
+    run_fields = {tuple(f.metadata["json"].split(".")): f for f in fields(RunConfig) if f.metadata}
+    known = set(run_fields) | {("seed",)}
+    known |= {(section, f.name) for section, cls in _SECTIONS.items() for f in fields(cls)}
+    sections = {key[0] for key in known if len(key) == 2}
+    given = {}
+    for key, value in data.items():
+        if key not in sections:
+            given[(key,)] = value
+        elif isinstance(value, dict):
+            given.update({(key, name): item for name, item in value.items()})
+        else:
+            raise ConfigError(f"section {key!r} must be an object")
+    unknown = set(given) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    dataset = _section(data, "dataset", {"root", "mode"})
-    if "root" not in dataset:
+        raise ConfigError(f"unknown config keys: {sorted('.'.join(key) for key in unknown)}")
+    if ("dataset", "root") not in given:
         raise ConfigError("config must set dataset.root")
-    seed = int(data.get("seed", 7))
+    if ("seed",) in given:
+        given.setdefault(("train", "seed"), given.pop(("seed",)))
 
-    entity = _section(data, "entity", {"budget_tokens"})
-    relation = _section(data, "relation", {"modes"})
-    try:
-        modes = tuple(RelationMode(m) for m in relation.get("modes", ("global", "local", "reverse")))
-    except ValueError as exc:
-        raise ConfigError(f"relation.modes: {exc}")
-
-    structure_raw = _section(data, "structure", {"k", "self_loop", "same_as_relation"})
-    gateway_raw = _section(
-        data,
-        "gateway",
-        {f.name for f in fields(GatewaySettings)},
-    )
-    train_raw = _section(data, "train", {f.name for f in fields(TrainConfig)})
-    train_raw.setdefault("seed", seed)
-    eval_raw = _section(data, "eval", {"n_seeds", "split"})
-
-    try:
-        cfg = RunConfig(
-            dataset_root=Path(dataset["root"]),
-            dataset_mode=dataset.get("mode", "strict"),
-            output_dir=Path(data.get("output_dir", "out")),
-            seed=seed,
-            budget_tokens=int(entity.get("budget_tokens", 70)),
-            relation_modes=modes,
-            structure=StructureConfig(**structure_raw),
-            gateway=GatewaySettings(**gateway_raw),
-            train=TrainConfig(**train_raw),
-            n_seeds=int(eval_raw.get("n_seeds", 5)),
-            eval_split=eval_raw.get("split", "test"),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc))
-
+    with _config_errors():
+        kwargs = {}
+        for key, f in run_fields.items():
+            if key in given:
+                parse = f.metadata["parse"]
+                kwargs[f.name] = parse(given[key]) if parse else given[key]
+        for section, cls in _SECTIONS.items():
+            kwargs[section] = cls(**{key[1]: v for key, v in given.items() if key[0] == section})
+        cfg = RunConfig(**kwargs)
     if not cfg.dataset_root.is_dir():
         raise ConfigError(f"dataset.root does not exist: {cfg.dataset_root}")
-    if cfg.gateway.backend == "replay":
-        if not cfg.gateway.fixture:
-            raise ConfigError("gateway.backend=replay requires gateway.fixture")
-        if not Path(cfg.gateway.fixture).is_file():
-            raise ConfigError(f"gateway.fixture does not exist: {cfg.gateway.fixture}")
     return cfg
 
 
@@ -185,14 +189,18 @@ def generation_params(settings: GatewaySettings) -> GenerationParams:
 def build_gateway(settings: GatewaySettings) -> LlmGateway:
     """Construct the configured gateway (replay or live HTTP).
 
-    With ``cache`` set, every live response is appended to that file in
-    fixture format, so the file replays as a fixture and a re-run over it
-    resumes without repeating finished calls.
+    A replay fixture that is unset or does not exist is a ConfigError. With
+    ``cache`` set, every live response is appended to that file in fixture
+    format, so the file replays as a fixture and a re-run over it resumes
+    without repeating finished calls.
     """
     if settings.backend == "replay":
         if not settings.fixture:
             raise ConfigError("gateway.backend=replay requires gateway.fixture")
-        backend = ReplayBackend(settings.fixture)
+        try:
+            backend = ReplayBackend(settings.fixture)
+        except FileNotFoundError:
+            raise ConfigError(f"gateway.fixture does not exist: {settings.fixture}") from None
     else:
         endpoint = settings.endpoint or os.environ.get(ENDPOINT_ENV)
         if not endpoint:
@@ -211,13 +219,9 @@ def build_gateway(settings: GatewaySettings) -> LlmGateway:
 def with_overrides(cfg: RunConfig, **updates) -> RunConfig:
     """Apply flag overrides on top of a loaded config; a bad value raises ConfigError."""
     structure_updates = {
-        k: updates.pop(k) for k in ("k", "self_loop", "same_as_relation") if k in updates
+        f.name: updates.pop(f.name) for f in fields(StructureConfig) if f.name in updates
     }
-    try:
+    with _config_errors():
         if structure_updates:
             updates["structure"] = replace(cfg.structure, **structure_updates)
         return replace(cfg, **updates)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc))

@@ -127,9 +127,12 @@ def read_fixture(path: str | Path) -> dict[str, str]:
             continue
         try:
             record = json.loads(line)
-            responses[record["hash"]] = record["response"]
+            key, response = record["hash"], record["response"]
+            if not (isinstance(key, str) and isinstance(response, str)):
+                raise TypeError("hash and response must be strings")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise GatewayError(f"{path.name}:{lineno}: bad fixture record ({exc})")
+        responses[key] = response
     return responses
 
 

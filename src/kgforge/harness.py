@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kg import KnowledgeGraph, Triple, kg_fingerprint
+from .kg import KnowledgeGraph, Triple, kg_fingerprint, require_int
 
 MODEL_KINDS = ("transe", "distmult")
 METRICS = ("mr", "mrr", "hits1", "hits3", "hits10")
@@ -49,8 +49,8 @@ class TrainConfig:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         for name in ("dim", "epochs", "negatives_per_positive", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            require_int(name, getattr(self, name), 1)
+        require_int("seed", self.seed, 0)
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.margin <= 0:

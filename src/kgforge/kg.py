@@ -15,6 +15,7 @@ canonical files.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -27,6 +28,16 @@ ENTITY_DESC_FILE = "entity2textlong.txt"
 RELATION_NAME_FILE = "relation2text.txt"
 
 MODES = ("strict", "lenient")
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy ints too) >= ``minimum``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 class DatasetError(Exception):
@@ -143,7 +154,7 @@ def _read_triples(path: Path) -> list[Triple]:
     return triples
 
 
-def load_dataset(root_path: str | Path, mode: str = "strict") -> KnowledgeGraph:
+def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
     """Load a dataset directory into a :class:`KnowledgeGraph`.
 
     In strict mode any triple or description referencing an undeclared id
@@ -152,6 +163,7 @@ def load_dataset(root_path: str | Path, mode: str = "strict") -> KnowledgeGraph:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    strict = mode == MODES[0]
     root = Path(root_path)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root does not exist: {root}")
@@ -166,7 +178,7 @@ def load_dataset(root_path: str | Path, mode: str = "strict") -> KnowledgeGraph:
         for key, text in _read_pairs(desc_path):
             if key not in entity_name:
                 msg = f"{ENTITY_DESC_FILE}: description for undeclared entity {key!r}"
-                if mode == "strict":
+                if strict:
                     raise DanglingReferenceError(msg)
                 warnings.append(msg)
                 continue
@@ -185,7 +197,7 @@ def load_dataset(root_path: str | Path, mode: str = "strict") -> KnowledgeGraph:
                 missing.append(f"relation {t.relation!r}")
             if missing:
                 msg = f"{name}: triple {tuple(t)} references unknown {', '.join(missing)}"
-                if mode == "strict":
+                if strict:
                     raise DanglingReferenceError(msg)
                 warnings.append(msg)
                 continue

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bundle import AugmentationBundle, query_audited
 from .gateway import LlmGateway
-from .kg import DanglingReferenceError, KnowledgeGraph, Triple, kg_fingerprint
+from .kg import DanglingReferenceError, KnowledgeGraph, Triple, kg_fingerprint, require_int
 from .templates import render_keyword_prompt
 
 NO_KEYWORDS_FLAG = "no keywords"
@@ -69,8 +69,7 @@ class StructureConfig:
     same_as_relation: str = "SameAs"
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        require_int("k", self.k, 0)
         if not self.same_as_relation:
             raise ValueError("same_as_relation must be non-empty")
 

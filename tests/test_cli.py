@@ -227,6 +227,44 @@ def test_invalid_flag_is_config_error_before_any_query(run_config, monkeypatch, 
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"structure": {"k": 1.5}},
+        {"train": {"dim": 4.5}},
+        {"train": {"seed": "x"}},
+        {"train": {"seed": -1}},
+        {"relation": {"modes": []}},
+        {"seed": None},
+        {"seed": "x"},
+        {"entity": {"budget_tokens": None}},
+    ],
+    ids=["k-float", "dim-float", "train-seed-str", "train-seed-negative", "modes-empty",
+         "seed-null", "seed-str", "budget-null"],
+)
+def test_malformed_config_value_is_config_error_before_any_query(
+    run_config, monkeypatch, capsys, overrides
+):
+    prompts = []
+
+    def generate(self, prompt_text, params):
+        prompts.append(prompt_text)
+        return "unused"
+
+    monkeypatch.setattr(ReplayBackend, "generate", generate)
+    config = run_config(**overrides)
+    argv = ["enrich", "--config", str(config), "--strategy", "E", "--strategy", "R", "--strategy", "S"]
+    assert main(argv) == 2
+    assert prompts == []
+    assert "config error" in capsys.readouterr().err
+
+
+def test_compose_and_eval_need_no_fixture(run_config, tmp_path, toy_root):
+    config = run_config(gateway={"backend": "replay", "fixture": str(tmp_path / "nope.jsonl")})
+    assert main(["compose", "--config", str(config), "--out", str(tmp_path / "copy")]) == 0
+    assert main(["eval", "--config", str(config), "--base", str(toy_root), "--augmented", str(toy_root)]) == 0
+
+
 def test_fixtures_toy_and_planted(tmp_path, capsys):
     toy_out = tmp_path / "toy"
     replay = tmp_path / "replay.jsonl"

@@ -1,6 +1,7 @@
-"""Gateway settings: backend validation and the HTTP gateway build path."""
+"""Run configuration: file loading, gateway settings and the gateway build path."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +10,10 @@ from kgforge.config import (
     GATEWAY_BACKENDS,
     ConfigError,
     GatewaySettings,
+    RunConfig,
     build_gateway,
     generation_params,
+    load_config,
 )
 from kgforge.gateway import (
     ENDPOINT_ENV,
@@ -21,6 +24,49 @@ from kgforge.gateway import (
     ReplayBackend,
     read_fixture,
 )
+from kgforge.harness import TrainConfig
+from kgforge.structure import StructureConfig
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "run.example.json"
+
+
+def test_example_and_minimal_configs_load_to_the_dataclass_defaults(tmp_path, toy_root, toy_fixture_path):
+    example = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+    example["dataset"]["root"] = str(toy_root)
+    example["gateway"]["fixture"] = str(toy_fixture_path)
+
+    def load(data):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return load_config(path)
+
+    assert load(example) == RunConfig(
+        dataset_root=toy_root,
+        structure=StructureConfig(self_loop=True),
+        gateway=GatewaySettings(fixture=str(toy_fixture_path)),
+    )
+    minimal = {"dataset": {"root": str(toy_root)}}
+    assert load(minimal) == RunConfig(dataset_root=toy_root)
+    assert load(dict(minimal, seed=3)) == RunConfig(dataset_root=toy_root, train=TrainConfig(seed=3))
+    assert load(dict(minimal, seed=3, train={"seed": 4})).train.seed == 4
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"bogus": 1}, "unknown config keys"),
+        ({"structure": {"bogus": 1}}, r"unknown config keys: \['structure.bogus'\]"),
+        ({"dataset.mode": "lenient"}, "unknown config keys"),
+        ({"train": 5}, "section 'train' must be an object"),
+        ({"dataset": {"mode": "lenient"}}, "must set dataset.root"),
+    ],
+    ids=["top-level", "in-section", "dotted-top-level", "section-not-object", "no-root"],
+)
+def test_config_file_shape_errors(tmp_path, toy_root, extra, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"dataset": {"root": str(toy_root)}, **extra}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def test_unknown_backend_names_the_valid_ones(tmp_path, toy_root, capsys):

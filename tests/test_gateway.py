@@ -11,6 +11,7 @@ import pytest
 import kgforge.gateway
 from kgforge.gateway import (
     Backend,
+    GatewayError,
     GenerationParams,
     HttpBackend,
     HttpBackendError,
@@ -94,6 +95,26 @@ def test_replay_miss_names_the_hash(tmp_path):
     [result] = gateway.batch_query(["unknown"])
     assert isinstance(result, ReplayMissError)
     assert missing_key in str(result)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"hash": "k", "prompt": "p", "response": None},
+        {"hash": "k", "prompt": "p", "response": 3},
+        {"hash": None, "prompt": "p", "response": "r"},
+    ],
+    ids=["null-response", "int-response", "null-hash"],
+)
+def test_fixture_record_needs_string_hash_and_response(tmp_path, record):
+    path = tmp_path / "fx.jsonl"
+    write_fixture(path, [("good", GenerationParams(), "ok")])
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    with pytest.raises(GatewayError, match=r"fx\.jsonl:2: bad fixture record"):
+        ReplayBackend(path)
+    with pytest.raises(GatewayError, match=r"fx\.jsonl:2: bad fixture record"):
+        LlmGateway(ScriptedBackend({}), cache_path=path)
 
 
 def test_batch_preserves_order_and_reports_partial_failures(tmp_path):

@@ -1,12 +1,15 @@
 """Rendering fidelity against frozen golden strings."""
 
+import json
+from importlib import resources
+
 import pytest
 
 from kgforge.templates import (
     RelationMode,
     Strategy,
     TemplateError,
-    TemplateSet,
+    load_templates,
     render_entity_prompt,
     render_keyword_prompt,
     render_relation_prompt,
@@ -90,12 +93,12 @@ def test_subject_id_defaults_to_value():
 
 
 def test_template_validation_errors():
-    good = TemplateSet.default().templates
+    shipped = resources.files("kgforge").joinpath("templates.json").read_text(encoding="utf-8")
+    good = json.loads(shipped)["templates"]
+    assert load_templates({"templates": good})[Strategy.ENTITY_EXPAND] == good["entity_expand"]
     with pytest.raises(TemplateError, match="missing template"):
-        TemplateSet({Strategy.ENTITY_EXPAND: "hi {Entity Name}"})
-    broken = dict(good)
-    broken[Strategy.ENTITY_EXPAND] = "no placeholder here"
+        load_templates({"templates": {"entity_expand": "hi {Entity Name}"}})
     with pytest.raises(TemplateError, match="exactly once"):
-        TemplateSet(broken)
+        load_templates({"templates": dict(good, entity_expand="no placeholder here")})
     with pytest.raises(TemplateError, match="unknown strategy"):
-        TemplateSet.from_mapping({"templates": {"bogus": "x"}})
+        load_templates({"templates": {"bogus": "x"}})
