@@ -31,6 +31,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 from pathlib import Path
 
 from .entity import DEFAULT_BUDGET_TOKENS
@@ -74,6 +75,17 @@ class GatewaySettings:
     def __post_init__(self):
         if self.backend not in GATEWAY_BACKENDS:
             raise ConfigError(f"gateway.backend must be one of {GATEWAY_BACKENDS}, got {self.backend!r}")
+        for name in ("fixture", "cache", "endpoint", "api_key", "model"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"gateway.{name} must be a string, got {value!r}")
+        if isinstance(self.temperature, bool) or not isinstance(self.temperature, Real):
+            raise ConfigError(f"gateway.temperature must be a number, got {self.temperature!r}")
+        if not self.temperature >= 0:
+            raise ConfigError(f"gateway.temperature must be >= 0, got {self.temperature!r}")
+        require_int("gateway.max_new_tokens", self.max_new_tokens, 1)
+        require_int("gateway.concurrency", self.concurrency, 1)
+        require_int("gateway.max_retries", self.max_retries, 0)
 
 
 def parse_relation_modes(names) -> tuple[RelationMode, ...]:

@@ -21,7 +21,9 @@ def run_config(tmp_path, toy_root, toy_fixture_path):
             "train": {"dim": 8, "epochs": 20},
             "eval": {"n_seeds": 1, "split": "test"},
         }
-        cfg.update(overrides)
+        for key, value in overrides.items():
+            # A section override sets only the keys it names.
+            cfg[key] = {**cfg[key], **value} if isinstance(cfg.get(key), dict) else value
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         return path
@@ -238,9 +240,16 @@ def test_invalid_flag_is_config_error_before_any_query(run_config, monkeypatch, 
         {"seed": None},
         {"seed": "x"},
         {"entity": {"budget_tokens": None}},
+        {"gateway": {"max_new_tokens": "x"}},
+        {"gateway": {"fixture": 5}},
+        {"gateway": {"concurrency": 1.5}},
+        {"gateway": {"temperature": "x"}},
+        {"gateway": {"temperature": None}},
+        {"gateway": {"temperature": -1}},
     ],
     ids=["k-float", "dim-float", "train-seed-str", "train-seed-negative", "modes-empty",
-         "seed-null", "seed-str", "budget-null"],
+         "seed-null", "seed-str", "budget-null", "max-new-tokens-str", "fixture-int",
+         "concurrency-float", "temperature-str", "temperature-null", "temperature-negative"],
 )
 def test_malformed_config_value_is_config_error_before_any_query(
     run_config, monkeypatch, capsys, overrides

@@ -2,10 +2,11 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgforge.harness import (
@@ -13,6 +14,7 @@ from kgforge.harness import (
     SplitMismatchError,
     TrainConfig,
     _best_threshold,
+    _scores,
     _triple_scores,
     ab_compare,
     format_table,
@@ -232,6 +234,163 @@ def test_rank_triples_matches_brute_force_oracle():
             assert rank_triples(model, kg, [query_triple]) == [filtered_tail, filtered_head]
 
 
+def per_query_ranks(model, kg, triples, filtered=True):
+    """Oracle: every query scored against all entities through ``_scores``, one at a time."""
+    ids = [
+        (model.entity_index[h], model.relation_index[r], model.entity_index[t]) for h, r, t in triples
+    ]
+    known_tails = {(h, r): [] for h, r, _ in triples}
+    known_heads = {(r, t): [] for _, r, t in triples}
+    if filtered:
+        for h, r, t in (*kg.train, *kg.valid, *kg.test):
+            if (h, r) in known_tails:
+                known_tails[(h, r)].append(model.entity_index[t])
+            if (r, t) in known_heads:
+                known_heads[(r, t)].append(model.entity_index[h])
+    E, R = model.entity_vectors, model.relation_vectors
+    ranks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (h, r, t), (hi, ri, ti) in zip(triples, ids):
+            ranks.append(rank_of_gold(_scores(model, E[hi], R[ri], E), ti, known_tails[(h, r)]))
+            ranks.append(rank_of_gold(_scores(model, E, R[ri], E[ti]), hi, known_heads[(r, t)]))
+    return ranks
+
+
+def planted_model(rng, kind, norm, n_ent, dim, plant):
+    """Random embeddings with exact ties, near-ties or overflow planted on purpose."""
+    E = rng.normal(size=(n_ent, dim))
+    R = rng.normal(size=(2, dim))
+    if plant == "duplicates":
+        E[rng.integers(n_ent, size=n_ent // 2)] = E[rng.integers(n_ent, size=n_ent // 2)]
+    elif plant == "ulp":
+        # Rows a few ulps from row 0: their exact scores tie or order by rounding alone.
+        steps = rng.integers(-3, 4, size=(n_ent, dim))
+        E[:] = E[0]
+        for _ in range(3):
+            E = np.where(steps > 0, np.nextafter(E, np.inf), E)
+            E = np.where(steps < 0, np.nextafter(E, -np.inf), E)
+            steps -= np.sign(steps)
+    elif plant == "constant":
+        E[:] = E[0]
+        R[:] = R[0]
+    elif plant == "huge":
+        E[rng.integers(n_ent, size=max(1, n_ent // 4))] *= 1e160
+    elif plant == "near-max":
+        # Squared norms (TransE) or products of three components (DistMult) near
+        # the float maximum: some screened or exact values overflow, most do not.
+        top = math.sqrt(sys.float_info.max) if kind == "transe" else sys.float_info.max ** (1 / 3)
+        E *= top * 10.0 ** rng.uniform(-1.0, 0.0, size=(n_ent, 1)) / np.linalg.norm(E, axis=1, keepdims=True)
+        R *= top * 10.0 ** rng.uniform(-1.5, 0.0, size=(2, 1)) / np.linalg.norm(R, axis=1, keepdims=True)
+    elif plant == "scales":
+        # Rows from 1e-170 to 1e100: products of three may underflow or overflow.
+        E *= 10.0 ** rng.uniform(-170, 100, size=(n_ent, 1))
+        R *= 10.0 ** rng.uniform(-170, 100, size=(2, 1))
+    elif plant == "grid":
+        # Small integers: many distinct candidates at exactly the gold's distance.
+        E = rng.integers(-1, 2, size=(n_ent, dim)).astype(float)
+        R = rng.integers(-1, 2, size=(2, dim)).astype(float)
+    entities = [f"e{i}" for i in range(n_ent)]
+    relations = ["r0", "r1"]
+    model = EmbeddingModel(
+        kind=kind,
+        dim=dim,
+        entity_index={e: i for i, e in enumerate(entities)},
+        relation_index={r: i for i, r in enumerate(relations)},
+        entity_vectors=E,
+        relation_vectors=R,
+        norm=norm,
+    )
+    return model, entities, relations
+
+
+def random_triples(rng, entities, relations, n):
+    return [
+        Triple(entities[int(rng.integers(len(entities)))], relations[int(rng.integers(2))],
+               entities[int(rng.integers(len(entities)))])
+        for _ in range(n)
+    ]
+
+
+@given(
+    scorer=st.sampled_from(SCORERS),
+    plant=st.sampled_from(["none", "duplicates", "ulp", "constant", "huge", "near-max", "scales", "grid"]),
+    n_ent=st.integers(2, 80),
+    dim=st.integers(1, 6),
+    gold_twin=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_rank_triples_matches_per_query_oracle(scorer, plant, n_ent, dim, gold_twin, seed):
+    rng = np.random.default_rng(seed)
+    model, entities, relations = planted_model(rng, *scorer, n_ent, dim, plant)
+    triples = random_triples(rng, entities, relations, 40)
+    kg = make_kg(entities, relations, train=triples[:25], valid=triples[25:30], test=triples[30:])
+    if gold_twin:
+        # Every test triple's gold head and tail get an exact twin among the candidates.
+        E = model.entity_vectors
+        for h, _, t in kg.test:
+            for gold in (h, t):
+                E[int(rng.integers(n_ent))] = E[model.entity_index[gold]]
+    for filtered in (True, False):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ranks = rank_triples(model, kg, kg.test, filtered)
+        assert ranks == per_query_ranks(model, kg, kg.test, filtered)
+
+
+def test_rank_triples_near_overflow_matches_per_query_oracle():
+    # a = h + r with |a|^2 = big / 2. The screened values 2 a.e - |e|^2 of "g"
+    # and "j" are finite (-0.7 big, -0.9 big), but both exact distances
+    # overflow, so "j" ties the gold at -inf and counts above it.
+    unit = math.sqrt(sys.float_info.max)
+    c = unit * math.sqrt(0.5)
+
+    def root(share):  # k > 0 with 2 c k + k^2 = share * big
+        return unit * (math.sqrt(0.5 + share) - math.sqrt(0.5))
+
+    model = make_model("transe", {"h": [c], "g": [-root(0.7)], "j": [-root(0.9)]}, {"r": [0.0]})
+    kg = make_kg(["h", "g", "j"], ["r"], test=[Triple("h", "r", "g")])
+    with np.errstate(over="ignore"):
+        assert rank_triples(model, kg, kg.test) == per_query_ranks(model, kg, kg.test)
+    assert rank_triples(model, kg, kg.test)[0] == 3
+
+
+def test_rank_triples_matches_per_query_oracle_at_fb15k237_entity_count():
+    rng = np.random.default_rng(237)
+    n_ent, dim = 14_541, 16
+    # Only TransE-L2 is screened; the other scorers always take the per-query path.
+    model, entities, relations = planted_model(rng, "transe", 2, n_ent, dim, "none")
+    model.entity_vectors /= np.linalg.norm(model.entity_vectors, axis=1, keepdims=True)
+    triples = random_triples(rng, entities, relations, 5_200)
+    kg = make_kg(entities, relations, train=triples[:5_000], test=triples[5_000:])
+    # Exact twins of ten test tails send those queries down the per-query path.
+    E = model.entity_vectors
+    for _, _, t in kg.test[:10]:
+        E[int(rng.integers(n_ent))] = E[model.entity_index[t]]
+    assert rank_triples(model, kg, kg.test) == per_query_ranks(model, kg, kg.test)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("matrix", ["entity_vectors", "relation_vectors"])
+def test_non_finite_model_is_an_error(bad, matrix):
+    entities = ["a", "b", "c", "d"]
+    model = make_model("transe", {e: [0.1 * i, 0.2] for i, e in enumerate(entities)}, {"r": [0.3, 0.1]})
+    getattr(model, matrix)[0, 1] = bad
+    kg = make_kg(
+        entities,
+        ["r"],
+        train=[Triple("a", "r", "b")],
+        valid=[Triple("a", "r", "c")],
+        test=[Triple("b", "r", "d")],
+    )
+    for evaluate in (
+        lambda: rank_triples(model, kg, kg.test),
+        lambda: link_prediction(model, kg),
+        lambda: triplet_classification(model, kg),
+    ):
+        with pytest.raises(ValueError, match="non-finite embeddings"):
+            evaluate()
+
+
 def test_triple_scores_rows_equal_score_triple():
     rng = np.random.default_rng(5)
     for kind, norm in SCORERS:
@@ -354,6 +513,49 @@ def test_best_threshold_midpoint_oracle():
 def test_best_threshold_degenerate_ties_default_negative():
     threshold = _best_threshold([0.3, 0.3], [0.3, 0.3])
     assert threshold == pytest.approx(0.3)  # score <= threshold classifies negative
+
+
+def quadratic_best_threshold(pos_scores, neg_scores):
+    """Oracle: accuracy of every candidate counted by a full scan; last maximum wins."""
+    distinct = sorted(set(pos_scores) | set(neg_scores))
+    candidates = [distinct[0] - 1.0]
+    candidates += [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
+    candidates.append(distinct[-1])
+    best_threshold, best_accuracy = candidates[0], -1.0
+    for threshold in candidates:
+        correct = sum(1 for s in pos_scores if s > threshold)
+        correct += sum(1 for s in neg_scores if s <= threshold)
+        accuracy = correct / (len(pos_scores) + len(neg_scores))
+        if accuracy >= best_accuracy:
+            best_threshold, best_accuracy = threshold, accuracy
+    return best_threshold
+
+
+@st.composite
+def score_lists(draw):
+    """Scores drawn from a few anchors and their neighbouring doubles, signed zeros included."""
+    anchors = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.3]), st.floats(allow_nan=False)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    pool = anchors + [math.nextafter(a, math.inf) for a in anchors]
+    pool += [math.nextafter(a, -math.inf) for a in anchors]
+    value = st.sampled_from(pool)
+    return draw(st.lists(value, min_size=1, max_size=12)), draw(st.lists(value, min_size=1, max_size=12))
+
+
+@given(scores=score_lists())
+@example(scores=([0.3], [0.3]))
+@example(scores=([0.0], [-0.0]))
+@example(scores=([1.0], [math.nextafter(1.0, 2.0)]))
+@settings(max_examples=400)
+def test_best_threshold_equals_quadratic_oracle(scores):
+    pos, neg = scores
+    got, want = _best_threshold(pos, neg), quadratic_best_threshold(pos, neg)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def test_classification_degenerate_model_scores_half():
