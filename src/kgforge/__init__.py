@@ -45,7 +45,6 @@ from .structure import (
 from .templates import (
     RelationMode,
     RenderedPrompt,
-    Strategy,
     render_entity_prompt,
     render_keyword_prompt,
     render_relation_prompt,
@@ -68,7 +67,6 @@ __all__ = [
     "RelationMode",
     "RenderedPrompt",
     "ReplayBackend",
-    "Strategy",
     "StructureConfig",
     "TextStore",
     "TrainConfig",

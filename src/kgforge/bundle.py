@@ -26,11 +26,11 @@ from .gateway import GatewayError, LlmGateway, prompt_key
 from .kg import (
     KnowledgeGraph,
     Triple,
-    _pair_lines,
-    _read_pairs,
-    _read_triples,
-    _triple_lines,
     kg_fingerprint,
+    pair_lines,
+    read_pairs,
+    read_triples,
+    triple_lines,
 )
 from .templates import RenderedPrompt
 
@@ -106,20 +106,20 @@ class AugmentationBundle:
         out.mkdir(parents=True, exist_ok=True)
         if self.entity_text:
             (out / ENTITY_TEXT_FILE).write_text(
-                _pair_lines(self.entity_text.items()), encoding="utf-8", newline="\n"
+                pair_lines(self.entity_text.items()), encoding="utf-8", newline="\n"
             )
         if self.relation_text:
             (out / RELATION_TEXT_FILE).write_text(
-                _pair_lines(self.relation_text.items()), encoding="utf-8", newline="\n"
+                pair_lines(self.relation_text.items()), encoding="utf-8", newline="\n"
             )
         if self.kind == "structure":
             (out / TRIPLES_FILE).write_text(
-                _triple_lines(self.extra_triples), encoding="utf-8", newline="\n"
+                triple_lines(self.extra_triples), encoding="utf-8", newline="\n"
             )
             if base_kg is not None:
                 merged = tuple(base_kg.train) + tuple(self.extra_triples)
                 (out / TRAIN_AUGMENTED_FILE).write_text(
-                    _triple_lines(merged), encoding="utf-8", newline="\n"
+                    triple_lines(merged), encoding="utf-8", newline="\n"
                 )
         if self.keyword_sets:
             payload = {entity: list(words) for entity, words in self.keyword_sets.items()}
@@ -161,11 +161,11 @@ class AugmentationBundle:
             items=[AuditItem.from_dict(item) for item in audit.get("items", ())],
         )
         if (root / ENTITY_TEXT_FILE).is_file():
-            bundle.entity_text = dict(_read_pairs(root / ENTITY_TEXT_FILE))
+            bundle.entity_text = dict(read_pairs(root / ENTITY_TEXT_FILE))
         if (root / RELATION_TEXT_FILE).is_file():
-            bundle.relation_text = dict(_read_pairs(root / RELATION_TEXT_FILE))
+            bundle.relation_text = dict(read_pairs(root / RELATION_TEXT_FILE))
         if (root / TRIPLES_FILE).is_file():
-            bundle.extra_triples = tuple(_read_triples(root / TRIPLES_FILE))
+            bundle.extra_triples = tuple(read_triples(root / TRIPLES_FILE))
         if (root / KEYWORDS_FILE).is_file():
             raw = json.loads((root / KEYWORDS_FILE).read_text(encoding="utf-8"))
             bundle.keyword_sets = {entity: tuple(words) for entity, words in raw.items()}

@@ -37,8 +37,6 @@ from pathlib import Path
 from .entity import DEFAULT_BUDGET_TOKENS
 from .gateway import (
     API_KEY_ENV,
-    DEFAULT_MAX_NEW_TOKENS,
-    DEFAULT_TEMPERATURE,
     ENDPOINT_ENV,
     MODEL_ENV,
     GenerationParams,
@@ -66,8 +64,8 @@ class GatewaySettings:
     endpoint: str | None = None
     api_key: str | None = None
     model: str | None = None
-    temperature: float = DEFAULT_TEMPERATURE
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
+    temperature: float = GenerationParams.temperature
+    max_new_tokens: int = GenerationParams.max_new_tokens
     concurrency: int = 4
     max_retries: int = 3
     cache: str | None = None

@@ -25,9 +25,6 @@ from typing import Iterable, Sequence
 
 import requests
 
-DEFAULT_TEMPERATURE = 0.2
-DEFAULT_MAX_NEW_TOKENS = 256
-
 ENDPOINT_ENV = "LLM_ENDPOINT"
 API_KEY_ENV = "LLM_API_KEY"
 MODEL_ENV = "LLM_MODEL"
@@ -58,8 +55,8 @@ class MalformedResponseError(GatewayError):
 
 @dataclass(frozen=True)
 class GenerationParams:
-    temperature: float = DEFAULT_TEMPERATURE
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
+    temperature: float = 0.2
+    max_new_tokens: int = 256
     model_id: str = "default"
 
     def __post_init__(self):

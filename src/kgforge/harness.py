@@ -474,7 +474,7 @@ def triplet_classification(
     One negative per positive is generated by corrupting the tail uniformly
     (seeded, avoiding known-true triples). Thresholds maximize validation
     accuracy per relation; relations unseen in validation fall back to a
-    global threshold.
+    global threshold. A NaN or infinite score is a ``ValueError``.
     """
     if not kg.valid or not kg.test:
         raise ValueError("triplet classification needs non-empty valid and test splits")
@@ -493,7 +493,10 @@ def triplet_classification(
 
     def scored_pairs(split: tuple[Triple, ...]) -> list[tuple[str, float, float]]:
         negatives = [corrupt(triple) for triple in split]
-        scores = _triple_scores(model, [*split, *negatives]).tolist()
+        scores = _triple_scores(model, [*split, *negatives])
+        if not np.isfinite(scores).all():
+            raise ValueError(f"non-finite triple scores (kind={model.kind}): scoring overflows")
+        scores = scores.tolist()
         n = len(split)
         return list(zip((triple.relation for triple in split), scores[:n], scores[n:]))
 

@@ -125,7 +125,7 @@ def _read_lines(path: Path) -> list[str]:
     return [line for line in text.split("\n") if line.strip()]
 
 
-def _read_pairs(path: Path) -> list[tuple[str, str]]:
+def read_pairs(path: Path) -> list[tuple[str, str]]:
     """Parse an id<TAB>text file, rejecting duplicate ids."""
     pairs: list[tuple[str, str]] = []
     seen: set[str] = set()
@@ -142,7 +142,8 @@ def _read_pairs(path: Path) -> list[tuple[str, str]]:
     return pairs
 
 
-def _read_triples(path: Path) -> list[Triple]:
+def read_triples(path: Path) -> list[Triple]:
+    """Parse a head<TAB>relation<TAB>tail file."""
     triples: list[Triple] = []
     for lineno, line in enumerate(_read_lines(path), 1):
         fields = line.split("\t")
@@ -168,14 +169,14 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root does not exist: {root}")
 
-    entity_name = dict(_read_pairs(root / ENTITY_NAME_FILE))
-    relation_name = dict(_read_pairs(root / RELATION_NAME_FILE))
+    entity_name = dict(read_pairs(root / ENTITY_NAME_FILE))
+    relation_name = dict(read_pairs(root / RELATION_NAME_FILE))
     warnings: list[str] = []
 
     entity_desc: dict[str, str] = {}
     desc_path = root / ENTITY_DESC_FILE
     if desc_path.is_file():
-        for key, text in _read_pairs(desc_path):
+        for key, text in read_pairs(desc_path):
             if key not in entity_name:
                 msg = f"{ENTITY_DESC_FILE}: description for undeclared entity {key!r}"
                 if strict:
@@ -204,9 +205,9 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
             kept.append(t)
         return tuple(kept)
 
-    train = check_split(TRAIN_FILE, _read_triples(root / TRAIN_FILE))
-    valid = check_split(VALID_FILE, _read_triples(root / VALID_FILE))
-    test = check_split(TEST_FILE, _read_triples(root / TEST_FILE))
+    train = check_split(TRAIN_FILE, read_triples(root / TRAIN_FILE))
+    valid = check_split(VALID_FILE, read_triples(root / VALID_FILE))
+    test = check_split(TEST_FILE, read_triples(root / TEST_FILE))
 
     return KnowledgeGraph(
         entities=frozenset(entity_name),
@@ -219,26 +220,28 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
     )
 
 
-def _pair_lines(pairs: Iterable[tuple[str, str]]) -> str:
+def pair_lines(pairs: Iterable[tuple[str, str]]) -> str:
+    """Serialize pairs as the id<TAB>text lines ``read_pairs`` parses."""
     return "".join(f"{key}\t{text}\n" for key, text in pairs)
 
 
-def _triple_lines(triples: Iterable[Triple]) -> str:
+def triple_lines(triples: Iterable[Triple]) -> str:
+    """Serialize triples as the lines ``read_triples`` parses."""
     return "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
 
 
 def _canonical_files(kg: KnowledgeGraph) -> dict[str, str]:
     """Exact file contents ``write_dataset`` emits, keyed by file name."""
     files = {
-        TRAIN_FILE: _triple_lines(kg.train),
-        VALID_FILE: _triple_lines(kg.valid),
-        TEST_FILE: _triple_lines(kg.test),
-        ENTITY_NAME_FILE: _pair_lines(kg.texts.entity_name.items()),
-        RELATION_NAME_FILE: _pair_lines(kg.texts.relation_name.items()),
+        TRAIN_FILE: triple_lines(kg.train),
+        VALID_FILE: triple_lines(kg.valid),
+        TEST_FILE: triple_lines(kg.test),
+        ENTITY_NAME_FILE: pair_lines(kg.texts.entity_name.items()),
+        RELATION_NAME_FILE: pair_lines(kg.texts.relation_name.items()),
     }
     descs = [(e, kg.texts.entity_desc[e]) for e in kg.texts.entity_name if kg.texts.desc_of(e)]
     if descs:
-        files[ENTITY_DESC_FILE] = _pair_lines(descs)
+        files[ENTITY_DESC_FILE] = pair_lines(descs)
     return files
 
 

@@ -1,24 +1,15 @@
 """Prompt construction for the five enrichment query strategies.
 
-Templates live in ``templates.json`` (shipped as package data). Each template
-carries exactly one placeholder; rendering is a pure string substitution,
-byte-for-byte.
+The templates are the module constants below: one entity-expansion template,
+one per relation mode and one keyword template. Each carries exactly one
+placeholder, and rendering is a pure string substitution. Their bytes go into
+every replay-fixture and cache hash; the golden tests pin them.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from importlib import resources
-
-
-class Strategy(str, enum.Enum):
-    ENTITY_EXPAND = "entity_expand"
-    RELATION_GLOBAL = "relation_global"
-    RELATION_LOCAL = "relation_local"
-    RELATION_REVERSE = "relation_reverse"
-    STRUCTURE_KEYWORDS = "structure_keywords"
 
 
 class RelationMode(str, enum.Enum):
@@ -34,82 +25,55 @@ MODE_ORDER: tuple[RelationMode, ...] = (
     RelationMode.REVERSE,
 )
 
-_MODE_STRATEGY = {
-    RelationMode.GLOBAL: Strategy.RELATION_GLOBAL,
-    RelationMode.LOCAL: Strategy.RELATION_LOCAL,
-    RelationMode.REVERSE: Strategy.RELATION_REVERSE,
+_ENTITY_TEMPLATE = (
+    "Please provide all information about {Entity Name}. Give the rationale before answering:"
+)
+_RELATION_TEMPLATES: dict[RelationMode, str] = {
+    RelationMode.GLOBAL: "Please provide an explanation of the significance of the relation "
+    "{Relation Name} in a knowledge graph with one sentence:",
+    RelationMode.LOCAL: "Please provide an explanation of the meaning of the triplet "
+    "(head entity, {Relation Name}, tail entity) and rephrase it into a sentence:",
+    RelationMode.REVERSE: "Please convert the relation {Relation Name} into a verb form and "
+    "provide a statement in the passive voice:",
 }
+_KEYWORD_TEMPLATE = (
+    "Please extract the five most representative keywords from the following text: "
+    "{Entity Description}. Keywords:"
+)
 
-_PLACEHOLDER = {
-    Strategy.ENTITY_EXPAND: "{Entity Name}",
-    Strategy.RELATION_GLOBAL: "{Relation Name}",
-    Strategy.RELATION_LOCAL: "{Relation Name}",
-    Strategy.RELATION_REVERSE: "{Relation Name}",
-    Strategy.STRUCTURE_KEYWORDS: "{Entity Description}",
-}
-
-_ALL_PLACEHOLDERS = ("{Entity Name}", "{Relation Name}", "{Entity Description}")
+_SLOTS = ("{Entity Name}", "{Relation Name}", "{Entity Description}")
 
 
 class TemplateError(ValueError):
-    """A template file is malformed or a template misses its placeholder."""
+    """A rendered prompt still contains a template placeholder."""
 
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    strategy: Strategy
     subject_id: str
     text: str
 
 
-def load_templates(data: dict) -> dict[Strategy, str]:
-    """Validate template file data: one template per strategy, each with its placeholder once."""
-    try:
-        raw = data["templates"]
-    except (KeyError, TypeError):
-        raise TemplateError("template data must have a 'templates' mapping")
-    templates = {}
-    for key, value in raw.items():
-        try:
-            templates[Strategy(key)] = str(value)
-        except ValueError:
-            raise TemplateError(f"unknown strategy key {key!r}")
-    for strategy in Strategy:
-        if strategy not in templates:
-            raise TemplateError(f"missing template for strategy {strategy.value!r}")
-        placeholder = _PLACEHOLDER[strategy]
-        if templates[strategy].count(placeholder) != 1:
-            raise TemplateError(
-                f"template {strategy.value!r} must contain {placeholder!r} exactly once"
-            )
-    return templates
-
-
-_TEMPLATES = load_templates(
-    json.loads(resources.files("kgforge").joinpath("templates.json").read_text(encoding="utf-8"))
-)
-
-
-def _render(strategy: Strategy, value: str, subject_id: str | None) -> RenderedPrompt:
+def _render(template: str, placeholder: str, value: str, subject_id: str | None) -> RenderedPrompt:
     if not value:
-        raise ValueError(f"cannot render {strategy.value!r} prompt from an empty string")
-    text = _TEMPLATES[strategy].replace(_PLACEHOLDER[strategy], value)
-    for leftover in _ALL_PLACEHOLDERS:
+        raise ValueError(f"cannot fill {placeholder} with an empty string")
+    text = template.replace(placeholder, value)
+    for leftover in _SLOTS:
         if leftover in text:
             raise TemplateError(f"rendered prompt still contains placeholder {leftover!r}")
-    return RenderedPrompt(strategy=strategy, subject_id=subject_id or value, text=text)
+    return RenderedPrompt(subject_id=subject_id or value, text=text)
 
 
 def render_entity_prompt(name: str, subject_id: str | None = None) -> RenderedPrompt:
     """Expansion query for one entity name."""
-    return _render(Strategy.ENTITY_EXPAND, name, subject_id)
+    return _render(_ENTITY_TEMPLATE, "{Entity Name}", name, subject_id)
 
 
 def render_relation_prompt(
     name: str, mode: RelationMode, subject_id: str | None = None
 ) -> RenderedPrompt:
     """Explanation query for one relation name in the given mode."""
-    return _render(_MODE_STRATEGY[RelationMode(mode)], name, subject_id)
+    return _render(_RELATION_TEMPLATES[RelationMode(mode)], "{Relation Name}", name, subject_id)
 
 
 def render_keyword_prompt(description: str, subject_id: str | None = None) -> RenderedPrompt:
@@ -118,4 +82,4 @@ def render_keyword_prompt(description: str, subject_id: str | None = None) -> Re
     Callers must substitute the entity name when the description is empty;
     an empty description is an error here.
     """
-    return _render(Strategy.STRUCTURE_KEYWORDS, description, subject_id)
+    return _render(_KEYWORD_TEMPLATE, "{Entity Description}", description, subject_id)

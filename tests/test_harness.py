@@ -571,6 +571,27 @@ def test_classification_degenerate_model_scores_half():
     assert triplet_classification(model, kg, negatives_seed=5) == 0.5
 
 
+def test_classification_rejects_overflowing_scores():
+    # Finite embeddings whose DistMult products overflow: (a, r, b) scores -inf,
+    # (a, r, c) +inf and (a, r, d) NaN, so no threshold over them means anything.
+    big = 1e200
+    entities = {"a": [big, big], "b": [-big, -big], "c": [big, big], "d": [big, -big]}
+    model = make_model("distmult", entities, {"r": [big, big]})
+    kg = make_kg(
+        entities,
+        ["r"],
+        train=[Triple("a", "r", "d")],
+        valid=[Triple("a", "r", "b")],
+        test=[Triple("a", "r", "c")],
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert score_triple(model, "a", "r", "b") == -math.inf
+        assert score_triple(model, "a", "r", "c") == math.inf
+        assert math.isnan(score_triple(model, "a", "r", "d"))
+        with pytest.raises(ValueError, match="non-finite triple scores"):
+            triplet_classification(model, kg)
+
+
 def test_classification_on_trained_toy_model():
     kg = toy_graph()
     model = train(kg, TrainConfig(dim=16, epochs=200, seed=7))

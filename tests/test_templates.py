@@ -1,15 +1,10 @@
 """Rendering fidelity against frozen golden strings."""
 
-import json
-from importlib import resources
-
 import pytest
 
 from kgforge.templates import (
     RelationMode,
-    Strategy,
     TemplateError,
-    load_templates,
     render_entity_prompt,
     render_keyword_prompt,
     render_relation_prompt,
@@ -89,16 +84,17 @@ def test_no_residual_placeholders():
 def test_subject_id_defaults_to_value():
     assert render_entity_prompt("Michael Bay").subject_id == "Michael Bay"
     assert render_entity_prompt("Michael Bay", subject_id="/m/bay").subject_id == "/m/bay"
-    assert render_entity_prompt("Michael Bay").strategy is Strategy.ENTITY_EXPAND
 
 
-def test_template_validation_errors():
-    shipped = resources.files("kgforge").joinpath("templates.json").read_text(encoding="utf-8")
-    good = json.loads(shipped)["templates"]
-    assert load_templates({"templates": good})[Strategy.ENTITY_EXPAND] == good["entity_expand"]
-    with pytest.raises(TemplateError, match="missing template"):
-        load_templates({"templates": {"entity_expand": "hi {Entity Name}"}})
-    with pytest.raises(TemplateError, match="exactly once"):
-        load_templates({"templates": dict(good, entity_expand="no placeholder here")})
-    with pytest.raises(TemplateError, match="unknown strategy"):
-        load_templates({"templates": {"bogus": "x"}})
+@pytest.mark.parametrize(
+    "render",
+    [
+        lambda: render_entity_prompt("{Relation Name}"),
+        lambda: render_relation_prompt("{Entity Description}", RelationMode.GLOBAL),
+        lambda: render_keyword_prompt("see {Entity Name}"),
+    ],
+    ids=["entity", "relation", "keyword"],
+)
+def test_leftover_placeholder_rejected(render):
+    with pytest.raises(TemplateError, match="still contains placeholder"):
+        render()
