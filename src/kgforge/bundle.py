@@ -165,7 +165,7 @@ class AugmentationBundle:
         if (root / RELATION_TEXT_FILE).is_file():
             bundle.relation_text = dict(read_pairs(root / RELATION_TEXT_FILE))
         if (root / TRIPLES_FILE).is_file():
-            bundle.extra_triples = tuple(read_triples(root / TRIPLES_FILE))
+            bundle.extra_triples = tuple(map(Triple._make, read_triples(root / TRIPLES_FILE)))
         if (root / KEYWORDS_FILE).is_file():
             raw = json.loads((root / KEYWORDS_FILE).read_text(encoding="utf-8"))
             bundle.keyword_sets = {entity: tuple(words) for entity, words in raw.items()}

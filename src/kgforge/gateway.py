@@ -16,6 +16,7 @@ whole pipeline runs bit-for-bit reproducible.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from contextlib import nullcontext
@@ -60,8 +61,8 @@ class GenerationParams:
     model_id: str = "default"
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
 

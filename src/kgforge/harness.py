@@ -90,6 +90,20 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scatter_add(M: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(M, idx, rows)`` on a 2-D ``M``, through numpy's 1-D ``ufunc.at`` fast path.
+
+    Row ``idx[i]`` of ``M`` receives ``rows[i]`` element by element in the
+    order of ``i``, so every slot gets the same additions in the same order
+    and the result is bit-identical to the 2-D call.
+    """
+    if not M.flags.c_contiguous:
+        raise ValueError("scatter target must be C-contiguous")
+    dim = M.shape[1]
+    # A C-contiguous array always reshapes to a view, so this writes into M.
+    np.add.at(M.reshape(-1), (idx[:, None] * dim + np.arange(dim)).ravel(), rows.ravel())
+
+
 def _transe_step(
     E: np.ndarray, R: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: TrainConfig
 ) -> float:
@@ -113,12 +127,12 @@ def _transe_step(
         step = cfg.learning_rate
         gpv = step * gp[viol]
         gnv = step * gn[viol]
-        np.add.at(E, h[viol], -gpv)
-        np.add.at(R, r[viol], -gpv)
-        np.add.at(E, t[viol], gpv)
-        np.add.at(E, h2[viol], gnv)
-        np.add.at(R, r2[viol], gnv)
-        np.add.at(E, t2[viol], -gnv)
+        _scatter_add(E, h[viol], -gpv)
+        _scatter_add(R, r[viol], -gpv)
+        _scatter_add(E, t[viol], gpv)
+        _scatter_add(E, h2[viol], gnv)
+        _scatter_add(R, r2[viol], gnv)
+        _scatter_add(E, t2[viol], -gnv)
     return float(losses[viol].sum())
 
 
@@ -135,12 +149,12 @@ def _distmult_step(
     step = cfg.learning_rate
     g_pos = (step * -_sigmoid(-s_pos))[:, None]
     g_neg = (step * _sigmoid(s_neg))[:, None]
-    np.add.at(E, h, -g_pos * (Rr * Et))
-    np.add.at(R, r, -g_pos * (Eh * Et))
-    np.add.at(E, t, -g_pos * (Eh * Rr))
-    np.add.at(E, h2, -g_neg * (Rr2 * Et2))
-    np.add.at(R, r2, -g_neg * (Eh2 * Et2))
-    np.add.at(E, t2, -g_neg * (Eh2 * Rr2))
+    _scatter_add(E, h, -g_pos * (Rr * Et))
+    _scatter_add(R, r, -g_pos * (Eh * Et))
+    _scatter_add(E, t, -g_pos * (Eh * Rr))
+    _scatter_add(E, h2, -g_neg * (Rr2 * Et2))
+    _scatter_add(R, r2, -g_neg * (Eh2 * Et2))
+    _scatter_add(E, t2, -g_neg * (Eh2 * Rr2))
     return loss
 
 

@@ -10,6 +10,11 @@ Dataset layout (one directory per dataset, the de-facto public layout):
 All files are UTF-8 with LF line endings. Line order is preserved on load and
 reproduced on write, so load -> write -> load round-trips byte-identically on
 canonical files.
+
+Split files are streamed line by line, never held whole. A loaded graph keeps
+one string per id: every triple field is the string object that keys
+``entity_name`` or ``relation_name``, so dict lookups on triple fields
+compare by identity.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import hashlib
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 TRAIN_FILE = "train.txt"
 VALID_FILE = "valid.txt"
@@ -118,18 +123,26 @@ def dataset_stats(kg: KnowledgeGraph) -> DatasetStats:
     )
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield (number, line) for each non-blank line, numbered among non-blank lines.
+
+    LF, CRLF and a lone CR all end a line, as in ``Path.read_text``.
+    """
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file: {path}")
-    text = path.read_text(encoding="utf-8")
-    return [line for line in text.split("\n") if line.strip()]
+    lineno = 0
+    with path.open(encoding="utf-8") as lines:
+        for line in lines:
+            if not line.isspace():
+                lineno += 1
+                yield lineno, line.rstrip("\n")
 
 
 def read_pairs(path: Path) -> list[tuple[str, str]]:
     """Parse an id<TAB>text file, rejecting duplicate ids."""
     pairs: list[tuple[str, str]] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(_read_lines(path), 1):
+    for lineno, line in _read_lines(path):
         if "\t" not in line:
             raise FormatError(f"{path.name}:{lineno}: expected id<TAB>text, got {line!r}")
         key, text = line.split("\t", 1)
@@ -142,17 +155,15 @@ def read_pairs(path: Path) -> list[tuple[str, str]]:
     return pairs
 
 
-def read_triples(path: Path) -> list[Triple]:
-    """Parse a head<TAB>relation<TAB>tail file."""
-    triples: list[Triple] = []
-    for lineno, line in enumerate(_read_lines(path), 1):
+def read_triples(path: Path) -> Iterator[list[str]]:
+    """Yield the [head, relation, tail] fields of each line of a triple file, streamed."""
+    for lineno, line in _read_lines(path):
         fields = line.split("\t")
         if len(fields) != 3:
             raise FormatError(
                 f"{path.name}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
             )
-        triples.append(Triple(*fields))
-    return triples
+        yield fields
 
 
 def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
@@ -161,6 +172,8 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
     In strict mode any triple or description referencing an undeclared id
     aborts the load; in lenient mode offenders are dropped and reported via
     ``KnowledgeGraph.load_warnings``. Load order is preserved everywhere.
+    A malformed line anywhere in a split file is reported ahead of a dangling
+    reference in that file.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -171,38 +184,52 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
 
     entity_name = dict(read_pairs(root / ENTITY_NAME_FILE))
     relation_name = dict(read_pairs(root / RELATION_NAME_FILE))
+    # Every triple field and description key is swapped for the name file's
+    # own string, so a graph holds one string per id.
+    entity_ids = dict(zip(entity_name, entity_name))
+    relation_ids = dict(zip(relation_name, relation_name))
     warnings: list[str] = []
 
     entity_desc: dict[str, str] = {}
     desc_path = root / ENTITY_DESC_FILE
     if desc_path.is_file():
         for key, text in read_pairs(desc_path):
-            if key not in entity_name:
+            entity = entity_ids.get(key)
+            if entity is None:
                 msg = f"{ENTITY_DESC_FILE}: description for undeclared entity {key!r}"
                 if strict:
                     raise DanglingReferenceError(msg)
                 warnings.append(msg)
                 continue
             if text:
-                entity_desc[key] = text
+                entity_desc[entity] = text
 
-    def check_split(name: str, triples: list[Triple]) -> tuple[Triple, ...]:
+    def check_split(name: str, triples: Iterable[list[str]]) -> tuple[Triple, ...]:
+        # Builds a Triple without the Python-level NamedTuple constructor.
+        new_triple = tuple.__new__
         kept = []
-        for t in triples:
-            missing = []
-            if t.head not in entity_name:
-                missing.append(f"entity {t.head!r}")
-            if t.tail not in entity_name:
-                missing.append(f"entity {t.tail!r}")
-            if t.relation not in relation_name:
-                missing.append(f"relation {t.relation!r}")
-            if missing:
-                msg = f"{name}: triple {tuple(t)} references unknown {', '.join(missing)}"
+        dangling = None
+        for h, r, t in triples:
+            try:
+                kept.append(new_triple(Triple, (entity_ids[h], relation_ids[r], entity_ids[t])))
+            except KeyError:
+                if dangling is not None:
+                    continue
+                missing = []
+                if h not in entity_ids:
+                    missing.append(f"entity {h!r}")
+                if t not in entity_ids:
+                    missing.append(f"entity {t!r}")
+                if r not in relation_ids:
+                    missing.append(f"relation {r!r}")
+                msg = f"{name}: triple {(h, r, t)} references unknown {', '.join(missing)}"
                 if strict:
-                    raise DanglingReferenceError(msg)
-                warnings.append(msg)
-                continue
-            kept.append(t)
+                    # Raised once the file is parsed, so a later malformed line wins.
+                    dangling = msg
+                else:
+                    warnings.append(msg)
+        if dangling is not None:
+            raise DanglingReferenceError(dangling)
         return tuple(kept)
 
     train = check_split(TRAIN_FILE, read_triples(root / TRAIN_FILE))

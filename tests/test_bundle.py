@@ -7,7 +7,7 @@ import pytest
 
 from kgforge.bundle import AugmentationBundle, FingerprintMismatchError, apply_bundles
 from kgforge.entity import expand_descriptions
-from kgforge.kg import dataset_stats, kg_fingerprint, load_dataset, write_dataset
+from kgforge.kg import FormatError, dataset_stats, kg_fingerprint, load_dataset, write_dataset
 from kgforge.relation import describe_relations
 from kgforge.structure import StructureConfig, extract_structure
 from kgforge.synth import toy_graph
@@ -44,6 +44,15 @@ def test_load_rejects_unknown_schema_version(bundles, tmp_path):
     audit["schema_version"] = 2
     audit_path.write_text(json.dumps(audit), encoding="utf-8")
     with pytest.raises(ValueError, match="schema_version 2"):
+        AugmentationBundle.load(out)
+
+
+def test_load_rejects_malformed_triple_line(bundles, tmp_path):
+    out = bundles["S"].save(tmp_path / "S")
+    (out / "extra_triples.tsv").write_text("a\tSameAs\tb\n\nnot a triple\n", encoding="utf-8")
+    with pytest.raises(
+        FormatError, match="^extra_triples.tsv:2: expected 3 tab-separated fields, got 1$"
+    ):
         AugmentationBundle.load(out)
 
 

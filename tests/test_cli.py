@@ -246,10 +246,12 @@ def test_invalid_flag_is_config_error_before_any_query(run_config, monkeypatch, 
         {"gateway": {"temperature": "x"}},
         {"gateway": {"temperature": None}},
         {"gateway": {"temperature": -1}},
+        {"gateway": {"temperature": 1e999}},
     ],
     ids=["k-float", "dim-float", "train-seed-str", "train-seed-negative", "modes-empty",
          "seed-null", "seed-str", "budget-null", "max-new-tokens-str", "fixture-int",
-         "concurrency-float", "temperature-str", "temperature-null", "temperature-negative"],
+         "concurrency-float", "temperature-str", "temperature-null", "temperature-negative",
+         "temperature-inf"],
 )
 def test_malformed_config_value_is_config_error_before_any_query(
     run_config, monkeypatch, capsys, overrides

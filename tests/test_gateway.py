@@ -1,6 +1,7 @@
 """Gateway contracts: caching, replay, persisted cache as fixture, batching, HTTP client."""
 
 import json
+import math
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -45,8 +46,9 @@ def test_generation_params_defaults_and_validation():
     params = GenerationParams()
     assert params.temperature == 0.2
     assert params.max_new_tokens == 256
-    with pytest.raises(ValueError):
-        GenerationParams(temperature=-0.1)
+    for temperature in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="temperature"):
+            GenerationParams(temperature=temperature)
     with pytest.raises(ValueError):
         GenerationParams(max_new_tokens=0)
 

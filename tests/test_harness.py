@@ -1,5 +1,6 @@
 """Trainer, scoring, ranking, metrics, classification, and A/B comparison."""
 
+import hashlib
 import math
 import random
 import sys
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kgforge.harness import (
     EmbeddingModel,
     SplitMismatchError,
     TrainConfig,
     _best_threshold,
+    _scatter_add,
     _scores,
     _triple_scores,
     ab_compare,
@@ -27,7 +30,7 @@ from kgforge.harness import (
     triplet_classification,
 )
 from kgforge.kg import KnowledgeGraph, TextStore, Triple
-from kgforge.synth import toy_graph
+from kgforge.synth import planted_alias_graph, toy_graph
 
 
 def make_kg(entities, relations, train=(), valid=(), test=()):
@@ -446,6 +449,71 @@ def test_training_is_bitwise_deterministic(kind):
     assert np.array_equal(m1.entity_vectors, m2.entity_vectors)
     assert np.array_equal(m1.relation_vectors, m2.relation_vectors)
     assert m1.loss_history == m2.loss_history
+
+
+# sha256 of entity_vectors, relation_vectors and loss_history, recorded with the
+# per-row np.add.at updates: 180 training triples over 3 relations at batch 64,
+# so every batch scatters into repeated rows.
+TRAINING_GOLDEN = {
+    ("transe", 2): (
+        "04f53fdf3861c095ba66ece369c68da3c92256c6ba8f865a996b6aa0bda67aee",
+        "259ddd29d2f2112344fd4a4a6f04a54d4949c69fdf6d030b3c9da5bb1585f802",
+        "ec953ceca67edfacee2fe52c5ed5e51120a80dd6346023690f9f0e38b0b6a65a",
+    ),
+    ("transe", 1): (
+        "8ecc20cd30fd5254f6ed95a2a67484ee04a120f1564f67382226c675bc42916e",
+        "bb6e672eb3d4dbeac2f66c4082967dcc9a61bba718b9f1b86cabab3f4c031a30",
+        "e3b058d893ee669f74b5a218afb89bfedb0c4d5d1de9f4145c6000f5410c023f",
+    ),
+    ("distmult", 2): (
+        "573150f122869ea72a3a5b4fcfd5b2edef2308f0efbcfcc7b56f4436ec6aea65",
+        "61569ed0906e612da839683ed168f6ea3dbbad43935b0d798f720a38f751aef9",
+        "a435112be3b4695f133c2c756b0f5d4f157113a3148d071ae61a5b8d8aab03e8",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, norm", sorted(TRAINING_GOLDEN))
+def test_training_matches_golden_digests(kind, norm):
+    kg, _ = planted_alias_graph()
+    cfg = TrainConfig(kind=kind, norm=norm, dim=8, epochs=2, batch_size=64, seed=5)
+    model = train(kg, cfg)
+    outputs = (model.entity_vectors, model.relation_vectors, np.array(model.loss_history))
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in outputs)
+    assert digests == TRAINING_GOLDEN[kind, norm]
+
+
+SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, -2.5e-310]),
+    st.floats(),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_scatter_add_equals_add_at_bitwise(data):
+    n_rows = data.draw(st.integers(1, 4))
+    dim = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(0, 40))
+    target = data.draw(arrays(np.float64, (n_rows, dim), elements=SCATTER_VALUES))
+    idx = data.draw(arrays(np.int64, n, elements=st.integers(0, n_rows - 1)))
+    rows = data.draw(arrays(np.float64, (n, dim), elements=SCATTER_VALUES))
+    expected, got = target.copy(), target.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(expected, idx, rows)
+        _scatter_add(got, idx, rows)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_scatter_add_rejects_non_contiguous_target():
+    idx = np.array([0, 1, 1])
+    rows = np.ones((3, 3))
+    base = np.zeros((2, 6))
+    for target in (base[:, ::2], np.zeros((2, 3), order="F")):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _scatter_add(target, idx, rows)
+        assert not target.any()
+    assert not base.any()
 
 
 def test_training_loss_decreases():

@@ -141,3 +141,55 @@ def test_fingerprint_tracks_content(toy_root, tmp_path, toy_kg):
     with (tmp_path / "train.txt").open("a", encoding="utf-8") as fh:
         fh.write("/m/bay\t/film/directed_by\t/m/bay\n")
     assert kg_fingerprint(load_dataset(tmp_path)) != base
+
+
+def write_files(root, train="", valid="", test=""):
+    """A three-entity, one-relation dataset with the given split contents."""
+    files = {
+        "entity2text.txt": "a\tA\nb\tB\nc\tC\n",
+        "relation2text.txt": "r\tR\n",
+        "train.txt": train,
+        "valid.txt": valid,
+        "test.txt": test,
+    }
+    for name, content in files.items():
+        (root / name).write_text(content, encoding="utf-8")
+
+
+def test_triple_fields_are_the_name_files_strings(toy_root):
+    kg = load_dataset(toy_root)
+    entity_ids = {id(e) for e in kg.texts.entity_name}
+    relation_ids = {id(r) for r in kg.texts.relation_name}
+    for split in ("train", "valid", "test"):
+        for head, relation, tail in kg.split(split):
+            assert id(head) in entity_ids and id(tail) in entity_ids
+            assert id(relation) in relation_ids
+    assert all(id(e) in entity_ids for e in kg.texts.entity_desc)
+
+
+def test_strict_malformed_line_wins_over_earlier_dangling_id(tmp_path):
+    write_files(tmp_path, train="a\tr\tghost\nb\tr\tc\na\tr\n")
+    with pytest.raises(FormatError, match="^train.txt:3: expected 3 tab-separated fields, got 2$"):
+        load_dataset(tmp_path, mode="strict")
+    write_files(tmp_path, train="a\tr\tghost\nb\tr\tc\n", valid="a\tr\n")
+    with pytest.raises(DanglingReferenceError, match="ghost"):
+        load_dataset(tmp_path, mode="strict")
+
+
+def test_lenient_warnings_follow_file_and_line_order(tmp_path):
+    write_files(
+        tmp_path,
+        train="a\tr\tghost\nb\tr\tc\nnobody\tq\tc\n",
+        valid="a\tr\tb\r\nb\tr\tc\rc\tr\tghost\n",
+        test="\nc\tq\tspook\n",
+    )
+    kg = load_dataset(tmp_path, mode="lenient")
+    assert kg.train == (Triple("b", "r", "c"),)
+    assert kg.valid == (Triple("a", "r", "b"), Triple("b", "r", "c"))
+    assert kg.test == ()
+    assert kg.load_warnings == (
+        "train.txt: triple ('a', 'r', 'ghost') references unknown entity 'ghost'",
+        "train.txt: triple ('nobody', 'q', 'c') references unknown entity 'nobody', relation 'q'",
+        "valid.txt: triple ('c', 'r', 'ghost') references unknown entity 'ghost'",
+        "test.txt: triple ('c', 'q', 'spook') references unknown entity 'spook', relation 'q'",
+    )
