@@ -24,8 +24,8 @@ with tempfile.TemporaryDirectory(prefix="kgforge_demo_") as tmp:
 
     # Names and descriptions ride along with the triples.
     entity = "/m/dotm"
-    print(f"\n{entity} name: {kg.texts.name_of(entity)!r}")
-    print(f"{entity} desc: {kg.texts.desc_of(entity)!r}")
+    print(f"\n{entity} name: {kg.entity_name[entity]!r}")
+    print(f"{entity} desc: {kg.desc_of(entity)!r}")
     print("first train triple:", tuple(kg.train[0]))
 
     # Round trip: rewriting the loaded graph reproduces the files byte for byte.

@@ -23,8 +23,8 @@ from .harness import (
 from .kg import (
     DatasetStats,
     KnowledgeGraph,
-    TextStore,
     Triple,
+    augment_training_set,
     dataset_stats,
     kg_fingerprint,
     load_dataset,
@@ -35,7 +35,6 @@ from .structure import (
     KeywordSet,
     MatchScore,
     StructureConfig,
-    augment_training_set,
     extract_structure,
     match_score,
     parse_keywords,
@@ -68,7 +67,6 @@ __all__ = [
     "RenderedPrompt",
     "ReplayBackend",
     "StructureConfig",
-    "TextStore",
     "TrainConfig",
     "Triple",
     "ab_compare",

@@ -26,6 +26,7 @@ from .gateway import GatewayError, LlmGateway, prompt_key
 from .kg import (
     KnowledgeGraph,
     Triple,
+    augment_training_set,
     kg_fingerprint,
     pair_lines,
     read_pairs,
@@ -59,16 +60,6 @@ class AuditItem:
     error: str | None = None
     mode: str | None = None
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "prompt_hash": self.prompt_hash,
-            "response": self.response,
-            "error": self.error,
-            "mode": self.mode,
-            "flags": list(self.flags),
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "AuditItem":
@@ -133,7 +124,7 @@ class AugmentationBundle:
             "kind": self.kind,
             "fingerprint": self.fingerprint,
             "n_errors": len(self.errors),
-            "items": [item.to_dict() for item in self.items],
+            "items": [vars(item) for item in self.items],
         }
         (out / AUDIT_FILE).write_text(
             json.dumps(audit, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
@@ -228,13 +219,11 @@ def apply_bundles(
                 f"base dataset has {base_fp[:12]}..."
             )
 
-    from .structure import augment_training_set
-
     ordered = sorted(bundles, key=lambda b: KINDS.index(b.kind))
     result = kg
     for bundle in ordered:
         if bundle.entity_text:
-            desc = dict(result.texts.entity_desc)
+            desc = dict(result.entity_desc)
             for entity, text in bundle.entity_text.items():
                 if entity not in result.entities:
                     raise FingerprintMismatchError(f"bundle text for unknown entity {entity!r}")
@@ -242,14 +231,14 @@ def apply_bundles(
                     desc[entity] = text
                 else:
                     desc.pop(entity, None)
-            result = replace(result, texts=replace(result.texts, entity_desc=desc))
+            result = replace(result, entity_desc=desc)
         if bundle.relation_text:
-            names = dict(result.texts.relation_name)
+            names = dict(result.relation_name)
             for relation, text in bundle.relation_text.items():
                 if relation not in result.relations:
                     raise FingerprintMismatchError(f"bundle text for unknown relation {relation!r}")
                 names[relation] = text
-            result = replace(result, texts=replace(result.texts, relation_name=names))
+            result = replace(result, relation_name=names)
         if bundle.extra_triples:
             result = augment_training_set(result, bundle.extra_triples)
     return result

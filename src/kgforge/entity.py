@@ -57,14 +57,13 @@ def expand_descriptions(
     are preserved verbatim in the audit trail.
     """
     prompts = [
-        render_entity_prompt(kg.texts.name_of(entity), subject_id=entity)
-        for entity in kg.texts.entity_name
+        render_entity_prompt(name, subject_id=entity) for entity, name in kg.entity_name.items()
     ]
     bundle = AugmentationBundle(kind="entity", fingerprint=kg_fingerprint(kg))
     for item in query_audited(bundle, gateway, prompts):
         if item.error is not None:
             continue
-        original = kg.texts.desc_of(item.subject)
+        original = kg.desc_of(item.subject)
         if not item.response.strip():
             merged = original
             item.flags = (EMPTY_GENERATION_FLAG,)

@@ -66,20 +66,13 @@ class GenerationParams:
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
 
-    def to_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "max_new_tokens": self.max_new_tokens,
-            "model_id": self.model_id,
-        }
-
 
 def prompt_key(prompt_text: str, params: GenerationParams) -> str:
     """Content hash identifying one (prompt, params) exchange."""
     import hashlib
 
     payload = json.dumps(
-        {"prompt": prompt_text, **params.to_dict()}, sort_keys=True, ensure_ascii=False
+        {"prompt": prompt_text, **vars(params)}, sort_keys=True, ensure_ascii=False
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -91,8 +84,12 @@ class LlmExchange:
 
 
 def _record_line(key: str, prompt: str, params: GenerationParams, response: str) -> str:
-    """One fixture line; fixtures and the persisted cache share this serializer."""
-    record = {"hash": key, "prompt": prompt, "params": params.to_dict(), "response": response}
+    """One fixture line; fixtures and the persisted cache share this serializer.
+
+    ``vars`` of a dataclass lists its fields in declaration order, as
+    ``dataclasses.asdict`` does, at a fraction of the cost per prompt.
+    """
+    record = {"hash": key, "prompt": prompt, "params": vars(params), "response": response}
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 

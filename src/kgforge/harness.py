@@ -488,7 +488,8 @@ def triplet_classification(
     One negative per positive is generated by corrupting the tail uniformly
     (seeded, avoiding known-true triples). Thresholds maximize validation
     accuracy per relation; relations unseen in validation fall back to a
-    global threshold. A NaN or infinite score is a ``ValueError``.
+    global threshold. A NaN or infinite score is a ``ValueError``, and so is
+    a triple whose 100 corrupted tails all make known-true triples.
     """
     if not kg.valid or not kg.test:
         raise ValueError("triplet classification needs non-empty valid and test splits")
@@ -502,8 +503,9 @@ def triplet_classification(
             candidate = Triple(triple.head, triple.relation, entities[rng.integers(len(entities))])
             if candidate.tail != triple.tail and candidate not in known:
                 return candidate
-        # Dense toy graphs can exhaust retries; accept a colliding negative.
-        return Triple(triple.head, triple.relation, entities[rng.integers(len(entities))])
+        raise ValueError(
+            f"no negative for {tuple(triple)}: 100 corrupted tails were all known-true"
+        )
 
     def scored_pairs(split: tuple[Triple, ...]) -> list[tuple[str, float, float]]:
         negatives = [corrupt(triple) for triple in split]

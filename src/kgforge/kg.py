@@ -11,6 +11,10 @@ All files are UTF-8 with LF line endings. Line order is preserved on load and
 reproduced on write, so load -> write -> load round-trips byte-identically on
 canonical files.
 
+A graph is one flat record. The keys of its ``entity_name`` and
+``relation_name`` maps declare its ids, and ``entity_desc`` holds only
+non-empty descriptions.
+
 Split files are streamed line by line, never held whole. A loaded graph keeps
 one string per id: every triple field is the string object that keys
 ``entity_name`` or ``relation_name``, so dict lookups on triple fields
@@ -21,9 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence
 
 TRAIN_FILE = "train.txt"
 VALID_FILE = "valid.txt"
@@ -72,36 +76,32 @@ class DatasetStats(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TextStore:
-    """Names and descriptions attached to graph ids.
+class KnowledgeGraph:
+    """Immutable triple store with train/valid/test splits and attached texts.
 
-    ``entity_name`` and ``relation_name`` cover every id in the graph and
-    their insertion order is the file load order; ``entity_desc`` holds only
-    non-empty descriptions.
+    The keys of ``entity_name`` and ``relation_name`` are the graph's ids, in
+    file load order; ``entities`` and ``relations`` are views of those keys.
+    ``entity_desc`` holds only non-empty descriptions.
     """
 
     entity_name: dict[str, str]
-    entity_desc: dict[str, str]
     relation_name: dict[str, str]
-
-    def name_of(self, entity: str) -> str:
-        return self.entity_name[entity]
-
-    def desc_of(self, entity: str) -> str:
-        return self.entity_desc.get(entity, "")
-
-
-@dataclass(frozen=True)
-class KnowledgeGraph:
-    """Immutable triple store with train/valid/test splits and attached texts."""
-
-    entities: frozenset[str]
-    relations: frozenset[str]
+    entity_desc: dict[str, str]
     train: tuple[Triple, ...]
     valid: tuple[Triple, ...]
     test: tuple[Triple, ...]
-    texts: TextStore
     load_warnings: tuple[str, ...] = field(default=(), compare=False)
+
+    @property
+    def entities(self) -> KeysView[str]:
+        return self.entity_name.keys()
+
+    @property
+    def relations(self) -> KeysView[str]:
+        return self.relation_name.keys()
+
+    def desc_of(self, entity: str) -> str:
+        return self.entity_desc.get(entity, "")
 
     def split(self, name: str) -> tuple[Triple, ...]:
         if name not in ("train", "valid", "test"):
@@ -237,13 +237,35 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
     test = check_split(TEST_FILE, read_triples(root / TEST_FILE))
 
     return KnowledgeGraph(
-        entities=frozenset(entity_name),
-        relations=frozenset(relation_name),
+        entity_name=entity_name,
+        relation_name=relation_name,
+        entity_desc=entity_desc,
         train=train,
         valid=valid,
         test=test,
-        texts=TextStore(entity_name=entity_name, entity_desc=entity_desc, relation_name=relation_name),
         load_warnings=tuple(warnings),
+    )
+
+
+def augment_training_set(kg: KnowledgeGraph, triples: Sequence[Triple]) -> KnowledgeGraph:
+    """New graph with the triples appended to train; valid/test untouched.
+
+    Relations introduced by the new triples are registered with their id as
+    display text. Triples referencing unknown entities are an error.
+    """
+    for triple in triples:
+        for entity in (triple.head, triple.tail):
+            if entity not in kg.entities:
+                raise DanglingReferenceError(
+                    f"augmentation triple {tuple(triple)} references unknown entity {entity!r}"
+                )
+    if not triples:
+        return kg
+    relation_name = dict(kg.relation_name)
+    for triple in triples:
+        relation_name.setdefault(triple.relation, triple.relation)
+    return replace(
+        kg, relation_name=relation_name, train=kg.train + tuple(triples), load_warnings=()
     )
 
 
@@ -263,10 +285,10 @@ def _canonical_files(kg: KnowledgeGraph) -> dict[str, str]:
         TRAIN_FILE: triple_lines(kg.train),
         VALID_FILE: triple_lines(kg.valid),
         TEST_FILE: triple_lines(kg.test),
-        ENTITY_NAME_FILE: pair_lines(kg.texts.entity_name.items()),
-        RELATION_NAME_FILE: pair_lines(kg.texts.relation_name.items()),
+        ENTITY_NAME_FILE: pair_lines(kg.entity_name.items()),
+        RELATION_NAME_FILE: pair_lines(kg.relation_name.items()),
     }
-    descs = [(e, kg.texts.entity_desc[e]) for e in kg.texts.entity_name if kg.texts.desc_of(e)]
+    descs = [(e, kg.entity_desc[e]) for e in kg.entity_name if kg.desc_of(e)]
     if descs:
         files[ENTITY_DESC_FILE] = pair_lines(descs)
     return files

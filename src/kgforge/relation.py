@@ -66,10 +66,10 @@ def describe_relations(
         raise ValueError("modes must be a non-empty subset of {global, local, reverse}")
     ordered_modes = [m for m in MODE_ORDER if m in mode_set]
 
-    relations = list(kg.texts.relation_name)
+    relations = list(kg.relation_name)
     jobs = [(relation, mode) for relation in relations for mode in ordered_modes]
     prompts = [
-        render_relation_prompt(kg.texts.relation_name[relation], mode, subject_id=relation)
+        render_relation_prompt(kg.relation_name[relation], mode, subject_id=relation)
         for relation, mode in jobs
     ]
     bundle = AugmentationBundle(kind="relation", fingerprint=kg_fingerprint(kg))
@@ -83,6 +83,6 @@ def describe_relations(
         if not texts:
             continue
         bundle.relation_text[relation] = compose_relation_text(
-            kg.texts.relation_name[relation], texts
+            kg.relation_name[relation], texts
         )
     return bundle

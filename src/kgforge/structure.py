@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bundle import AugmentationBundle, query_audited
 from .gateway import LlmGateway
-from .kg import DanglingReferenceError, KnowledgeGraph, Triple, kg_fingerprint, require_int
+from .kg import KnowledgeGraph, Triple, kg_fingerprint, require_int
 from .templates import render_keyword_prompt
 
 NO_KEYWORDS_FLAG = "no keywords"
@@ -159,13 +159,13 @@ def synthesize_triples(
     pairs: Sequence[MatchScore],
     kg: KnowledgeGraph,
     cfg: StructureConfig,
-    self_loop_entities: Iterable[str] | None = None,
+    self_loop_entities: Iterable[str],
 ) -> list[Triple]:
     """Turn matched pairs into SameAs triples, optionally adding self-loops.
 
-    Self-loops cover ``self_loop_entities`` in the given order (defaults to
-    every graph entity in load order) and are appended after the pair triples.
-    Exact duplicates are removed, keeping first occurrence.
+    Self-loops cover ``self_loop_entities`` in the given order and are
+    appended after the pair triples. Exact duplicates are removed, keeping
+    first occurrence.
     """
     relation = cfg.same_as_relation
     if relation in kg.relations:
@@ -174,12 +174,7 @@ def synthesize_triples(
         )
     triples = [Triple(pair.head, relation, pair.tail) for pair in pairs]
     if cfg.self_loop:
-        loop_over = (
-            list(self_loop_entities)
-            if self_loop_entities is not None
-            else list(kg.texts.entity_name)
-        )
-        triples.extend(Triple(entity, relation, entity) for entity in loop_over)
+        triples.extend(Triple(entity, relation, entity) for entity in self_loop_entities)
     deduped: list[Triple] = []
     seen: set[Triple] = set()
     for triple in triples:
@@ -187,34 +182,6 @@ def synthesize_triples(
             seen.add(triple)
             deduped.append(triple)
     return deduped
-
-
-def augment_training_set(kg: KnowledgeGraph, triples: Sequence[Triple]) -> KnowledgeGraph:
-    """New graph with the triples appended to train; valid/test untouched.
-
-    Relations introduced by the new triples are registered with their id as
-    display text. Triples referencing unknown entities are an error.
-    """
-    for triple in triples:
-        for entity in (triple.head, triple.tail):
-            if entity not in kg.entities:
-                raise DanglingReferenceError(
-                    f"augmentation triple {tuple(triple)} references unknown entity {entity!r}"
-                )
-    if not triples:
-        return kg
-    new_relations = [t.relation for t in triples if t.relation not in kg.relations]
-    relation_name = dict(kg.texts.relation_name)
-    for relation in new_relations:
-        if relation not in relation_name:
-            relation_name[relation] = relation
-    return replace(
-        kg,
-        relations=kg.relations | frozenset(new_relations),
-        train=kg.train + tuple(triples),
-        texts=replace(kg.texts, relation_name=relation_name),
-        load_warnings=(),
-    )
 
 
 def extract_structure(
@@ -227,13 +194,13 @@ def extract_structure(
     from matching. Self-loops (when enabled) cover exactly the entities that
     ended up with keywords.
     """
-    entities = list(kg.texts.entity_name)
+    entities = list(kg.entity_name)
     prompts = []
     fallback: set[str] = set()
     for entity in entities:
-        source = kg.texts.desc_of(entity)
+        source = kg.desc_of(entity)
         if not source.strip():
-            source = kg.texts.name_of(entity)
+            source = kg.entity_name[entity]
             fallback.add(entity)
         prompts.append(render_keyword_prompt(source, subject_id=entity))
     bundle = AugmentationBundle(kind="structure", fingerprint=kg_fingerprint(kg))

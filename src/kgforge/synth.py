@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .gateway import GenerationParams, write_fixture
-from .kg import KnowledgeGraph, TextStore, Triple, write_dataset
+from .kg import KnowledgeGraph, Triple, write_dataset
 from .structure import KeywordSet
 from .templates import (
     MODE_ORDER,
@@ -87,18 +87,13 @@ TOY_KEYWORD_RESPONSES = {
 
 def toy_graph() -> KnowledgeGraph:
     """The bundled 8-entity film graph (12/2/2 split)."""
-    entity_name = {eid: name for eid, name, _ in TOY_ENTITIES}
-    entity_desc = {eid: desc for eid, _, desc in TOY_ENTITIES}
-    relation_name = dict(TOY_RELATIONS)
     return KnowledgeGraph(
-        entities=frozenset(entity_name),
-        relations=frozenset(relation_name),
+        entity_name={eid: name for eid, name, _ in TOY_ENTITIES},
+        relation_name=dict(TOY_RELATIONS),
+        entity_desc={eid: desc for eid, _, desc in TOY_ENTITIES},
         train=TOY_TRAIN,
         valid=TOY_VALID,
         test=TOY_TEST,
-        texts=TextStore(
-            entity_name=entity_name, entity_desc=entity_desc, relation_name=relation_name
-        ),
     )
 
 
@@ -124,15 +119,15 @@ def toy_fixture_records(
     params = params or GenerationParams()
     kg = toy_graph()
     records = []
-    for entity in kg.texts.entity_name:
-        prompt = render_entity_prompt(kg.texts.name_of(entity), subject_id=entity)
-        records.append((prompt.text, params, _canned_expansion(kg.texts.name_of(entity))))
-    for relation, name in kg.texts.relation_name.items():
+    for entity, name in kg.entity_name.items():
+        prompt = render_entity_prompt(name, subject_id=entity)
+        records.append((prompt.text, params, _canned_expansion(name)))
+    for relation, name in kg.relation_name.items():
         for mode in MODE_ORDER:
             prompt = render_relation_prompt(name, mode, subject_id=relation)
             records.append((prompt.text, params, _canned_relation_text(name, mode)))
-    for entity in kg.texts.entity_name:
-        source = kg.texts.desc_of(entity) or kg.texts.name_of(entity)
+    for entity, name in kg.entity_name.items():
+        source = kg.desc_of(entity) or name
         prompt = render_keyword_prompt(source, subject_id=entity)
         records.append((prompt.text, params, TOY_KEYWORD_RESPONSES[entity]))
     return records
@@ -230,15 +225,11 @@ def planted_alias_graph(
         for entity in entity_name
     }
     kg = KnowledgeGraph(
-        entities=frozenset(entity_name),
-        relations=frozenset(relations),
+        entity_name=entity_name,
+        relation_name={r: r.replace("_", " ") for r in relations},
+        entity_desc=entity_desc,
         train=tuple(train),
         valid=tuple(valid),
         test=tuple(test),
-        texts=TextStore(
-            entity_name=entity_name,
-            entity_desc=entity_desc,
-            relation_name={r: r.replace("_", " ") for r in relations},
-        ),
     )
     return kg, keyword_sets

@@ -24,10 +24,10 @@ from kgforge.harness import (
     rank_triples,
     train,
 )
+from kgforge.kg import augment_training_set
 from kgforge.structure import (
     KeywordSet,
     StructureConfig,
-    augment_training_set,
     extract_structure,
     top_k_pairs,
 )

@@ -79,8 +79,15 @@ def test_apply_effects(bundles):
     assert stats.n_entities == 8
     assert stats.n_relations == 4  # SameAs added
     assert composed.valid == kg.valid and composed.test == kg.test
-    assert composed.texts.desc_of("/m/bay") == bundles["E"].entity_text["/m/bay"]
-    assert composed.texts.relation_name["/film/directed_by"] == bundles["R"].relation_text["/film/directed_by"]
+    assert composed.desc_of("/m/bay") == bundles["E"].entity_text["/m/bay"]
+    assert composed.relation_name["/film/directed_by"] == bundles["R"].relation_text["/film/directed_by"]
+
+
+def test_composed_fingerprint_golden_value(bundles):
+    composed = apply_bundles(toy_graph(), list(bundles.values()))
+    assert kg_fingerprint(composed) == (
+        "6af9ab54432869143ae74883141f80d14d0bc19f1092dd1f8b55b93aa4deec3b"
+    )
 
 
 def test_apply_nothing_is_identity(toy_kg):

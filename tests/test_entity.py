@@ -58,8 +58,8 @@ def test_expand_descriptions_covers_every_entity(replay_gateway):
     assert not bundle.errors
     for entity, merged in bundle.entity_text.items():
         assert token_count(merged) <= 70
-        assert merged.startswith(kg.texts.desc_of(entity))
-    assert [item.subject for item in bundle.items] == list(kg.texts.entity_name)
+        assert merged.startswith(kg.desc_of(entity))
+    assert [item.subject for item in bundle.items] == list(kg.entity_name)
     assert all(item.response for item in bundle.items)  # raw response preserved verbatim
 
 
@@ -80,7 +80,7 @@ def test_empty_generation_keeps_original_and_flags(tmp_path):
     path = tmp_path / "fx.jsonl"
     write_fixture(path, records)
     bundle = expand_descriptions(kg, LlmGateway(ReplayBackend(path), params=params))
-    assert bundle.entity_text["/m/bay"] == kg.texts.desc_of("/m/bay")
+    assert bundle.entity_text["/m/bay"] == kg.desc_of("/m/bay")
     flagged = [item for item in bundle.items if item.subject == "/m/bay"]
     assert flagged[0].flags == (EMPTY_GENERATION_FLAG,)
 

@@ -29,22 +29,18 @@ from kgforge.harness import (
     train,
     triplet_classification,
 )
-from kgforge.kg import KnowledgeGraph, TextStore, Triple
+from kgforge.kg import KnowledgeGraph, Triple
 from kgforge.synth import planted_alias_graph, toy_graph
 
 
 def make_kg(entities, relations, train=(), valid=(), test=()):
     return KnowledgeGraph(
-        entities=frozenset(entities),
-        relations=frozenset(relations),
+        entity_name={e: e for e in entities},
+        relation_name={r: r for r in relations},
+        entity_desc={},
         train=tuple(train),
         valid=tuple(valid),
         test=tuple(test),
-        texts=TextStore(
-            entity_name={e: e for e in entities},
-            entity_desc={},
-            relation_name={r: r for r in relations},
-        ),
     )
 
 
@@ -658,6 +654,22 @@ def test_classification_rejects_overflowing_scores():
         assert math.isnan(score_triple(model, "a", "r", "d"))
         with pytest.raises(ValueError, match="non-finite triple scores"):
             triplet_classification(model, kg)
+
+
+def test_classification_rejects_impossible_negative():
+    # (a, r, e) is known for every entity e, so no corrupted tail of the valid
+    # triple (a, r, c) is a true negative.
+    entities = ["a", "b", "c"]
+    model = make_model("distmult", {e: [1.0] for e in entities}, {"r": [1.0]})
+    kg = make_kg(
+        entities,
+        ["r"],
+        train=[Triple("a", "r", "a"), Triple("a", "r", "b")],
+        valid=[Triple("a", "r", "c")],
+        test=[Triple("b", "r", "a")],
+    )
+    with pytest.raises(ValueError, match=r"no negative for \('a', 'r', 'c'\)"):
+        triplet_classification(model, kg)
 
 
 def test_classification_on_trained_toy_model():

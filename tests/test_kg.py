@@ -9,12 +9,13 @@ from kgforge.kg import (
     DatasetStats,
     FormatError,
     Triple,
+    augment_training_set,
     dataset_stats,
     kg_fingerprint,
     load_dataset,
     write_dataset,
 )
-from kgforge.structure import augment_training_set
+from kgforge.synth import planted_alias_graph, toy_graph
 
 
 def read(path):
@@ -130,8 +131,8 @@ def test_description_file_is_optional(tmp_path, toy_root):
         if name != "entity2textlong.txt":
             (tmp_path / name).write_text(read(toy_root / name), encoding="utf-8")
     kg = load_dataset(tmp_path)
-    assert kg.texts.entity_desc == {}
-    assert kg.texts.desc_of("/m/bay") == ""
+    assert kg.entity_desc == {}
+    assert kg.desc_of("/m/bay") == ""
 
 
 def test_fingerprint_tracks_content(toy_root, tmp_path, toy_kg):
@@ -141,6 +142,17 @@ def test_fingerprint_tracks_content(toy_root, tmp_path, toy_kg):
     with (tmp_path / "train.txt").open("a", encoding="utf-8") as fh:
         fh.write("/m/bay\t/film/directed_by\t/m/bay\n")
     assert kg_fingerprint(load_dataset(tmp_path)) != base
+
+
+def test_fingerprint_golden_values():
+    # Pinned: a change to the canonical serialization moves these, and every
+    # bundle saved against the old value stops composing.
+    assert kg_fingerprint(toy_graph()) == (
+        "2ab76997de23575b59bdb2f3737e69a66e2911dbde84fef7e5da14435e5a7141"
+    )
+    assert kg_fingerprint(planted_alias_graph(seed=13)[0]) == (
+        "57b949b3791a91930eb921cd9553b67a71cc2542b1a21cd7c3f9de7d9f95e347"
+    )
 
 
 def write_files(root, train="", valid="", test=""):
@@ -158,13 +170,13 @@ def write_files(root, train="", valid="", test=""):
 
 def test_triple_fields_are_the_name_files_strings(toy_root):
     kg = load_dataset(toy_root)
-    entity_ids = {id(e) for e in kg.texts.entity_name}
-    relation_ids = {id(r) for r in kg.texts.relation_name}
+    entity_ids = {id(e) for e in kg.entity_name}
+    relation_ids = {id(r) for r in kg.relation_name}
     for split in ("train", "valid", "test"):
         for head, relation, tail in kg.split(split):
             assert id(head) in entity_ids and id(tail) in entity_ids
             assert id(relation) in relation_ids
-    assert all(id(e) in entity_ids for e in kg.texts.entity_desc)
+    assert all(id(e) in entity_ids for e in kg.entity_desc)
 
 
 def test_strict_malformed_line_wins_over_earlier_dangling_id(tmp_path):

@@ -59,7 +59,7 @@ def test_describe_relations_single_mode(replay_gateway):
     assert set(bundle.relation_text) == set(kg.relations)
     assert len(bundle.items) == 3
     for relation, composed in bundle.relation_text.items():
-        name = kg.texts.relation_name[relation]
+        name = kg.relation_name[relation]
         assert composed.startswith(name + " ")
         assert "[SEP]" not in composed
     global_items = [item for item in bundle.items if item.mode == G.value]

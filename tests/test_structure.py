@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgforge.gateway import GenerationParams, LlmGateway, ReplayBackend, write_fixture
-from kgforge.kg import DanglingReferenceError, Triple, dataset_stats
+from kgforge.kg import DanglingReferenceError, Triple, augment_training_set, dataset_stats
 from kgforge.structure import (
     KeywordParseError,
     KeywordSet,
     RelationCollisionError,
     StructureConfig,
-    augment_training_set,
     extract_structure,
     match_score,
     parse_keywords,
@@ -216,7 +215,7 @@ def test_synthesize_counts_pairs_plus_self_loops():
 
 
 def test_synthesize_empty_pairs_no_self_loop():
-    assert synthesize_triples([], toy_graph(), StructureConfig(k=1)) == []
+    assert synthesize_triples([], toy_graph(), StructureConfig(k=1), []) == []
 
 
 def test_synthesize_deduplicates_merged_runs():
@@ -224,7 +223,7 @@ def test_synthesize_deduplicates_merged_runs():
     from kgforge.structure import MatchScore
 
     pair = MatchScore(head="/m/bay", tail="/m/bryce", score=1.0, n_matched=2)
-    triples = synthesize_triples([pair, pair], kg, StructureConfig(k=1))
+    triples = synthesize_triples([pair, pair], kg, StructureConfig(k=1), [])
     assert triples == [Triple("/m/bay", "SameAs", "/m/bryce")]
 
 
@@ -232,7 +231,7 @@ def test_synthesize_rejects_relation_collision():
     kg = toy_graph()
     cfg = StructureConfig(k=1, same_as_relation="/film/directed_by")
     with pytest.raises(RelationCollisionError):
-        synthesize_triples([], kg, cfg)
+        synthesize_triples([], kg, cfg, [])
 
 
 def test_augment_training_set_appends_only_to_train():
@@ -246,7 +245,7 @@ def test_augment_training_set_appends_only_to_train():
     assert stats.n_train == 14
     assert augmented.valid == kg.valid and augmented.test == kg.test
     assert "SameAs" in augmented.relations
-    assert augmented.texts.relation_name["SameAs"] == "SameAs"
+    assert augmented.relation_name["SameAs"] == "SameAs"
     assert augmented.train[:12] == kg.train
 
 
@@ -288,9 +287,9 @@ def test_extract_structure_audit_flags(tmp_path):
     # /m/usa loses its description, so its prompt falls back to the name, which
     # the fixture does not cover; /m/la gets a response with no keywords in it.
     kg = toy_graph()
-    desc = {e: text for e, text in kg.texts.entity_desc.items() if e != "/m/usa"}
-    kg = replace(kg, texts=replace(kg.texts, entity_desc=desc))
-    la_prompt = render_keyword_prompt(kg.texts.desc_of("/m/la")).text
+    desc = {e: text for e, text in kg.entity_desc.items() if e != "/m/usa"}
+    kg = replace(kg, entity_desc=desc)
+    la_prompt = render_keyword_prompt(kg.desc_of("/m/la")).text
     params = GenerationParams()
     records = [
         (prompt, p, "1. ; - ,\n" if prompt == la_prompt else response)
@@ -302,7 +301,7 @@ def test_extract_structure_audit_flags(tmp_path):
     bundle = extract_structure(kg, gateway, StructureConfig(k=1, self_loop=True))
 
     items = {item.subject: item for item in bundle.items}
-    assert [item.subject for item in bundle.items] == list(kg.texts.entity_name)
+    assert [item.subject for item in bundle.items] == list(kg.entity_name)
     assert items["/m/usa"].flags == ("name fallback",)
     assert items["/m/usa"].error is not None
     assert items["/m/la"].flags == ("no keywords",)
