@@ -5,12 +5,12 @@ scoring) trained with seeded numpy SGD, filtered ranking with pessimistic tie
 handling, triplet classification via per-relation score thresholds, and A/B
 comparison of a base graph against an augmented one over multiple seeds.
 
-Outside the training steps, ``_scores`` is the only place that holds the
-exact scoring formulas: ``score_triple`` and triplet classification score rows
-of triples through it. ``rank_triples`` screens chunks of TransE-L2 queries
-against every entity with one matrix product per chunk and settles each
-candidate with a rounding band, so its ranks equal those of ``_scores``; a
-query with a candidate inside the band, and every TransE-L1 and DistMult
+Outside the training step ``_step``, ``_scores`` is the only place that holds
+the exact scoring formulas: ``score_triple`` and triplet classification score
+rows of triples through it. ``rank_triples`` screens chunks of TransE-L2
+queries against every entity with one matrix product per chunk and settles
+each candidate with a rounding band, so its ranks equal those of ``_scores``;
+a query with a candidate inside the band, and every TransE-L1 and DistMult
 query, is ranked through ``_scores`` one query at a time.
 
 Training is single-threaded and fully determined by the config seed: the same
@@ -20,6 +20,7 @@ seed reproduces embeddings bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
@@ -54,10 +55,9 @@ class TrainConfig:
         for name in ("dim", "epochs", "negatives_per_positive", "batch_size"):
             require_int(name, getattr(self, name), 1)
         require_int("seed", self.seed, 0)
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.margin <= 0:
-            raise ValueError(f"margin must be > 0, got {self.margin}")
+        for name in ("learning_rate", "margin"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.norm not in (1, 2):
             raise ValueError(f"norm must be 1 or 2, got {self.norm}")
 
@@ -104,57 +104,52 @@ def _scatter_add(M: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     np.add.at(M.reshape(-1), (idx[:, None] * dim + np.arange(dim)).ravel(), rows.ravel())
 
 
-def _transe_step(
-    E: np.ndarray, R: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: TrainConfig
-) -> float:
-    h, r, t = pos[:, 0], pos[:, 1], pos[:, 2]
-    h2, r2, t2 = neg[:, 0], neg[:, 1], neg[:, 2]
-    dp_vec = E[h] + R[r] - E[t]
-    dn_vec = E[h2] + R[r2] - E[t2]
-    if cfg.norm == 1:
-        dp = np.abs(dp_vec).sum(axis=1)
-        dn = np.abs(dn_vec).sum(axis=1)
-        gp = np.sign(dp_vec)
-        gn = np.sign(dn_vec)
-    else:
-        dp = np.sqrt((dp_vec**2).sum(axis=1))
-        dn = np.sqrt((dn_vec**2).sum(axis=1))
-        gp = dp_vec / np.maximum(dp, 1e-12)[:, None]
-        gn = dn_vec / np.maximum(dn, 1e-12)[:, None]
-    losses = cfg.margin + dp - dn
-    viol = losses > 0
-    if viol.any():
-        step = cfg.learning_rate
-        gpv = step * gp[viol]
-        gnv = step * gn[viol]
-        _scatter_add(E, h[viol], -gpv)
-        _scatter_add(R, r[viol], -gpv)
-        _scatter_add(E, t[viol], gpv)
-        _scatter_add(E, h2[viol], gnv)
-        _scatter_add(R, r2[viol], gnv)
-        _scatter_add(E, t2[viol], -gnv)
-    return float(losses[viol].sum())
+def _step(E: np.ndarray, R: np.ndarray, rows: np.ndarray, cfg: TrainConfig) -> float:
+    """One SGD step on ``rows``: a batch's positives, then one corruption of each.
 
-
-def _distmult_step(
-    E: np.ndarray, R: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: TrainConfig
-) -> float:
-    h, r, t = pos[:, 0], pos[:, 1], pos[:, 2]
-    h2, r2, t2 = neg[:, 0], neg[:, 1], neg[:, 2]
-    Eh, Rr, Et = E[h], R[r], E[t]
-    Eh2, Rr2, Et2 = E[h2], R[r2], E[t2]
-    s_pos = (Eh * Rr * Et).sum(axis=1)
-    s_neg = (Eh2 * Rr2 * Et2).sum(axis=1)
-    loss = float(np.logaddexp(0.0, -s_pos).sum() + np.logaddexp(0.0, s_neg).sum())
+    Only the loss and the per-row gradients depend on the model kind. ``E``
+    then receives the positive heads, positive tails, negative heads and
+    negative tails, and ``R`` the positive then the negative relations, each
+    through one ``_scatter_add``. Every slot thus gets its additions in a
+    fixed order, which the golden training digests pin.
+    """
+    n = len(rows) // 2
+    h, r, t = rows.T
+    vh, vr, vt = E[h], R[r], E[t]
     step = cfg.learning_rate
-    g_pos = (step * -_sigmoid(-s_pos))[:, None]
-    g_neg = (step * _sigmoid(s_neg))[:, None]
-    _scatter_add(E, h, -g_pos * (Rr * Et))
-    _scatter_add(R, r, -g_pos * (Eh * Et))
-    _scatter_add(E, t, -g_pos * (Eh * Rr))
-    _scatter_add(E, h2, -g_neg * (Rr2 * Et2))
-    _scatter_add(R, r2, -g_neg * (Eh2 * Et2))
-    _scatter_add(E, t2, -g_neg * (Eh2 * Rr2))
+    if cfg.kind == "transe":
+        diff = vh + vr - vt
+        if cfg.norm == 1:
+            dist = np.abs(diff).sum(axis=1)
+            grad = np.sign(diff)
+        else:
+            dist = np.sqrt((diff**2).sum(axis=1))
+            grad = diff / np.maximum(dist, 1e-12)[:, None]
+        losses = cfg.margin + dist[:n] - dist[n:]
+        viol = losses > 0
+        loss = float(losses[viol].sum())
+        # Only a margin-violating positive and its corruption are updated.
+        keep = np.concatenate((viol, viol))
+        h, r, t = h[keep], r[keep], t[keep]
+        n = len(h) // 2
+        dh = step * grad[keep]
+        np.negative(dh[:n], out=dh[:n])
+        dr, dt = dh, -dh
+    else:
+        scores = (vh * vr * vt).sum(axis=1)
+        # Each row's loss is log(1 + exp(z)), with z = -score for positives.
+        z = np.concatenate((-scores[:n], scores[n:]))
+        loss = float(np.logaddexp(0.0, z[:n]).sum() + np.logaddexp(0.0, z[n:]).sum())
+        w = step * _sigmoid(z)
+        np.negative(w[n:], out=w[n:])
+        w = w[:, None]
+        dh, dr, dt = w * (vr * vt), w * (vh * vt), w * (vh * vr)
+    _scatter_add(
+        E,
+        np.concatenate((h[:n], t[:n], h[n:], t[n:])),
+        np.concatenate((dh[:n], dt[:n], dh[n:], dt[n:])),
+    )
+    _scatter_add(R, r, dr)
     return loss
 
 
@@ -181,7 +176,6 @@ def train(kg: KnowledgeGraph, cfg: TrainConfig) -> EmbeddingModel:
     if cfg.kind == "transe":
         _normalize_rows(R)
 
-    step_fn = _transe_step if cfg.kind == "transe" else _distmult_step
     reps = cfg.negatives_per_positive
     loss_history = []
     for epoch in range(cfg.epochs):
@@ -190,12 +184,13 @@ def train(kg: KnowledgeGraph, cfg: TrainConfig) -> EmbeddingModel:
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             pos = np.repeat(triples[perm[start : start + cfg.batch_size]], reps, axis=0)
-            neg = pos.copy()
-            corrupt_head = rng.random(len(neg)) < 0.5
-            random_entities = rng.integers(0, n_ent, len(neg))
+            rows = np.concatenate((pos, pos))
+            neg = rows[len(pos) :]
+            corrupt_head = rng.random(len(pos)) < 0.5
+            random_entities = rng.integers(0, n_ent, len(pos))
             neg[corrupt_head, 0] = random_entities[corrupt_head]
             neg[~corrupt_head, 2] = random_entities[~corrupt_head]
-            epoch_loss += step_fn(E, R, pos, neg, cfg)
+            epoch_loss += _step(E, R, rows, cfg)
         mean_loss = epoch_loss / (n_train * reps)
         # A NaN margin loss compares False against 0 and is never summed, so
         # the embeddings are checked as well as the loss.

@@ -1,6 +1,7 @@
 """Command-line behaviors: exit codes, outputs, count laws."""
 
 import json
+import math
 import os
 
 import pytest
@@ -247,11 +248,14 @@ def test_invalid_flag_is_config_error_before_any_query(run_config, monkeypatch, 
         {"gateway": {"temperature": None}},
         {"gateway": {"temperature": -1}},
         {"gateway": {"temperature": 1e999}},
+        {"train": {"margin": math.nan}},
+        {"train": {"margin": 1e999}},
+        {"train": {"learning_rate": math.nan}},
     ],
     ids=["k-float", "dim-float", "train-seed-str", "train-seed-negative", "modes-empty",
          "seed-null", "seed-str", "budget-null", "max-new-tokens-str", "fixture-int",
          "concurrency-float", "temperature-str", "temperature-null", "temperature-negative",
-         "temperature-inf"],
+         "temperature-inf", "margin-nan", "margin-inf", "learning-rate-nan"],
 )
 def test_malformed_config_value_is_config_error_before_any_query(
     run_config, monkeypatch, capsys, overrides

@@ -18,6 +18,7 @@ from kgforge.harness import (
     _best_threshold,
     _scatter_add,
     _scores,
+    _step,
     _triple_scores,
     ab_compare,
     format_table,
@@ -447,36 +448,76 @@ def test_training_is_bitwise_deterministic(kind):
     assert m1.loss_history == m2.loss_history
 
 
-# sha256 of entity_vectors, relation_vectors and loss_history, recorded with the
-# per-row np.add.at updates: 180 training triples over 3 relations at batch 64,
-# so every batch scatters into repeated rows.
+# sha256 of entity_vectors, relation_vectors and loss_history on the planted
+# graph (180 training triples over 3 relations), keyed by kind, norm, batch
+# size and negatives per positive. The batch-64 rows were recorded with
+# per-row np.add.at updates, the rest with a separate scatter for each
+# positive and negative index column. Every batch scatters into repeated
+# rows; at batch 1, 84 of the 360 steps violate no margin.
 TRAINING_GOLDEN = {
-    ("transe", 2): (
+    ("transe", 2, 64, 1): (
         "04f53fdf3861c095ba66ece369c68da3c92256c6ba8f865a996b6aa0bda67aee",
         "259ddd29d2f2112344fd4a4a6f04a54d4949c69fdf6d030b3c9da5bb1585f802",
         "ec953ceca67edfacee2fe52c5ed5e51120a80dd6346023690f9f0e38b0b6a65a",
     ),
-    ("transe", 1): (
+    ("transe", 1, 64, 1): (
         "8ecc20cd30fd5254f6ed95a2a67484ee04a120f1564f67382226c675bc42916e",
         "bb6e672eb3d4dbeac2f66c4082967dcc9a61bba718b9f1b86cabab3f4c031a30",
         "e3b058d893ee669f74b5a218afb89bfedb0c4d5d1de9f4145c6000f5410c023f",
     ),
-    ("distmult", 2): (
+    ("distmult", 2, 64, 1): (
         "573150f122869ea72a3a5b4fcfd5b2edef2308f0efbcfcc7b56f4436ec6aea65",
         "61569ed0906e612da839683ed168f6ea3dbbad43935b0d798f720a38f751aef9",
         "a435112be3b4695f133c2c756b0f5d4f157113a3148d071ae61a5b8d8aab03e8",
     ),
+    ("transe", 1, 32, 2): (
+        "4fc236587084fde974a32d523d0478e0832d663b5d82d79955dc4cdabad04b8a",
+        "812c2ada557a720d1f28344b9aacf3a33c0ef10a6ebd56c0de98e46819122ac0",
+        "c90e471d5b2f1986894c656934594779aae6130d2afc63d65ca5fccfb439bdd4",
+    ),
+    ("transe", 2, 32, 2): (
+        "33f519a96aac1b85838c3a840ee17f1c0dbfd86e8be372767e8904b5f7bf6ecd",
+        "a797a889e781ecceced8f2bfc3220fd593144ee9831db11afd3b99c92f69cdb2",
+        "2d3a26924814468d916995897f9599c615d8167633fe49ea64c77f6e722b685d",
+    ),
+    ("distmult", 2, 32, 2): (
+        "c7769f480022a6b04cffb35b3befb3689124d5bd176f22202c46d7f9edf83973",
+        "d191bb1bca9cd9c2d5164914515e8a1ba93a08a52de404f09ba11cbc48f5c8dd",
+        "01219ae037e68fd45c8841bdd5f74ccac294d1a788735fe14445b205f23e4c5f",
+    ),
+    ("transe", 1, 1, 1): (
+        "2c79261dfd18eaa9788d08098afa73871bf6547a5cedd73f679e7569899fd1d6",
+        "0b83543f5e8efa6c67d04b59ead79a4480286e190e8cd8e70f2143b6f8c006d8",
+        "a0bc6f9efbee0d7c0a4ee7b2ce081e905da86a1443a3764b728d28f136e358ad",
+    ),
 }
 
 
-@pytest.mark.parametrize("kind, norm", sorted(TRAINING_GOLDEN))
-def test_training_matches_golden_digests(kind, norm):
+def _golden_id(kind, norm, batch_size, negatives):
+    # The batch-64 cases keep their original ids.
+    return f"{kind}-{norm}" + ("" if batch_size == 64 else f"-b{batch_size}-n{negatives}")
+
+
+@pytest.mark.parametrize(
+    "kind, norm, batch_size, negatives",
+    sorted(TRAINING_GOLDEN),
+    ids=[_golden_id(*key) for key in sorted(TRAINING_GOLDEN)],
+)
+def test_training_matches_golden_digests(kind, norm, batch_size, negatives):
     kg, _ = planted_alias_graph()
-    cfg = TrainConfig(kind=kind, norm=norm, dim=8, epochs=2, batch_size=64, seed=5)
+    cfg = TrainConfig(
+        kind=kind,
+        norm=norm,
+        dim=8,
+        epochs=2,
+        batch_size=batch_size,
+        negatives_per_positive=negatives,
+        seed=5,
+    )
     model = train(kg, cfg)
     outputs = (model.entity_vectors, model.relation_vectors, np.array(model.loss_history))
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in outputs)
-    assert digests == TRAINING_GOLDEN[kind, norm]
+    assert digests == TRAINING_GOLDEN[kind, norm, batch_size, negatives]
 
 
 SCATTER_VALUES = st.one_of(
@@ -510,6 +551,19 @@ def test_scatter_add_rejects_non_contiguous_target():
             _scatter_add(target, idx, rows)
         assert not target.any()
     assert not base.any()
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+def test_step_without_margin_violation_changes_nothing(norm):
+    E = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
+    R = np.array([[1.0, 0.0]])
+    # Both positives lie at distance 0, their corruptions at distances 9 and 11.
+    rows = np.array([[0, 0, 1], [0, 0, 1], [0, 0, 2], [2, 0, 0]])
+    E_before, R_before = E.copy(), R.copy()
+    loss = _step(E, R, rows, TrainConfig(kind="transe", norm=norm, margin=1.0))
+    assert loss == 0.0
+    assert E.tobytes() == E_before.tobytes()
+    assert R.tobytes() == R_before.tobytes()
 
 
 def test_training_loss_decreases():
