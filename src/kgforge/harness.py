@@ -13,6 +13,13 @@ each candidate with a rounding band, so its ranks equal those of ``_scores``;
 a query with a candidate inside the band, and every TransE-L1 and DistMult
 query, is ranked through ``_scores`` one query at a time.
 
+The filter of ranking and the negatives of triplet classification come from
+one join, ``_completions``. It sorts a key per train, valid and test triple,
+built from the graph's cached index rows, once per call; each query's known
+completions are then one run of the sorted keys, found by binary search.
+Training, too, reads the graph's cached rows and sorted id order, so a graph
+is indexed once however often it is trained on or ranked.
+
 Training is single-threaded and fully determined by the config seed: the same
 seed reproduces embeddings bit for bit.
 """
@@ -23,11 +30,12 @@ import json
 import math
 import statistics
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kg import KnowledgeGraph, Triple, kg_fingerprint, require_int
+from .kg import KnowledgeGraph, Triple, _index_rows, kg_fingerprint, require_int
 
 MODEL_KINDS = ("transe", "distmult")
 METRICS = ("mr", "mrr", "hits1", "hits3", "hits10")
@@ -56,8 +64,9 @@ class TrainConfig:
             require_int(name, getattr(self, name), 1)
         require_int("seed", self.seed, 0)
         for name in ("learning_rate", "margin"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         if self.norm not in (1, 2):
             raise ValueError(f"norm must be 1 or 2, got {self.norm}")
 
@@ -100,8 +109,9 @@ def _scatter_add(M: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     if not M.flags.c_contiguous:
         raise ValueError("scatter target must be C-contiguous")
     dim = M.shape[1]
+    flat = idx.astype(np.intp)[:, None] * dim + np.arange(dim)
     # A C-contiguous array always reshapes to a view, so this writes into M.
-    np.add.at(M.reshape(-1), (idx[:, None] * dim + np.arange(dim)).ravel(), rows.ravel())
+    np.add.at(M.reshape(-1), flat.ravel(), rows.ravel())
 
 
 def _step(E: np.ndarray, R: np.ndarray, rows: np.ndarray, cfg: TrainConfig) -> float:
@@ -156,23 +166,22 @@ def _step(E: np.ndarray, R: np.ndarray, rows: np.ndarray, cfg: TrainConfig) -> f
 def train(kg: KnowledgeGraph, cfg: TrainConfig) -> EmbeddingModel:
     """Train an embedding model on the graph's training split.
 
-    Negatives corrupt the head or tail uniformly (coin flip per sample).
-    Entity rows are L2-normalized at the start of each epoch. Deterministic
-    given the config seed.
+    Entities and relations are indexed in sorted id order, the graph's cached
+    ``_index``, and the training rows are the graph's cached ones. Negatives
+    corrupt the head or tail uniformly (coin flip per sample). Entity rows are
+    L2-normalized at the start of each epoch. Deterministic given the config
+    seed.
     """
     if not kg.train:
         raise ValueError("cannot train on an empty training set")
-    entities = sorted(kg.entities)
-    relations = sorted(kg.relations)
-    entity_index = {e: i for i, e in enumerate(entities)}
-    relation_index = {r: i for i, r in enumerate(relations)}
-    triples = _index_rows(entity_index, relation_index, kg.train)
-    n_ent, n_train = len(entities), len(triples)
+    entity_index, relation_index = kg._index
+    triples = kg._split_rows("train")
+    n_ent, n_train = len(entity_index), len(triples)
 
     rng = np.random.default_rng(cfg.seed)
     bound = 6.0 / np.sqrt(cfg.dim)
     E = rng.uniform(-bound, bound, (n_ent, cfg.dim))
-    R = rng.uniform(-bound, bound, (len(relations), cfg.dim))
+    R = rng.uniform(-bound, bound, (len(relation_index), cfg.dim))
     if cfg.kind == "transe":
         _normalize_rows(R)
 
@@ -204,37 +213,15 @@ def train(kg: KnowledgeGraph, cfg: TrainConfig) -> EmbeddingModel:
     return EmbeddingModel(
         kind=cfg.kind,
         dim=cfg.dim,
-        entity_index=entity_index,
-        relation_index=relation_index,
+        # Copies: a caller may edit a model's index, never the graph's cache.
+        entity_index=dict(entity_index),
+        relation_index=dict(relation_index),
         entity_vectors=E,
         relation_vectors=R,
         norm=cfg.norm,
         loss_history=tuple(loss_history),
         config=cfg,
     )
-
-
-def _index_rows(
-    entity_index: dict[str, int], relation_index: dict[str, int], triples: Sequence[Triple]
-) -> np.ndarray:
-    """(n, 3) int64 rows of head, relation and tail indices.
-
-    A name missing from the index raises ``KeyError("unknown entity/relation ...")``,
-    naming the first one met in row order.
-    """
-    try:
-        rows = [(entity_index[h], relation_index[r], entity_index[t]) for h, r, t in triples]
-    except KeyError:
-        for h, r, t in triples:
-            for index, name, kind in (
-                (entity_index, h, "entity"),
-                (relation_index, r, "relation"),
-                (entity_index, t, "entity"),
-            ):
-                if name not in index:
-                    raise KeyError(f"unknown {kind} {name!r}") from None
-        raise
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def _require_finite(model: EmbeddingModel) -> None:
@@ -255,10 +242,14 @@ def _scores(model: EmbeddingModel, vh: np.ndarray, vr: np.ndarray, vt: np.ndarra
     return np.einsum("...d,...d,...d->...", vh, vr, vt, optimize=True)
 
 
-def _triple_scores(model: EmbeddingModel, triples: Sequence[Triple]) -> np.ndarray:
-    ids = _index_rows(model.entity_index, model.relation_index, triples)
+def _row_scores(model: EmbeddingModel, ids: np.ndarray) -> np.ndarray:
+    """``_scores`` of (n, 3) rows of model indices."""
     E, R = model.entity_vectors, model.relation_vectors
     return _scores(model, E[ids[:, 0]], R[ids[:, 1]], E[ids[:, 2]])
+
+
+def _triple_scores(model: EmbeddingModel, triples: Sequence[Triple]) -> np.ndarray:
+    return _row_scores(model, _index_rows(model.entity_index, model.relation_index, triples))
 
 
 def score_triple(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
@@ -295,9 +286,12 @@ def _exact_rank(model: EmbeddingModel, h: int, r: int, t: int, excluded, tail: b
 
 
 def _screened_ranks(
-    model: EmbeddingModel, ids: np.ndarray, excluded: Sequence[Sequence[int]], tail: bool
+    model: EmbeddingModel, ids: np.ndarray, offsets: np.ndarray, known: np.ndarray, tail: bool
 ) -> list[int]:
     """``_exact_rank`` of every query row in one direction, screened chunk by chunk.
+
+    Query ``i`` never counts its gold nor its filtered completions
+    ``known[offsets[i]:offsets[i + 1]]``, which are model indices.
 
     For TransE-L2 each chunk's candidate values come from one matrix product,
     ``v = 2 a.e - |e|^2`` (the negated squared distance up to the query's own
@@ -315,7 +309,10 @@ def _screened_ranks(
     ``_exact_rank``.
     """
     if model.kind != "transe" or model.norm == 1:
-        return [_exact_rank(model, *row, ex, tail) for row, ex in zip(ids.tolist(), excluded)]
+        return [
+            _exact_rank(model, *row, known[a:b], tail)
+            for row, a, b in zip(ids.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+        ]
     E, R = model.entity_vectors, model.relation_vectors
     heads, rels, tails = ids.T
     golds = tails if tail else heads
@@ -323,15 +320,7 @@ def _screened_ranks(
     K = 8.0 * (model.dim + 8)
     ku = K * np.finfo(float).eps / 2
     floor = 2 * K * np.finfo(float).smallest_subnormal
-    # Each query's gold and filtered completions, flattened, are never counted.
-    counts = [len(ex) + 1 for ex in excluded]
-    skip_rows = np.repeat(np.arange(len(ids)), counts)
-    skip_cols = np.fromiter(
-        (c for ex, gold in zip(excluded, golds.tolist()) for c in (*ex, gold)),
-        dtype=np.int64,
-        count=len(skip_rows),
-    )
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    known_rows = np.repeat(np.arange(len(ids)), np.diff(offsets))
     ranks = []
     with np.errstate(over="ignore", invalid="ignore"):
         queries = E[heads] + R[rels] if tail else E[tails] - R[rels]
@@ -355,14 +344,60 @@ def _screened_ranks(
             # NaN band settles nothing.
             settled = np.abs(gaps, out=gaps) > band
             skip = slice(offsets[start], offsets[start + len(gold)])
-            settled[skip_rows[skip] - start, skip_cols[skip]] = True
-            counted[skip_rows[skip] - start, skip_cols[skip]] = False
+            for cells in ((rows, gold), (known_rows[skip] - start, known[skip])):
+                settled[cells] = True
+                counted[cells] = False
             chunk_ranks = 1 + np.count_nonzero(counted, axis=1)
             for i in np.flatnonzero(~settled.all(axis=1)).tolist():
-                h, r, t = ids[start + i].tolist()
-                chunk_ranks[i] = _exact_rank(model, h, r, t, excluded[start + i], tail)
+                q = start + i
+                h, r, t = ids[q].tolist()
+                excluded = known[offsets[q] : offsets[q + 1]]
+                chunk_ranks[i] = _exact_rank(model, h, r, t, excluded, tail)
             ranks.extend(chunk_ranks.tolist())
     return ranks
+
+
+def _completions(
+    kg: KnowledgeGraph, queries: np.ndarray, tail: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every known completion of each query's slot, by one sorted-key join.
+
+    ``queries`` are (head, relation, tail) rows of the graph's ``_index``
+    positions, -1 where the graph lacks a name. A row's slot is its head and
+    relation when completing tails, its tail and relation when completing
+    heads. Each train, valid and test triple gets the key
+    ``slot * |E| + completion``. The keys are sorted once, so one slot's
+    completions are one run of them, found by two binary searches. Returns
+    offsets and entity positions: query ``i``'s completions are
+    ``completions[offsets[i]:offsets[i + 1]]``, a triple in several splits
+    counted once per split.
+    """
+    n_ent, n_rel = len(kg.entities), len(kg.relations)
+    own, other = (0, 2) if tail else (2, 0)
+    rows = np.concatenate([kg._split_rows(name) for name in ("train", "valid", "test")])
+    keys = (rows[:, own].astype(np.int64) * n_rel + rows[:, 1]) * n_ent + rows[:, other]
+    keys.sort()
+    slots = queries[:, own].astype(np.int64) * n_rel + queries[:, 1]
+    # Keys are never negative, so this slot's run is empty.
+    slots[(queries[:, [own, 1]] < 0).any(axis=1)] = -1
+    lo = np.searchsorted(keys, slots * n_ent)
+    counts = np.searchsorted(keys, (slots + 1) * n_ent) - lo
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    runs = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
+    return offsets, keys[runs] % n_ent
+
+
+def _model_entities(model: EmbeddingModel, kg: KnowledgeGraph, positions: np.ndarray) -> np.ndarray:
+    """Model indices of graph entity positions; one the model lacks raises ``KeyError``."""
+    entities = list(kg._index[0])
+    to_model = np.fromiter(
+        map(model.entity_index.get, entities, repeat(-1)), dtype=np.intp, count=len(entities)
+    )
+    mapped = to_model[positions]
+    missing = np.flatnonzero(mapped < 0)
+    if missing.size:
+        raise KeyError(f"unknown entity {entities[positions[missing[0]]]!r}")
+    return mapped
 
 
 def rank_triples(
@@ -371,25 +406,30 @@ def rank_triples(
     """Tail rank, then head rank, of each triple among all entities.
 
     The filtered rank excludes candidates (other than the gold) whose
-    completed triple appears anywhere in train/valid/test. Ranks are exact:
-    each equals ``rank_of_gold`` over the query's ``_scores``.
+    completed triple appears anywhere in train/valid/test, found by
+    ``_completions``; a completion the model does not index is a
+    ``KeyError``. Ranks are exact: each equals ``rank_of_gold`` over the
+    query's ``_scores``.
     """
     _require_finite(model)
     ids = _index_rows(model.entity_index, model.relation_index, triples)
-    # Known completions are collected only for the slots these triples query.
-    known_tails: dict[tuple[str, str], list[int]] = {(h, r): [] for h, r, _ in triples}
-    known_heads: dict[tuple[str, str], list[int]] = {(r, t): [] for _, r, t in triples}
     if filtered:
-        entity_index = model.entity_index
-        for h, r, t in (*kg.train, *kg.valid, *kg.test):
-            tails = known_tails.get((h, r))
-            if tails is not None:
-                tails.append(entity_index[t])
-            heads = known_heads.get((r, t))
-            if heads is not None:
-                heads.append(entity_index[h])
-    tail_ranks = _screened_ranks(model, ids, [known_tails[(h, r)] for h, r, _ in triples], True)
-    head_ranks = _screened_ranks(model, ids, [known_heads[(r, t)] for _, r, t in triples], False)
+        entity_pos, relation_pos = kg._index
+        queries = np.array(
+            [
+                (entity_pos.get(h, -1), relation_pos.get(r, -1), entity_pos.get(t, -1))
+                for h, r, t in triples
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        known = []
+        for tail in (True, False):
+            offsets, completions = _completions(kg, queries, tail)
+            known.append((offsets, _model_entities(model, kg, completions)))
+    else:
+        known = [(np.zeros(len(ids) + 1, dtype=np.intp), np.zeros(0, dtype=np.intp))] * 2
+    tail_ranks = _screened_ranks(model, ids, *known[0], True)
+    head_ranks = _screened_ranks(model, ids, *known[1], False)
     return [rank for pair in zip(tail_ranks, head_ranks) for rank in pair]
 
 
@@ -489,30 +529,38 @@ def triplet_classification(
     if not kg.valid or not kg.test:
         raise ValueError("triplet classification needs non-empty valid and test splits")
     _require_finite(model)
-    known = kg.all_triples()
-    entities = sorted(kg.entities)
+    # Query i is valid triple i, then test triple i - |valid|.
+    queries = np.concatenate((kg._split_rows("valid"), kg._split_rows("test")))
+    offsets, known = _completions(kg, queries, tail=True)
+    offsets, known, golds = offsets.tolist(), known.tolist(), queries[:, 2].tolist()
+    n_ent = len(kg.entities)
     rng = np.random.default_rng(negatives_seed)
 
-    def corrupt(triple: Triple) -> Triple:
+    def corrupt(i: int, triple: Triple) -> int:
+        """Position of a drawn tail that is neither the gold nor a known tail of query ``i``."""
+        known_tails = known[offsets[i] : offsets[i + 1]]
         for _ in range(100):
-            candidate = Triple(triple.head, triple.relation, entities[rng.integers(len(entities))])
-            if candidate.tail != triple.tail and candidate not in known:
+            candidate = int(rng.integers(n_ent))
+            if candidate != golds[i] and candidate not in known_tails:
                 return candidate
         raise ValueError(
             f"no negative for {tuple(triple)}: 100 corrupted tails were all known-true"
         )
 
-    def scored_pairs(split: tuple[Triple, ...]) -> list[tuple[str, float, float]]:
-        negatives = [corrupt(triple) for triple in split]
-        scores = _triple_scores(model, [*split, *negatives])
+    def scored_pairs(split: tuple[Triple, ...], first: int) -> list[tuple[str, float, float]]:
+        tails = [corrupt(first + i, triple) for i, triple in enumerate(split)]
+        positives = _index_rows(model.entity_index, model.relation_index, split)
+        negatives = positives.copy()
+        negatives[:, 2] = _model_entities(model, kg, np.array(tails, dtype=np.intp))
+        scores = _row_scores(model, np.concatenate((positives, negatives)))
         if not np.isfinite(scores).all():
             raise ValueError(f"non-finite triple scores (kind={model.kind}): scoring overflows")
         scores = scores.tolist()
         n = len(split)
         return list(zip((triple.relation for triple in split), scores[:n], scores[n:]))
 
-    valid_pairs = scored_pairs(kg.valid)
-    test_pairs = scored_pairs(kg.test)
+    valid_pairs = scored_pairs(kg.valid, 0)
+    test_pairs = scored_pairs(kg.test, len(kg.valid))
 
     by_relation: dict[str, tuple[list[float], list[float]]] = {}
     for relation, pos, neg in valid_pairs:

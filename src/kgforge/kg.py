@@ -19,6 +19,13 @@ Split files are streamed line by line, never held whole. A loaded graph keeps
 one string per id: every triple field is the string object that keys
 ``entity_name`` or ``relation_name``, so dict lookups on triple fields
 compare by identity.
+
+A graph computes what is derived from it once, on first use, and keeps it
+outside its fields: the position of each id in sorted id order, each split as
+int32 index rows, and its fingerprint. ``==``, ``repr``, ``asdict`` and
+``replace`` see only the fields, and a replaced graph starts with nothing
+cached. The cached view is never refreshed, so a graph's maps and splits must
+not be mutated after construction; build a changed graph with ``replace``.
 """
 
 from __future__ import annotations
@@ -26,8 +33,12 @@ from __future__ import annotations
 import hashlib
 import operator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain, cycle
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence
+
+import numpy as np
 
 TRAIN_FILE = "train.txt"
 VALID_FILE = "valid.txt"
@@ -82,6 +93,11 @@ class KnowledgeGraph:
     The keys of ``entity_name`` and ``relation_name`` are the graph's ids, in
     file load order; ``entities`` and ``relations`` are views of those keys.
     ``entity_desc`` holds only non-empty descriptions.
+
+    The sorted-id positions (``_index``), a split's index rows
+    (``_split_rows``) and the fingerprint are computed on first use and
+    cached on the instance, outside the dataclass fields. Nothing refreshes
+    them, so the maps and splits must not be mutated after construction.
     """
 
     entity_name: dict[str, str]
@@ -108,8 +124,64 @@ class KnowledgeGraph:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
-    def all_triples(self) -> frozenset[Triple]:
-        return frozenset(self.train) | frozenset(self.valid) | frozenset(self.test)
+    @cached_property
+    def _index(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Position of each entity and each relation id in sorted id order."""
+        return (
+            {e: i for i, e in enumerate(sorted(self.entity_name))},
+            {r: i for i, r in enumerate(sorted(self.relation_name))},
+        )
+
+    @cached_property
+    def _rows(self) -> dict[str, np.ndarray]:
+        """The index rows of each split built so far, by split name."""
+        return {}
+
+    def _split_rows(self, name: str) -> np.ndarray:
+        """The split as (n, 3) int32 rows of ``_index`` positions, built on first use."""
+        rows = self._rows.get(name)
+        if rows is None:
+            rows = self._rows[name] = _index_rows(*self._index, self.split(name))
+        return rows
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        digest = hashlib.sha256()
+        files = _canonical_files(self)
+        for name in sorted(files):
+            digest.update(name.encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(files[name].encode("utf-8"))
+            digest.update(b"\0")
+        return digest.hexdigest()
+
+
+def _index_rows(
+    entity_index: dict[str, int], relation_index: dict[str, int], triples: Sequence[Triple]
+) -> np.ndarray:
+    """(n, 3) int32 rows of head, relation and tail indices, in one C-level pass.
+
+    A name missing from the index raises ``KeyError("unknown entity/relation ...")``,
+    naming the first one met in row order.
+    """
+    lookups = cycle((entity_index, relation_index, entity_index))
+    try:
+        flat = np.fromiter(
+            map(dict.__getitem__, lookups, chain.from_iterable(triples)),
+            dtype=np.int32,
+            count=3 * len(triples),
+        )
+    except KeyError:
+        for h, r, t in triples:
+            for index, name, kind in (
+                (entity_index, h, "entity"),
+                (relation_index, r, "relation"),
+                (entity_index, t, "entity"),
+            ):
+                if name not in index:
+                    raise KeyError(f"unknown {kind} {name!r}") from None
+        raise
+    return flat.reshape(-1, 3)
 
 
 def dataset_stats(kg: KnowledgeGraph) -> DatasetStats:
@@ -310,13 +382,7 @@ def kg_fingerprint(kg: KnowledgeGraph) -> str:
     """Content hash of a graph's canonical serialization.
 
     Equal to the hash of the files ``write_dataset`` would produce, so it
-    identifies a base dataset for bundle compatibility checks.
+    identifies a base dataset for bundle compatibility checks. Computed once
+    per graph and cached.
     """
-    digest = hashlib.sha256()
-    files = _canonical_files(kg)
-    for name in sorted(files):
-        digest.update(name.encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(files[name].encode("utf-8"))
-        digest.update(b"\0")
-    return digest.hexdigest()
+    return kg._fingerprint

@@ -251,11 +251,14 @@ def test_invalid_flag_is_config_error_before_any_query(run_config, monkeypatch, 
         {"train": {"margin": math.nan}},
         {"train": {"margin": 1e999}},
         {"train": {"learning_rate": math.nan}},
+        {"train": {"margin": True}},
+        {"train": {"learning_rate": True}},
     ],
     ids=["k-float", "dim-float", "train-seed-str", "train-seed-negative", "modes-empty",
          "seed-null", "seed-str", "budget-null", "max-new-tokens-str", "fixture-int",
          "concurrency-float", "temperature-str", "temperature-null", "temperature-negative",
-         "temperature-inf", "margin-nan", "margin-inf", "learning-rate-nan"],
+         "temperature-inf", "margin-nan", "margin-inf", "learning-rate-nan", "margin-bool",
+         "learning-rate-bool"],
 )
 def test_malformed_config_value_is_config_error_before_any_query(
     run_config, monkeypatch, capsys, overrides

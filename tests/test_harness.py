@@ -1,6 +1,7 @@
 """Trainer, scoring, ranking, metrics, classification, and A/B comparison."""
 
 import hashlib
+import json
 import math
 import random
 import sys
@@ -177,7 +178,7 @@ def test_filtered_rank_never_exceeds_raw_randomized():
 
 def oracle_ranks(model, kg, triple, direction):
     """Brute force: score every candidate triple one by one."""
-    known = kg.all_triples()
+    known = {*kg.train, *kg.valid, *kg.test}
     gold = triple.head if direction == "head" else triple.tail
 
     def completed(candidate):
@@ -367,6 +368,74 @@ def test_rank_triples_matches_per_query_oracle_at_fb15k237_entity_count():
     for _, _, t in kg.test[:10]:
         E[int(rng.integers(n_ent))] = E[model.entity_index[t]]
     assert rank_triples(model, kg, kg.test) == per_query_ranks(model, kg, kg.test)
+
+
+@st.composite
+def ranked_graphs(draw):
+    """A small graph and a model that indexes it in its own order.
+
+    Names like ``e10`` sort before ``e2``, the model's index follows a random
+    permutation, triples repeat within and across splits, and with
+    ``extra_relation`` the graph also holds ``SameAs`` triples the model lacks.
+    """
+    n_ent = draw(st.integers(1, 13))
+    entities = [f"e{i}" for i in range(n_ent)]
+    extra_relation = draw(st.booleans())
+    graph_relations = ["r0", "r1"] + ["SameAs"] * extra_relation
+    entity = st.sampled_from(entities)
+    triple = st.builds(Triple, entity, st.sampled_from(["r0", "r1"]), entity)
+    train = draw(st.lists(triple, max_size=20))
+    valid = draw(st.lists(triple, max_size=5))
+    test = draw(st.lists(triple, min_size=1, max_size=8))
+    # Test triples that also appear in train or valid.
+    train += draw(st.lists(st.sampled_from(test), max_size=3))
+    valid += draw(st.lists(st.sampled_from(test), max_size=2))
+    if extra_relation:
+        train += draw(st.lists(st.builds(Triple, entity, st.just("SameAs"), entity), max_size=6))
+    kg = make_kg(draw(st.permutations(entities)), graph_relations, train, valid, test)
+    kind, norm = draw(st.sampled_from(SCORERS))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = EmbeddingModel(
+        kind=kind,
+        dim=dim,
+        entity_index={e: i for i, e in enumerate(draw(st.permutations(entities)))},
+        relation_index={"r1": 0, "r0": 1},
+        entity_vectors=rng.integers(-2, 3, size=(n_ent, dim)).astype(float),
+        relation_vectors=rng.normal(size=(2, dim)),
+        norm=norm,
+    )
+    return model, kg
+
+
+@given(graph=ranked_graphs(), filtered=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rank_triples_matches_per_query_oracle_on_random_graphs(graph, filtered):
+    model, kg = graph
+    assert rank_triples(model, kg, kg.test, filtered) == per_query_ranks(model, kg, kg.test, filtered)
+
+
+def test_rank_triples_filters_nothing_for_names_the_graph_lacks():
+    # The model indexes "x" and "s", the graph does not. Unguarded, the slot
+    # (b, s) would read as (a, r) and drop b, the best tail of (b, s, ?).
+    model = make_model(
+        "transe",
+        {"a": [5.0], "b": [0.0], "c": [1.0], "x": [9.0]},
+        {"q": [0.0], "r": [0.0], "s": [0.0]},
+    )
+    kg = make_kg(["a", "b", "c"], ["q", "r"], train=[Triple("a", "r", "b")], test=[Triple("a", "r", "c")])
+    queries = [Triple("b", "s", "c"), Triple("x", "r", "c"), Triple("a", "r", "x")]
+    ranks = rank_triples(model, kg, queries)
+    assert ranks == per_query_ranks(model, kg, queries)
+    assert ranks[0] == 2
+
+
+def test_rank_triples_completion_the_model_lacks_is_an_error():
+    model = make_model("transe", {"a": [0.0], "b": [1.0]}, {"r": [0.0]})
+    kg = make_kg(["a", "b", "z"], ["r"], train=[Triple("a", "r", "z")], test=[Triple("a", "r", "b")])
+    with pytest.raises(KeyError, match="'z'"):
+        rank_triples(model, kg, kg.test)
+    assert rank_triples(model, kg, kg.test, filtered=False) == [2, 2]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -566,6 +635,20 @@ def test_step_without_margin_violation_changes_nothing(norm):
     assert R.tobytes() == R_before.tobytes()
 
 
+def test_editing_a_model_index_leaves_the_next_training_alone():
+    kg = toy_graph()
+    cfg = TrainConfig(dim=8, epochs=5, seed=1)
+    first = train(kg, cfg)
+    a, b = sorted(first.entity_index)[:2]
+    first.entity_index[a], first.entity_index[b] = first.entity_index[b], first.entity_index[a]
+    first.relation_index["unseen"] = 99
+    second, fresh = train(kg, cfg), train(toy_graph(), cfg)
+    assert second.entity_index == fresh.entity_index == {e: i for i, e in enumerate(sorted(kg.entities))}
+    assert second.relation_index == fresh.relation_index
+    assert second.entity_vectors.tobytes() == fresh.entity_vectors.tobytes()
+    assert second.relation_vectors.tobytes() == fresh.relation_vectors.tobytes()
+
+
 def test_training_loss_decreases():
     kg = toy_graph()
     model = train(kg, TrainConfig(dim=16, epochs=200, seed=7))
@@ -737,6 +820,59 @@ def test_classification_on_trained_toy_model():
         from dataclasses import replace
 
         triplet_classification(model, replace(kg, valid=()), negatives_seed=0)
+
+
+def classification_record(model, kg, negatives_seed, monkeypatch):
+    """Accuracy and the negatives ``triplet_classification`` scored, as one digest.
+
+    Every triple it scores passes through ``_scores``; the tails of the
+    negatives, which follow each split's positives, are read back from their
+    entity vectors.
+    """
+    import kgforge.harness as harness
+
+    names = {model.entity_vectors[i].tobytes(): e for e, i in model.entity_index.items()}
+    assert len(names) == len(model.entity_index)
+    negatives = []
+    scores = harness._scores
+
+    def recording(model_, vh, vr, vt):
+        half = len(vt) // 2
+        negatives.append([names[row.tobytes()] for row in vt[half:]])
+        return scores(model_, vh, vr, vt)
+
+    monkeypatch.setattr(harness, "_scores", recording)
+    accuracy = triplet_classification(model, kg, negatives_seed=negatives_seed)
+    record = json.dumps([repr(accuracy), negatives])
+    return accuracy, hashlib.sha256(record.encode()).hexdigest()[:16]
+
+
+# Accuracy and negative tails of triplet classification, keyed by graph and
+# negatives seed: a TransE model (dim 8, 20 epochs, seed 3) on the toy graph,
+# and one (dim 8, 5 epochs, seed 5) on the planted graph.
+CLASSIFICATION_GOLDEN = {
+    ("toy", 0): (0.75, "108a1b818902afe7"),
+    ("toy", 1): (0.75, "282fc9b888c97efb"),
+    ("toy", 7): (0.75, "ff627d7ce9e5013f"),
+    ("planted", 0): (0.625, "977efadc90063f33"),
+    ("planted", 1): (0.65, "35f1cf236388c670"),
+    ("planted", 7): (0.675, "ad4e45e58bfd32aa"),
+}
+
+
+def classification_graph_and_model(name):
+    if name == "toy":
+        kg = toy_graph()
+        return kg, train(kg, TrainConfig(dim=8, epochs=20, seed=3))
+    kg, _ = planted_alias_graph()
+    return kg, train(kg, TrainConfig(dim=8, epochs=5, seed=5))
+
+
+@pytest.mark.parametrize("graph, negatives_seed", sorted(CLASSIFICATION_GOLDEN))
+def test_classification_matches_golden_negatives(graph, negatives_seed, monkeypatch):
+    kg, model = classification_graph_and_model(graph)
+    got = classification_record(model, kg, negatives_seed, monkeypatch)
+    assert got == CLASSIFICATION_GOLDEN[graph, negatives_seed]
 
 
 def test_ab_compare_identity_is_all_zero():

@@ -1,9 +1,11 @@
 """Loader/writer contracts: counts, round-trips, strict vs lenient handling."""
 
 import os
+from dataclasses import asdict, replace
 
 import pytest
 
+from kgforge.bundle import AugmentationBundle, apply_bundles
 from kgforge.kg import (
     DanglingReferenceError,
     DatasetStats,
@@ -153,6 +155,42 @@ def test_fingerprint_golden_values():
     assert kg_fingerprint(planted_alias_graph(seed=13)[0]) == (
         "57b949b3791a91930eb921cd9553b67a71cc2542b1a21cd7c3f9de7d9f95e347"
     )
+
+
+def test_derived_graphs_fingerprint_like_their_reloaded_files(tmp_path, toy_root):
+    # The base's cache is filled first; no derived graph may inherit it.
+    base = load_dataset(toy_root)
+    base_fp = kg_fingerprint(base)
+    base_rows = base._split_rows("train")
+    extra = [Triple("/m/bay", "SameAs", "/m/spielberg")]
+    bundle = AugmentationBundle(
+        kind="structure",
+        fingerprint=base_fp,
+        entity_text={"/m/la": "A city on the Pacific coast."},
+        relation_text={"/film/directed_by": "is directed by"},
+        extra_triples=extra,
+    )
+    derived = {
+        "replace": replace(base, test=base.test[:1]),
+        "augment": augment_training_set(base, extra),
+        "apply": apply_bundles(base, [bundle]),
+    }
+    for name, kg in derived.items():
+        write_dataset(kg, tmp_path / name)
+        reloaded = load_dataset(tmp_path / name)
+        assert kg_fingerprint(kg) == kg_fingerprint(reloaded) != base_fp, name
+        for split in ("train", "valid", "test"):
+            assert kg._split_rows(split).tolist() == reloaded._split_rows(split).tolist(), name
+    assert len(derived["augment"]._split_rows("train")) == len(base_rows) + 1
+    assert kg_fingerprint(base) == base_fp
+
+
+def test_cached_view_is_outside_the_record(toy_kg):
+    kg = replace(toy_kg)
+    kg_fingerprint(kg)
+    kg._split_rows("test")
+    assert kg == toy_kg and repr(kg) == repr(toy_kg) and asdict(kg) == asdict(toy_kg)
+    assert "_fingerprint" not in vars(replace(kg))
 
 
 def write_files(root, train="", valid="", test=""):
