@@ -95,42 +95,31 @@ class AugmentationBundle:
         """Write the bundle directory; pass ``base_kg`` to also emit the merged train file."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+
+        def write(name: str, text: str) -> None:
+            (out / name).write_text(text, encoding="utf-8", newline="\n")
+
+        def write_json(name: str, payload) -> None:
+            write(name, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+
         if self.entity_text:
-            (out / ENTITY_TEXT_FILE).write_text(
-                pair_lines(self.entity_text.items()), encoding="utf-8", newline="\n"
-            )
+            write(ENTITY_TEXT_FILE, pair_lines(self.entity_text.items()))
         if self.relation_text:
-            (out / RELATION_TEXT_FILE).write_text(
-                pair_lines(self.relation_text.items()), encoding="utf-8", newline="\n"
-            )
+            write(RELATION_TEXT_FILE, pair_lines(self.relation_text.items()))
         if self.kind == "structure":
-            (out / TRIPLES_FILE).write_text(
-                triple_lines(self.extra_triples), encoding="utf-8", newline="\n"
-            )
+            write(TRIPLES_FILE, triple_lines(self.extra_triples))
             if base_kg is not None:
                 merged = tuple(base_kg.train) + tuple(self.extra_triples)
-                (out / TRAIN_AUGMENTED_FILE).write_text(
-                    triple_lines(merged), encoding="utf-8", newline="\n"
-                )
+                write(TRAIN_AUGMENTED_FILE, triple_lines(merged))
         if self.keyword_sets:
-            payload = {entity: list(words) for entity, words in self.keyword_sets.items()}
-            (out / KEYWORDS_FILE).write_text(
-                json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-                encoding="utf-8",
-                newline="\n",
-            )
-        audit = {
+            write_json(KEYWORDS_FILE, {e: list(words) for e, words in self.keyword_sets.items()})
+        write_json(AUDIT_FILE, {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "fingerprint": self.fingerprint,
             "n_errors": len(self.errors),
             "items": [vars(item) for item in self.items],
-        }
-        (out / AUDIT_FILE).write_text(
-            json.dumps(audit, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-            newline="\n",
-        )
+        })
         return out
 
     @classmethod

@@ -28,11 +28,9 @@ LLM_API_KEY, and LLM_MODEL environment variables.
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from numbers import Real
 from pathlib import Path
 
 from .entity import DEFAULT_BUDGET_TOKENS
@@ -78,13 +76,10 @@ class GatewaySettings:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"gateway.{name} must be a string, got {value!r}")
-        if isinstance(self.temperature, bool) or not isinstance(self.temperature, Real):
-            raise ConfigError(f"gateway.temperature must be a number, got {self.temperature!r}")
-        if not 0 <= self.temperature < math.inf:
-            raise ConfigError(
-                f"gateway.temperature must be finite and >= 0, got {self.temperature!r}"
-            )
-        require_int("gateway.max_new_tokens", self.max_new_tokens, 1)
+        try:
+            GenerationParams(temperature=self.temperature, max_new_tokens=self.max_new_tokens)
+        except ValueError as exc:
+            raise ConfigError(f"gateway.{exc}") from None
         require_int("gateway.concurrency", self.concurrency, 1)
         require_int("gateway.max_retries", self.max_retries, 0)
 

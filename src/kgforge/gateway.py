@@ -21,10 +21,13 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import requests
+
+from .kg import require_int
 
 ENDPOINT_ENV = "LLM_ENDPOINT"
 API_KEY_ENV = "LLM_API_KEY"
@@ -61,10 +64,12 @@ class GenerationParams:
     model_id: str = "default"
 
     def __post_init__(self):
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.max_new_tokens < 1:
-            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
+        t = self.temperature
+        if isinstance(t, bool) or not isinstance(t, Real) or not 0 <= t < math.inf:
+            raise ValueError(f"temperature must be a finite number >= 0, got {t!r}")
+        require_int("max_new_tokens", self.max_new_tokens, 1)
+        if not isinstance(self.model_id, str):
+            raise ValueError(f"model_id must be a string, got {self.model_id!r}")
 
 
 def prompt_key(prompt_text: str, params: GenerationParams) -> str:

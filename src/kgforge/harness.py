@@ -5,20 +5,18 @@ scoring) trained with seeded numpy SGD, filtered ranking with pessimistic tie
 handling, triplet classification via per-relation score thresholds, and A/B
 comparison of a base graph against an augmented one over multiple seeds.
 
-Outside the training step ``_step``, ``_scores`` is the only place that holds
-the exact scoring formulas: ``score_triple`` and triplet classification score
-rows of triples through it. ``rank_triples`` screens chunks of TransE-L2
-queries against every entity with one matrix product per chunk and settles
+An ``EmbeddingModel`` is one record: its ``TrainConfig`` (score family and
+width), the row of each name, and the vectors. Outside the training step
+``_step``, ``_scores`` alone holds the scoring formulas. ``rank_triples``
+screens TransE-L2 queries in chunks, one matrix product per chunk, and settles
 each candidate with a rounding band, so its ranks equal those of ``_scores``;
-a query with a candidate inside the band, and every TransE-L1 and DistMult
-query, is ranked through ``_scores`` one query at a time.
+every other query is ranked through ``_scores`` one at a time.
 
-The filter of ranking and the negatives of triplet classification come from
-one join, ``_completions``. It sorts a key per train, valid and test triple,
-built from the graph's cached index rows, once per call; each query's known
-completions are then one run of the sorted keys, found by binary search.
-Training, too, reads the graph's cached rows and sorted id order, so a graph
-is indexed once however often it is trained on or ranked.
+Ranking and classification turn names into integers once per call, and
+integer maps from ``_index_map`` carry them between model indices and the
+graph's cached ``_index`` positions. The ranking filter and the
+classification negatives come from one sorted-key join over the graph's
+cached rows, ``_completions``.
 
 Training is single-threaded and fully determined by the config seed: the same
 seed reproduces embeddings bit for bit.
@@ -67,21 +65,37 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not 0 < value < math.inf:
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        if self.norm not in (1, 2):
-            raise ValueError(f"norm must be 1 or 2, got {self.norm}")
+        if isinstance(self.norm, bool) or self.norm not in (1, 2):
+            raise ValueError(f"norm must be 1 or 2, got {self.norm!r}")
 
 
 @dataclass
 class EmbeddingModel:
-    kind: str
-    dim: int
+    """One record per model, holding each fact once: its config, each name's row, and the rows.
+
+    ``config`` gives the score family (``kind``, ``norm``) and the vectors'
+    width (``dim``); each index maps a name to its own row of the vectors.
+    Construction raises ``ValueError`` where these disagree.
+    """
+
+    config: TrainConfig
     entity_index: dict[str, int]
     relation_index: dict[str, int]
     entity_vectors: np.ndarray
     relation_vectors: np.ndarray
-    norm: int = 2
     loss_history: tuple[float, ...] = ()
-    config: TrainConfig | None = None
+
+    def __post_init__(self):
+        dim = self.config.dim
+        for name, index, vectors in (
+            ("entity", self.entity_index, self.entity_vectors),
+            ("relation", self.relation_index, self.relation_vectors),
+        ):
+            if vectors.ndim != 2 or vectors.shape[1] != dim:
+                raise ValueError(f"{name}_vectors must be {dim} wide, got shape {vectors.shape}")
+            rows = index.values()
+            if rows and (min(rows) < 0 or max(rows) >= len(vectors) or len(set(rows)) < len(rows)):
+                raise ValueError(f"{name}_index needs one row per name in [0, {len(vectors)})")
 
 
 def _normalize_rows(matrix: np.ndarray) -> None:
@@ -211,32 +225,29 @@ def train(kg: KnowledgeGraph, cfg: TrainConfig) -> EmbeddingModel:
         loss_history.append(mean_loss)
 
     return EmbeddingModel(
-        kind=cfg.kind,
-        dim=cfg.dim,
+        config=cfg,
         # Copies: a caller may edit a model's index, never the graph's cache.
         entity_index=dict(entity_index),
         relation_index=dict(relation_index),
         entity_vectors=E,
         relation_vectors=R,
-        norm=cfg.norm,
         loss_history=tuple(loss_history),
-        config=cfg,
     )
 
 
 def _require_finite(model: EmbeddingModel) -> None:
     if not (np.isfinite(model.entity_vectors).all() and np.isfinite(model.relation_vectors).all()):
         raise ValueError(
-            f"non-finite embeddings (kind={model.kind}): entity_vectors or relation_vectors "
+            f"non-finite embeddings (kind={model.config.kind}): entity_vectors or relation_vectors "
             "hold NaN or inf"
         )
 
 
 def _scores(model: EmbeddingModel, vh: np.ndarray, vr: np.ndarray, vt: np.ndarray) -> np.ndarray:
     """Plausibility scores over the last axis; higher is more plausible for both kinds."""
-    if model.kind == "transe":
+    if model.config.kind == "transe":
         diff = (vh + vr) - vt
-        if model.norm == 1:
+        if model.config.norm == 1:
             return -np.abs(diff).sum(axis=-1)
         return -np.sqrt((diff**2).sum(axis=-1))
     return np.einsum("...d,...d,...d->...", vh, vr, vt, optimize=True)
@@ -248,13 +259,10 @@ def _row_scores(model: EmbeddingModel, ids: np.ndarray) -> np.ndarray:
     return _scores(model, E[ids[:, 0]], R[ids[:, 1]], E[ids[:, 2]])
 
 
-def _triple_scores(model: EmbeddingModel, triples: Sequence[Triple]) -> np.ndarray:
-    return _row_scores(model, _index_rows(model.entity_index, model.relation_index, triples))
-
-
 def score_triple(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
     """Plausibility score of one triple; higher is more plausible for both kinds."""
-    return float(_triple_scores(model, [(head, relation, tail)])[0])
+    ids = _index_rows(model.entity_index, model.relation_index, [(head, relation, tail)])
+    return float(_row_scores(model, ids)[0])
 
 
 def rank_of_gold(scores: np.ndarray, gold_idx: int, excluded: Iterable[int] = ()) -> int:
@@ -265,9 +273,7 @@ def rank_of_gold(scores: np.ndarray, gold_idx: int, excluded: Iterable[int] = ()
     ranks above the gold, and a NaN gold ranks below every allowed candidate.
     """
     allowed = np.ones(len(scores), dtype=bool)
-    excluded_list = list(excluded)
-    if excluded_list:
-        allowed[excluded_list] = False
+    allowed[list(excluded)] = False
     allowed[gold_idx] = False
     return 1 + int(np.count_nonzero(~(scores[allowed] < scores[gold_idx])))
 
@@ -308,7 +314,7 @@ def _screened_ranks(
     candidate, and every TransE-L1 and DistMult query, goes through
     ``_exact_rank``.
     """
-    if model.kind != "transe" or model.norm == 1:
+    if model.config.kind != "transe" or model.config.norm == 1:
         return [
             _exact_rank(model, *row, known[a:b], tail)
             for row, a, b in zip(ids.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
@@ -317,7 +323,7 @@ def _screened_ranks(
     heads, rels, tails = ids.T
     golds = tails if tail else heads
     big = np.finfo(float).max
-    K = 8.0 * (model.dim + 8)
+    K = 8.0 * (E.shape[1] + 8)
     ku = K * np.finfo(float).eps / 2
     floor = 2 * K * np.finfo(float).smallest_subnormal
     known_rows = np.repeat(np.arange(len(ids)), np.diff(offsets))
@@ -387,16 +393,20 @@ def _completions(
     return offsets, keys[runs] % n_ent
 
 
-def _model_entities(model: EmbeddingModel, kg: KnowledgeGraph, positions: np.ndarray) -> np.ndarray:
-    """Model indices of graph entity positions; one the model lacks raises ``KeyError``."""
-    entities = list(kg._index[0])
-    to_model = np.fromiter(
-        map(model.entity_index.get, entities, repeat(-1)), dtype=np.intp, count=len(entities)
-    )
-    mapped = to_model[positions]
-    missing = np.flatnonzero(mapped < 0)
+def _index_map(source: dict[str, int], target: dict[str, int]) -> np.ndarray:
+    """Map ``source[name]`` to ``target[name]``; -1 where ``target`` lacks it or no name is."""
+    keys = np.fromiter(source.values(), dtype=np.intp, count=len(source))
+    out = np.full(keys.max(initial=-1) + 1, -1, dtype=np.intp)
+    out[keys] = np.fromiter(map(target.get, source, repeat(-1)), dtype=np.intp, count=len(source))
+    return out
+
+
+def _to_model(index_map: np.ndarray, positions: np.ndarray, names: dict, kind: str) -> np.ndarray:
+    """``index_map[positions]`` for positions into ``names``; -1 is a ``KeyError`` naming it."""
+    mapped = index_map[positions]
+    missing = positions[mapped < 0]
     if missing.size:
-        raise KeyError(f"unknown entity {entities[positions[missing[0]]]!r}")
+        raise KeyError(f"unknown {kind} {list(names)[missing[0]]!r}")
     return mapped
 
 
@@ -405,29 +415,25 @@ def rank_triples(
 ) -> list[int]:
     """Tail rank, then head rank, of each triple among all entities.
 
-    The filtered rank excludes candidates (other than the gold) whose
-    completed triple appears anywhere in train/valid/test, found by
-    ``_completions``; a completion the model does not index is a
+    The names of ``triples`` become model indices once. The filtered rank
+    excludes candidates (other than the gold) whose completed triple appears
+    anywhere in train/valid/test, found by ``_completions`` on the queries'
+    graph positions; a completion the model does not index is a
     ``KeyError``. Ranks are exact: each equals ``rank_of_gold`` over the
     query's ``_scores``.
     """
     _require_finite(model)
     ids = _index_rows(model.entity_index, model.relation_index, triples)
+    known = [(np.zeros(len(ids) + 1, dtype=np.intp), np.zeros(0, dtype=np.intp))] * 2
     if filtered:
         entity_pos, relation_pos = kg._index
-        queries = np.array(
-            [
-                (entity_pos.get(h, -1), relation_pos.get(r, -1), entity_pos.get(t, -1))
-                for h, r, t in triples
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        known = []
-        for tail in (True, False):
+        to_graph = _index_map(model.entity_index, entity_pos)
+        relations = _index_map(model.relation_index, relation_pos)[ids[:, 1]]
+        queries = np.column_stack((to_graph[ids[:, 0]], relations, to_graph[ids[:, 2]]))
+        entity_to_model = _index_map(entity_pos, model.entity_index)
+        for i, tail in enumerate((True, False)):
             offsets, completions = _completions(kg, queries, tail)
-            known.append((offsets, _model_entities(model, kg, completions)))
-    else:
-        known = [(np.zeros(len(ids) + 1, dtype=np.intp), np.zeros(0, dtype=np.intp))] * 2
+            known[i] = (offsets, _to_model(entity_to_model, completions, entity_pos, "entity"))
     tail_ranks = _screened_ranks(model, ids, *known[0], True)
     head_ranks = _screened_ranks(model, ids, *known[1], False)
     return [rank for pair in zip(tail_ranks, head_ranks) for rank in pair]
@@ -483,12 +489,11 @@ def link_prediction(
     triples = kg.split(split)
     if not triples:
         raise ValueError(f"split {split!r} is empty")
-    cfg = model.config
     return metrics_from_ranks(
         rank_triples(model, kg, triples, filtered),
-        model_kind=model.kind,
-        dim=model.dim,
-        seed=cfg.seed if cfg else 0,
+        model_kind=model.config.kind,
+        dim=model.entity_vectors.shape[1],
+        seed=model.config.seed,
         split=split,
         filtered=filtered,
         dataset_fingerprint=kg_fingerprint(kg),
@@ -529,53 +534,52 @@ def triplet_classification(
     if not kg.valid or not kg.test:
         raise ValueError("triplet classification needs non-empty valid and test splits")
     _require_finite(model)
+    entity_pos, relation_pos = kg._index
+    entity_to_model = _index_map(entity_pos, model.entity_index)
+    relation_to_model = _index_map(relation_pos, model.relation_index)
     # Query i is valid triple i, then test triple i - |valid|.
     queries = np.concatenate((kg._split_rows("valid"), kg._split_rows("test")))
+    positives = queries.copy()
+    positives[:, [0, 2]] = _to_model(entity_to_model, queries[:, [0, 2]], entity_pos, "entity")
+    positives[:, 1] = _to_model(relation_to_model, queries[:, 1], relation_pos, "relation")
     offsets, known = _completions(kg, queries, tail=True)
     offsets, known, golds = offsets.tolist(), known.tolist(), queries[:, 2].tolist()
     n_ent = len(kg.entities)
     rng = np.random.default_rng(negatives_seed)
 
-    def corrupt(i: int, triple: Triple) -> int:
+    def corrupt(i: int) -> int:
         """Position of a drawn tail that is neither the gold nor a known tail of query ``i``."""
         known_tails = known[offsets[i] : offsets[i + 1]]
         for _ in range(100):
             candidate = int(rng.integers(n_ent))
             if candidate != golds[i] and candidate not in known_tails:
                 return candidate
-        raise ValueError(
-            f"no negative for {tuple(triple)}: 100 corrupted tails were all known-true"
-        )
+        triple = tuple((kg.valid + kg.test)[i])
+        raise ValueError(f"no negative for {triple}: 100 corrupted tails were all known-true")
 
-    def scored_pairs(split: tuple[Triple, ...], first: int) -> list[tuple[str, float, float]]:
-        tails = [corrupt(first + i, triple) for i, triple in enumerate(split)]
-        positives = _index_rows(model.entity_index, model.relation_index, split)
-        negatives = positives.copy()
-        negatives[:, 2] = _model_entities(model, kg, np.array(tails, dtype=np.intp))
-        scores = _row_scores(model, np.concatenate((positives, negatives)))
+    def scored(first: int, stop: int) -> list[np.ndarray]:
+        """Scores of rows ``first:stop``, then of one negative each, by one ``_scores`` call."""
+        negatives = positives[first:stop].copy()
+        tails = np.array([corrupt(i) for i in range(first, stop)], dtype=np.intp)
+        negatives[:, 2] = _to_model(entity_to_model, tails, entity_pos, "entity")
+        scores = _row_scores(model, np.concatenate((positives[first:stop], negatives)))
         if not np.isfinite(scores).all():
-            raise ValueError(f"non-finite triple scores (kind={model.kind}): scoring overflows")
-        scores = scores.tolist()
-        n = len(split)
-        return list(zip((triple.relation for triple in split), scores[:n], scores[n:]))
+            kind = model.config.kind
+            raise ValueError(f"non-finite triple scores (kind={kind}): scoring overflows")
+        return np.split(scores, 2)
 
-    valid_pairs = scored_pairs(kg.valid, 0)
-    test_pairs = scored_pairs(kg.test, len(kg.valid))
-
-    by_relation: dict[str, tuple[list[float], list[float]]] = {}
-    for relation, pos, neg in valid_pairs:
-        by_relation.setdefault(relation, ([], []))[0].append(pos)
-        by_relation[relation][1].append(neg)
-    thresholds = {rel: _best_threshold(pos, neg) for rel, (pos, neg) in by_relation.items()}
-    global_threshold = _best_threshold(
-        [p for _, p, _ in valid_pairs], [n for _, _, n in valid_pairs]
-    )
-
-    correct = 0
-    for relation, pos, neg in test_pairs:
-        threshold = thresholds.get(relation, global_threshold)
-        correct += int(pos > threshold) + int(neg <= threshold)
-    return correct / (2 * len(test_pairs))
+    n_valid = len(kg.valid)
+    valid_pos, valid_neg = scored(0, n_valid)
+    test_pos, test_neg = scored(n_valid, len(queries))
+    valid_rel, test_rel = queries[:n_valid, 1], queries[n_valid:, 1]
+    thresholds = {}
+    for rel in set(valid_rel.tolist()):
+        in_rel = valid_rel == rel
+        thresholds[rel] = _best_threshold(valid_pos[in_rel].tolist(), valid_neg[in_rel].tolist())
+    global_threshold = _best_threshold(valid_pos.tolist(), valid_neg.tolist())
+    cut = np.array([thresholds.get(rel, global_threshold) for rel in test_rel.tolist()])
+    correct = np.count_nonzero(test_pos > cut) + np.count_nonzero(test_neg <= cut)
+    return int(correct) / (2 * len(cut))
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,10 @@ MODES = ("strict", "lenient")
 
 
 def require_int(name: str, value, minimum: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (numpy ints too) >= ``minimum``."""
+    """Raise ValueError unless ``value`` is an integer (numpy ints too, not bool) >= ``minimum``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

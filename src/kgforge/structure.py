@@ -70,8 +70,11 @@ class StructureConfig:
 
     def __post_init__(self):
         require_int("k", self.k, 0)
-        if not self.same_as_relation:
-            raise ValueError("same_as_relation must be non-empty")
+        if not isinstance(self.self_loop, bool):
+            raise ValueError(f"self_loop must be true or false, got {self.self_loop!r}")
+        relation = self.same_as_relation
+        if not isinstance(relation, str) or not relation:
+            raise ValueError(f"same_as_relation must be a non-empty string, got {relation!r}")
 
 
 _SPLIT_RE = re.compile(r"[,\n;]+")

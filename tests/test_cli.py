@@ -253,12 +253,19 @@ def test_invalid_flag_is_config_error_before_any_query(run_config, monkeypatch, 
         {"train": {"learning_rate": math.nan}},
         {"train": {"margin": True}},
         {"train": {"learning_rate": True}},
+        {"train": {"dim": True}},
+        {"train": {"norm": True}},
+        {"eval": {"n_seeds": True}},
+        {"structure": {"k": True}},
+        {"structure": {"self_loop": "false"}},
+        {"structure": {"same_as_relation": 5}},
     ],
     ids=["k-float", "dim-float", "train-seed-str", "train-seed-negative", "modes-empty",
          "seed-null", "seed-str", "budget-null", "max-new-tokens-str", "fixture-int",
          "concurrency-float", "temperature-str", "temperature-null", "temperature-negative",
          "temperature-inf", "margin-nan", "margin-inf", "learning-rate-nan", "margin-bool",
-         "learning-rate-bool"],
+         "learning-rate-bool", "dim-bool", "norm-bool", "n-seeds-bool", "k-bool", "self-loop-str",
+         "same-as-int"],
 )
 def test_malformed_config_value_is_config_error_before_any_query(
     run_config, monkeypatch, capsys, overrides

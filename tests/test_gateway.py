@@ -53,6 +53,23 @@ def test_generation_params_defaults_and_validation():
         GenerationParams(max_new_tokens=0)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"temperature": True}, "temperature must be a finite number"),
+        ({"temperature": "0.2"}, "temperature must be a finite number"),
+        ({"max_new_tokens": 1.5}, "max_new_tokens must be an integer"),
+        ({"max_new_tokens": True}, "max_new_tokens must be an integer"),
+        ({"model_id": 3}, "model_id must be a string"),
+        ({"model_id": None}, "model_id must be a string"),
+    ],
+)
+def test_generation_params_reject_wrong_types(changes, message):
+    # Every field goes into each prompt hash, so a wrong type must not get that far.
+    with pytest.raises(ValueError, match=message):
+        GenerationParams(**changes)
+
+
 def test_prompt_key_is_content_addressed():
     p = GenerationParams()
     base = prompt_key("hello", p)

@@ -1,5 +1,6 @@
 """Trainer, scoring, ranking, metrics, classification, and A/B comparison."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,8 +20,8 @@ from kgforge.harness import (
     _best_threshold,
     _scatter_add,
     _scores,
+    _row_scores,
     _step,
-    _triple_scores,
     ab_compare,
     format_table,
     link_prediction,
@@ -31,7 +32,7 @@ from kgforge.harness import (
     train,
     triplet_classification,
 )
-from kgforge.kg import KnowledgeGraph, Triple
+from kgforge.kg import KnowledgeGraph, Triple, _index_rows
 from kgforge.synth import planted_alias_graph, toy_graph
 
 
@@ -50,13 +51,11 @@ def make_model(kind, entity_vecs, relation_vecs, norm=2):
     entities = sorted(entity_vecs)
     relations = sorted(relation_vecs)
     return EmbeddingModel(
-        kind=kind,
-        dim=len(next(iter(entity_vecs.values()))),
+        config=TrainConfig(kind=kind, dim=len(next(iter(entity_vecs.values()))), norm=norm),
         entity_index={e: i for i, e in enumerate(entities)},
         relation_index={r: i for i, r in enumerate(relations)},
         entity_vectors=np.array([entity_vecs[e] for e in entities], dtype=float),
         relation_vectors=np.array([relation_vecs[r] for r in relations], dtype=float),
-        norm=norm,
     )
 
 
@@ -293,13 +292,11 @@ def planted_model(rng, kind, norm, n_ent, dim, plant):
     entities = [f"e{i}" for i in range(n_ent)]
     relations = ["r0", "r1"]
     model = EmbeddingModel(
-        kind=kind,
-        dim=dim,
+        config=TrainConfig(kind=kind, dim=dim, norm=norm),
         entity_index={e: i for i, e in enumerate(entities)},
         relation_index={r: i for i, r in enumerate(relations)},
         entity_vectors=E,
         relation_vectors=R,
-        norm=norm,
     )
     return model, entities, relations
 
@@ -397,13 +394,11 @@ def ranked_graphs(draw):
     dim = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = EmbeddingModel(
-        kind=kind,
-        dim=dim,
+        config=TrainConfig(kind=kind, dim=dim, norm=norm),
         entity_index={e: i for i, e in enumerate(draw(st.permutations(entities)))},
         relation_index={"r1": 0, "r0": 1},
         entity_vectors=rng.integers(-2, 3, size=(n_ent, dim)).astype(float),
         relation_vectors=rng.normal(size=(2, dim)),
-        norm=norm,
     )
     return model, kg
 
@@ -471,8 +466,75 @@ def test_triple_scores_rows_equal_score_triple():
                 Triple(*(str(rng.choice(names)) for names in (entities, relations, entities)))
                 for _ in range(25)
             ]
-            rows = _triple_scores(model, triples)
+            ids = _index_rows(model.entity_index, model.relation_index, triples)
+            rows = _row_scores(model, ids)
             assert rows.tolist() == [score_triple(model, *triple) for triple in triples]
+
+
+def test_model_record_holds_each_fact_once():
+    names = [f.name for f in dataclasses.fields(EmbeddingModel)]
+    assert names == [
+        "config", "entity_index", "relation_index", "entity_vectors", "relation_vectors",
+        "loss_history",
+    ]
+    model = train(toy_graph(), TrainConfig(kind="distmult", dim=4, epochs=2, seed=1))
+    report = link_prediction(model, toy_graph())
+    assert (report.model_kind, report.dim, report.seed) == ("distmult", 4, 1)
+
+
+def model_fields(**changes):
+    """Keyword arguments of a valid two-entity, one-relation, 2-wide model, with ``changes``."""
+    return {
+        "config": TrainConfig(dim=2),
+        "entity_index": {"a": 0, "b": 1},
+        "relation_index": {"r": 0},
+        "entity_vectors": np.zeros((2, 2)),
+        "relation_vectors": np.zeros((1, 2)),
+        **changes,
+    }
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"config": TrainConfig(dim=3)}, "entity_vectors must be 3 wide"),
+        ({"relation_vectors": np.zeros((1, 1))}, "relation_vectors must be 2 wide"),
+        ({"entity_vectors": np.zeros(2)}, "entity_vectors must be 2 wide"),
+        ({"entity_index": {"a": 0, "b": -1}}, r"entity_index needs one row per name in \[0, 2\)"),
+        ({"entity_index": {"a": 0, "b": 2}}, r"entity_index needs one row per name in \[0, 2\)"),
+        ({"relation_index": {"r": 1}}, r"relation_index needs one row per name in \[0, 1\)"),
+        ({"entity_index": {"a": 1, "b": 1}}, "entity_index needs one row per name"),
+    ],
+    ids=["width-config", "width-relation", "vectors-1d", "index-minus-one", "index-rows",
+         "relation-index-rows", "index-shared-row"],
+)
+def test_model_construction_rejects_disagreeing_facts(changes, message):
+    with pytest.raises(ValueError, match=message):
+        EmbeddingModel(**model_fields(**changes))
+
+
+def test_model_may_leave_rows_unnamed():
+    model = EmbeddingModel(**model_fields(entity_index={"b": 1}, relation_index={}))
+    assert model.entity_index == {"b": 1}
+
+
+@pytest.mark.parametrize("split", ["valid", "test"])
+@pytest.mark.parametrize("slot", [0, 2])
+def test_classification_names_a_split_entity_the_model_lacks(split, slot):
+    entities = ["a", "b", "c", "d"]
+    model = make_model("transe", {e: [0.1 * i] for i, e in enumerate(entities)}, {"r": [0.3]})
+    kg = make_kg(
+        [*entities, "z"],
+        ["r"],
+        train=[Triple("a", "r", "b")],
+        valid=[Triple("a", "r", "c")],
+        test=[Triple("b", "r", "d")],
+    )
+    lacking = list(getattr(kg, split)[0])
+    lacking[slot] = "z"
+    kg = dataclasses.replace(kg, **{split: (Triple(*lacking),)})
+    with pytest.raises(KeyError, match="unknown entity 'z'"):
+        triplet_classification(model, kg)
 
 
 def test_metrics_oracle_1_2_4():
