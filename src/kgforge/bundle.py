@@ -109,8 +109,8 @@ class AugmentationBundle:
         if self.kind == "structure":
             write(TRIPLES_FILE, triple_lines(self.extra_triples))
             if base_kg is not None:
-                merged = tuple(base_kg.train) + tuple(self.extra_triples)
-                write(TRAIN_AUGMENTED_FILE, triple_lines(merged))
+                merged = triple_lines(base_kg.train) + triple_lines(self.extra_triples)
+                write(TRAIN_AUGMENTED_FILE, merged)
         if self.keyword_sets:
             write_json(KEYWORDS_FILE, {e: list(words) for e, words in self.keyword_sets.items()})
         write_json(AUDIT_FILE, {

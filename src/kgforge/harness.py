@@ -14,9 +14,10 @@ every other query is ranked through ``_scores`` one at a time.
 
 Ranking and classification turn names into integers once per call, and
 integer maps from ``_index_map`` carry them between model indices and the
-graph's cached ``_index`` positions. The ranking filter and the
-classification negatives come from one sorted-key join over the graph's
-cached rows, ``_completions``.
+graph's cached ``_index`` positions; a graph's own split becomes integers
+through its id tables, without a ``Triple`` per row. The ranking filter and
+the classification negatives come from one sorted-key join over the graph's
+rows, ``_completions``, whose sorted keys each graph keeps per direction.
 
 Training is single-threaded and fully determined by the config seed: the same
 seed reproduces embeddings bit for bit.
@@ -33,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kg import KnowledgeGraph, Triple, _index_rows, kg_fingerprint, require_int
+from .kg import SPLITS, KnowledgeGraph, Triple, _index_rows, kg_fingerprint, require_int
 
 MODEL_KINDS = ("transe", "distmult")
 METRICS = ("mr", "mrr", "hits1", "hits3", "hits10")
@@ -181,10 +182,10 @@ def train(kg: KnowledgeGraph, cfg: TrainConfig) -> EmbeddingModel:
     """Train an embedding model on the graph's training split.
 
     Entities and relations are indexed in sorted id order, the graph's cached
-    ``_index``, and the training rows are the graph's cached ones. Negatives
-    corrupt the head or tail uniformly (coin flip per sample). Entity rows are
-    L2-normalized at the start of each epoch. Deterministic given the config
-    seed.
+    ``_index``, and the training rows are the train split's rows taken to
+    those positions. Negatives corrupt the head or tail uniformly (coin flip
+    per sample). Entity rows are L2-normalized at the start of each epoch.
+    Deterministic given the config seed.
     """
     if not kg.train:
         raise ValueError("cannot train on an empty training set")
@@ -372,7 +373,8 @@ def _completions(
     positions, -1 where the graph lacks a name. A row's slot is its head and
     relation when completing tails, its tail and relation when completing
     heads. Each train, valid and test triple gets the key
-    ``slot * |E| + completion``. The keys are sorted once, so one slot's
+    ``slot * |E| + completion``. The keys are sorted once per graph and
+    direction and kept in the graph's ``_filter_keys``, so one slot's
     completions are one run of them, found by two binary searches. Returns
     offsets and entity positions: query ``i``'s completions are
     ``completions[offsets[i]:offsets[i + 1]]``, a triple in several splits
@@ -380,9 +382,12 @@ def _completions(
     """
     n_ent, n_rel = len(kg.entities), len(kg.relations)
     own, other = (0, 2) if tail else (2, 0)
-    rows = np.concatenate([kg._split_rows(name) for name in ("train", "valid", "test")])
-    keys = (rows[:, own].astype(np.int64) * n_rel + rows[:, 1]) * n_ent + rows[:, other]
-    keys.sort()
+    keys = kg._filter_keys.get(tail)
+    if keys is None:
+        rows = np.concatenate([kg._split_rows(name) for name in SPLITS])
+        keys = (rows[:, own].astype(np.int64) * n_rel + rows[:, 1]) * n_ent + rows[:, other]
+        keys.sort()
+        kg._filter_keys[tail] = keys
     slots = queries[:, own].astype(np.int64) * n_rel + queries[:, 1]
     # Keys are never negative, so this slot's run is empty.
     slots[(queries[:, [own, 1]] < 0).any(axis=1)] = -1
@@ -544,7 +549,7 @@ def triplet_classification(
     positives[:, 1] = _to_model(relation_to_model, queries[:, 1], relation_pos, "relation")
     offsets, known = _completions(kg, queries, tail=True)
     offsets, known, golds = offsets.tolist(), known.tolist(), queries[:, 2].tolist()
-    n_ent = len(kg.entities)
+    n_ent, n_valid = len(kg.entities), len(kg.valid)
     rng = np.random.default_rng(negatives_seed)
 
     def corrupt(i: int) -> int:
@@ -554,7 +559,7 @@ def triplet_classification(
             candidate = int(rng.integers(n_ent))
             if candidate != golds[i] and candidate not in known_tails:
                 return candidate
-        triple = tuple((kg.valid + kg.test)[i])
+        triple = tuple(kg.valid[i] if i < n_valid else kg.test[i - n_valid])
         raise ValueError(f"no negative for {triple}: 100 corrupted tails were all known-true")
 
     def scored(first: int, stop: int) -> list[np.ndarray]:
@@ -568,7 +573,6 @@ def triplet_classification(
             raise ValueError(f"non-finite triple scores (kind={kind}): scoring overflows")
         return np.split(scores, 2)
 
-    n_valid = len(kg.valid)
     valid_pos, valid_neg = scored(0, n_valid)
     test_pos, test_neg = scored(n_valid, len(queries))
     valid_rel, test_rel = queries[:n_valid, 1], queries[n_valid:, 1]

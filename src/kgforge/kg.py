@@ -15,28 +15,37 @@ A graph is one flat record. The keys of its ``entity_name`` and
 ``relation_name`` maps declare its ids, and ``entity_desc`` holds only
 non-empty descriptions.
 
-Split files are streamed line by line, never held whole. A loaded graph keeps
-one string per id: every triple field is the string object that keys
-``entity_name`` or ``relation_name``, so dict lookups on triple fields
-compare by identity.
+Each split is a ``Split``: (n, 3) int32 rows of indices into the graph's id
+tables, the keys of ``entity_name`` and ``relation_name`` in map order. It
+reads like a tuple of ``Triple``s, built on demand from the tables' strings,
+so a loaded graph holds one string per id and no Python object per triple.
+A graph built from any sequence of triples converts it once; an id the maps
+do not declare is a ``DanglingReferenceError`` at construction.
+
+Split files are parsed in blocks of whole lines, never held whole. A block
+whose every line is three tab-separated declared ids is mapped in one pass;
+any other block is checked line by line, so messages, line numbers and the
+strict/lenient rules are those of a line-by-line parse.
 
 A graph computes what is derived from it once, on first use, and keeps it
-outside its fields: the position of each id in sorted id order, each split as
-int32 index rows, and its fingerprint. ``==``, ``repr``, ``asdict`` and
-``replace`` see only the fields, and a replaced graph starts with nothing
-cached. The cached view is never refreshed, so a graph's maps and splits must
-not be mutated after construction; build a changed graph with ``replace``.
+outside its fields: the position of each id in sorted id order, its
+fingerprint, and the sorted filter keys of the harness. ``==``, ``repr``,
+``asdict`` and ``replace`` see only the fields, and a replaced graph starts
+with nothing cached. The cached view is never refreshed, so a graph's maps
+must not be mutated after construction; build a changed graph with
+``replace``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import operator
+from collections.abc import Iterable, Iterator, KeysView, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, cycle
+from itertools import chain, cycle, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +57,11 @@ ENTITY_DESC_FILE = "entity2textlong.txt"
 RELATION_NAME_FILE = "relation2text.txt"
 
 MODES = ("strict", "lenient")
+SPLITS = ("train", "valid", "test")
+
+#: Characters read per block of a split file, before the block is cut back to
+#: its last line break.
+_BLOCK_CHARS = 1 << 20
 
 
 def require_int(name: str, value, minimum: int) -> None:
@@ -88,6 +102,76 @@ class DatasetStats(NamedTuple):
     n_test: int
 
 
+class Split(Sequence[Triple]):
+    """A read-only sequence of triples held as (n, 3) int32 rows over two id tables.
+
+    Row ``(h, r, t)`` is the triple ``(entities[h], relations[r],
+    entities[t])``. Indexing and iteration build each ``Triple`` on demand
+    from the tables' strings. ``len``, indexing, ``bool``, ``==`` (with
+    splits and with tuples), ``hash`` and ``+`` behave as on the tuple of
+    those triples; a slice is a ``Split`` and ``+`` returns a tuple.
+    """
+
+    __slots__ = ("rows", "entities", "relations")
+
+    def __init__(self, rows: np.ndarray, entities: tuple[str, ...], relations: tuple[str, ...]):
+        rows = np.asarray(rows, dtype=np.int32).view()
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"split rows must have shape (n, 3), got {rows.shape}")
+        rows.flags.writeable = False
+        self.rows, self.entities, self.relations = rows, entities, relations
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Split(self.rows[index], self.entities, self.relations)
+        h, r, t = self.rows[operator.index(index)].tolist()
+        return Triple(self.entities[h], self.relations[r], self.entities[t])
+
+    def __iter__(self) -> Iterator[Triple]:
+        heads, relations, tails = self.rows.T.tolist()
+        return map(
+            Triple._make,
+            zip(
+                map(self.entities.__getitem__, heads),
+                map(self.relations.__getitem__, relations),
+                map(self.entities.__getitem__, tails),
+            ),
+        )
+
+    def _cells(self, ends: tuple[str, str, str] = ("", "", "")) -> np.ndarray:
+        """(n, 3) object array of each row's head, relation and tail, each followed by its end."""
+        cells = np.empty(self.rows.shape, dtype=object)
+        for column, table, end in zip(range(3), (self.entities, self.relations, self.entities), ends):
+            cells[:, column] = np.array([name + end for name in table], dtype=object)[self.rows[:, column]]
+        return cells
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Split):
+            return len(self) == len(other) and bool((self._cells() == other._cells()).all())
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other) -> tuple:
+        if isinstance(other, (tuple, Split)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __radd__(self, other) -> tuple:
+        if isinstance(other, tuple):
+            return other + tuple(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """Immutable triple store with train/valid/test splits and attached texts.
@@ -96,19 +180,45 @@ class KnowledgeGraph:
     file load order; ``entities`` and ``relations`` are views of those keys.
     ``entity_desc`` holds only non-empty descriptions.
 
-    The sorted-id positions (``_index``), a split's index rows
-    (``_split_rows``) and the fingerprint are computed on first use and
-    cached on the instance, outside the dataclass fields. Nothing refreshes
-    them, so the maps and splits must not be mutated after construction.
+    Construction turns each split, given as any sequence of triples, into a
+    ``Split`` whose tables are the graph's ids in map order. A split whose
+    tables start with those ids keeps its rows; any other sequence is
+    converted once, and an id the maps do not declare raises
+    ``DanglingReferenceError``.
+
+    The sorted-id positions (``_index``), the fingerprint and the harness's
+    sorted filter keys are computed on first use and cached on the instance,
+    outside the dataclass fields. Nothing refreshes them, so the maps must
+    not be mutated after construction.
     """
 
     entity_name: dict[str, str]
     relation_name: dict[str, str]
     entity_desc: dict[str, str]
-    train: tuple[Triple, ...]
-    valid: tuple[Triple, ...]
-    test: tuple[Triple, ...]
+    train: Split
+    valid: Split
+    test: Split
     load_warnings: tuple[str, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        entities, relations = tuple(self.entity_name), tuple(self.relation_name)
+        index = None
+        for name in SPLITS:
+            triples = getattr(self, name)
+            if (
+                isinstance(triples, Split)
+                and entities[: len(triples.entities)] == triples.entities
+                and relations[: len(triples.relations)] == triples.relations
+            ):
+                rows = triples.rows
+            else:
+                if index is None:
+                    index = ({e: i for i, e in enumerate(entities)}, {r: i for i, r in enumerate(relations)})
+                try:
+                    rows = _index_rows(*index, triples)
+                except KeyError as err:
+                    raise DanglingReferenceError(f"{name} split references {err.args[0]}") from None
+            object.__setattr__(self, name, Split(rows, entities, relations))
 
     @property
     def entities(self) -> KeysView[str]:
@@ -121,8 +231,8 @@ class KnowledgeGraph:
     def desc_of(self, entity: str) -> str:
         return self.entity_desc.get(entity, "")
 
-    def split(self, name: str) -> tuple[Triple, ...]:
-        if name not in ("train", "valid", "test"):
+    def split(self, name: str) -> Split:
+        if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
@@ -134,17 +244,14 @@ class KnowledgeGraph:
             {r: i for i, r in enumerate(sorted(self.relation_name))},
         )
 
-    @cached_property
-    def _rows(self) -> dict[str, np.ndarray]:
-        """The index rows of each split built so far, by split name."""
-        return {}
-
     def _split_rows(self, name: str) -> np.ndarray:
-        """The split as (n, 3) int32 rows of ``_index`` positions, built on first use."""
-        rows = self._rows.get(name)
-        if rows is None:
-            rows = self._rows[name] = _index_rows(*self._index, self.split(name))
-        return rows
+        """The split as (n, 3) int32 rows of ``_index`` positions."""
+        return _index_rows(*self._index, self.split(name))
+
+    @cached_property
+    def _filter_keys(self) -> dict[bool, np.ndarray]:
+        """Sorted train+valid+test keys by completion direction, filled by ``harness._completions``."""
+        return {}
 
     @cached_property
     def _fingerprint(self) -> str:
@@ -161,11 +268,29 @@ class KnowledgeGraph:
 def _index_rows(
     entity_index: dict[str, int], relation_index: dict[str, int], triples: Sequence[Triple]
 ) -> np.ndarray:
-    """(n, 3) int32 rows of head, relation and tail indices, in one C-level pass.
+    """(n, 3) int32 rows of head, relation and tail indices, without a Python pass per triple.
 
-    A name missing from the index raises ``KeyError("unknown entity/relation ...")``,
-    naming the first one met in row order.
+    A ``Split`` is mapped through its tables, one lookup per table entry and
+    one take; any other sequence in one ``np.fromiter`` pass over its names.
+    A name missing from the index raises ``KeyError("unknown entity/relation
+    ...")``, naming the first one met in row order.
     """
+    kinds = ("entity", "relation", "entity")
+    if isinstance(triples, Split):
+        table = np.fromiter(
+            chain(
+                map(entity_index.get, triples.entities, repeat(-1)),
+                map(relation_index.get, triples.relations, repeat(-1)),
+            ),
+            dtype=np.int32,
+            count=len(triples.entities) + len(triples.relations),
+        )
+        rows = table[triples.rows + np.array([0, len(triples.entities), 0], dtype=np.int32)]
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            row, column = divmod(int(missing[0]), 3)
+            raise KeyError(f"unknown {kinds[column]} {triples[row][column]!r}")
+        return rows
     lookups = cycle((entity_index, relation_index, entity_index))
     try:
         flat = np.fromiter(
@@ -174,12 +299,8 @@ def _index_rows(
             count=3 * len(triples),
         )
     except KeyError:
-        for h, r, t in triples:
-            for index, name, kind in (
-                (entity_index, h, "entity"),
-                (relation_index, r, "relation"),
-                (entity_index, t, "entity"),
-            ):
+        for triple in triples:
+            for index, name, kind in zip((entity_index, relation_index, entity_index), triple, kinds):
                 if name not in index:
                     raise KeyError(f"unknown {kind} {name!r}") from None
         raise
@@ -197,19 +318,41 @@ def dataset_stats(kg: KnowledgeGraph) -> DatasetStats:
     )
 
 
-def _read_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """Yield (number, line) for each non-blank line, numbered among non-blank lines.
+def _blocks(path: Path) -> Iterator[str]:
+    """The file's text as runs of whole lines of about ``_BLOCK_CHARS`` characters.
 
-    LF, CRLF and a lone CR all end a line, as in ``Path.read_text``.
+    LF, CRLF and a lone CR all end a line, as in ``Path.read_text``, and
+    every block ends with a line break: a last line without one gets one.
     """
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file: {path}")
+    with path.open(encoding="utf-8") as text:
+        rest = ""
+        while chunk := text.read(_BLOCK_CHARS):
+            cut = chunk.rfind("\n") + 1
+            if cut:
+                yield rest + chunk[:cut]
+                rest = chunk[cut:]
+            else:
+                rest += chunk
+        if rest:
+            yield rest + "\n"
+
+
+def _numbered_lines(block: str, lineno: int) -> Iterator[tuple[int, str]]:
+    """Yield (number, line) for each non-blank line of a block, numbering on from ``lineno``."""
+    for line in block.split("\n"):
+        if line and not line.isspace():
+            lineno += 1
+            yield lineno, line
+
+
+def _read_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield (number, line) for each non-blank line, numbered among non-blank lines."""
     lineno = 0
-    with path.open(encoding="utf-8") as lines:
-        for line in lines:
-            if not line.isspace():
-                lineno += 1
-                yield lineno, line.rstrip("\n")
+    for block in _blocks(path):
+        for lineno, line in _numbered_lines(block, lineno):
+            yield lineno, line
 
 
 def read_pairs(path: Path) -> list[tuple[str, str]]:
@@ -229,15 +372,89 @@ def read_pairs(path: Path) -> list[tuple[str, str]]:
     return pairs
 
 
+def _triple_fields(file_name: str, lineno: int, line: str) -> list[str]:
+    """The [head, relation, tail] fields of one line; any other field count is a ``FormatError``."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise FormatError(f"{file_name}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+    return fields
+
+
 def read_triples(path: Path) -> Iterator[list[str]]:
     """Yield the [head, relation, tail] fields of each line of a triple file, streamed."""
     for lineno, line in _read_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise FormatError(
-                f"{path.name}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        yield fields
+        yield _triple_fields(path.name, lineno, line)
+
+
+def _three_fields_per_line(block: str) -> bool:
+    """Whether the tabs and line breaks of ``block`` run tab, tab, break over and over.
+
+    That is, every line has exactly three fields and none is empty. Tabs
+    and line feeds are single bytes in UTF-8, never part of another
+    character's encoding.
+    """
+    codes = np.frombuffer(block.encode("utf-8"), dtype=np.uint8)
+    separators = codes[(codes == 9) | (codes == 10)]
+    return separators.size % 3 == 0 and bool((separators.reshape(-1, 3) == (9, 9, 10)).all())
+
+
+def _read_split(
+    path: Path,
+    entity_ids: dict[str, int],
+    relation_ids: dict[str, int],
+    strict: bool,
+    warnings: list[str],
+) -> np.ndarray:
+    """A split file as (n, 3) int32 rows of table indices, parsed block by block.
+
+    A block whose every line is three declared ids is split once and mapped
+    in one ``np.fromiter`` pass. Any other block goes line by line, with the
+    checks of ``read_triples``, so a line's number and message do not depend
+    on the blocks. A dangling triple is warned about in lenient mode; in
+    strict mode the first one is raised once the file is parsed, so a later
+    malformed line wins.
+    """
+    lookups = (entity_ids, relation_ids, entity_ids)
+    # A line of whitespace is skipped, never read as a triple. In a one-pass
+    # block its head fails the lookup, unless an entity id is whitespace.
+    one_pass = not any(map(str.isspace, entity_ids))
+    parts = [np.empty(0, dtype=np.int32)]
+    lineno, dangling = 0, None
+    for block in _blocks(path):
+        if one_pass and _three_fields_per_line(block):
+            fields = block.replace("\n", "\t").split("\t")
+            fields.pop()
+            try:
+                parts.append(np.fromiter(map(dict.__getitem__, cycle(lookups), fields), np.int32, len(fields)))
+            except KeyError:
+                pass
+            else:
+                lineno += len(fields) // 3
+                continue
+        kept: list[int] = []
+        for lineno, line in _numbered_lines(block, lineno):
+            h, r, t = _triple_fields(path.name, lineno, line)
+            try:
+                kept += entity_ids[h], relation_ids[r], entity_ids[t]
+            except KeyError:
+                if dangling is not None:
+                    continue
+                missing = []
+                if h not in entity_ids:
+                    missing.append(f"entity {h!r}")
+                if t not in entity_ids:
+                    missing.append(f"entity {t!r}")
+                if r not in relation_ids:
+                    missing.append(f"relation {r!r}")
+                msg = f"{path.name}: triple {(h, r, t)} references unknown {', '.join(missing)}"
+                if strict:
+                    dangling = msg
+                else:
+                    warnings.append(msg)
+        parts.append(np.array(kept, dtype=np.int32))
+    if dangling is not None:
+        raise DanglingReferenceError(dangling)
+    return np.concatenate(parts).reshape(-1, 3)
 
 
 def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
@@ -258,66 +475,36 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
 
     entity_name = dict(read_pairs(root / ENTITY_NAME_FILE))
     relation_name = dict(read_pairs(root / RELATION_NAME_FILE))
-    # Every triple field and description key is swapped for the name file's
-    # own string, so a graph holds one string per id.
-    entity_ids = dict(zip(entity_name, entity_name))
-    relation_ids = dict(zip(relation_name, relation_name))
+    entities, relations = tuple(entity_name), tuple(relation_name)
+    entity_ids = {e: i for i, e in enumerate(entities)}
+    relation_ids = {r: i for i, r in enumerate(relations)}
     warnings: list[str] = []
 
     entity_desc: dict[str, str] = {}
     desc_path = root / ENTITY_DESC_FILE
     if desc_path.is_file():
         for key, text in read_pairs(desc_path):
-            entity = entity_ids.get(key)
-            if entity is None:
+            i = entity_ids.get(key)
+            if i is None:
                 msg = f"{ENTITY_DESC_FILE}: description for undeclared entity {key!r}"
                 if strict:
                     raise DanglingReferenceError(msg)
                 warnings.append(msg)
                 continue
             if text:
-                entity_desc[entity] = text
+                # The name file's own string, so a graph holds one string per id.
+                entity_desc[entities[i]] = text
 
-    def check_split(name: str, triples: Iterable[list[str]]) -> tuple[Triple, ...]:
-        # Builds a Triple without the Python-level NamedTuple constructor.
-        new_triple = tuple.__new__
-        kept = []
-        dangling = None
-        for h, r, t in triples:
-            try:
-                kept.append(new_triple(Triple, (entity_ids[h], relation_ids[r], entity_ids[t])))
-            except KeyError:
-                if dangling is not None:
-                    continue
-                missing = []
-                if h not in entity_ids:
-                    missing.append(f"entity {h!r}")
-                if t not in entity_ids:
-                    missing.append(f"entity {t!r}")
-                if r not in relation_ids:
-                    missing.append(f"relation {r!r}")
-                msg = f"{name}: triple {(h, r, t)} references unknown {', '.join(missing)}"
-                if strict:
-                    # Raised once the file is parsed, so a later malformed line wins.
-                    dangling = msg
-                else:
-                    warnings.append(msg)
-        if dangling is not None:
-            raise DanglingReferenceError(dangling)
-        return tuple(kept)
-
-    train = check_split(TRAIN_FILE, read_triples(root / TRAIN_FILE))
-    valid = check_split(VALID_FILE, read_triples(root / VALID_FILE))
-    test = check_split(TEST_FILE, read_triples(root / TEST_FILE))
-
+    splits = {
+        name: Split(_read_split(root / file, entity_ids, relation_ids, strict, warnings), entities, relations)
+        for name, file in zip(SPLITS, (TRAIN_FILE, VALID_FILE, TEST_FILE))
+    }
     return KnowledgeGraph(
         entity_name=entity_name,
         relation_name=relation_name,
         entity_desc=entity_desc,
-        train=train,
-        valid=valid,
-        test=test,
         load_warnings=tuple(warnings),
+        **splits,
     )
 
 
@@ -325,22 +512,19 @@ def augment_training_set(kg: KnowledgeGraph, triples: Sequence[Triple]) -> Knowl
     """New graph with the triples appended to train; valid/test untouched.
 
     Relations introduced by the new triples are registered with their id as
-    display text. Triples referencing unknown entities are an error.
+    display text, after the existing ones, so the rows of ``kg`` stay valid.
+    A triple referencing an unknown entity raises ``DanglingReferenceError``.
     """
-    for triple in triples:
-        for entity in (triple.head, triple.tail):
-            if entity not in kg.entities:
-                raise DanglingReferenceError(
-                    f"augmentation triple {tuple(triple)} references unknown entity {entity!r}"
-                )
     if not triples:
         return kg
     relation_name = dict(kg.relation_name)
     for triple in triples:
         relation_name.setdefault(triple.relation, triple.relation)
-    return replace(
-        kg, relation_name=relation_name, train=kg.train + tuple(triples), load_warnings=()
-    )
+    # Construction turns the extras into rows over the grown tables, which
+    # begin with the tables of kg's rows.
+    extra = replace(kg, relation_name=relation_name, train=tuple(triples)).train
+    train = Split(np.concatenate((kg.train.rows, extra.rows)), extra.entities, extra.relations)
+    return replace(kg, relation_name=relation_name, train=train, load_warnings=())
 
 
 def pair_lines(pairs: Iterable[tuple[str, str]]) -> str:
@@ -349,7 +533,13 @@ def pair_lines(pairs: Iterable[tuple[str, str]]) -> str:
 
 
 def triple_lines(triples: Iterable[Triple]) -> str:
-    """Serialize triples as the lines ``read_triples`` parses."""
+    """Serialize triples as the lines ``read_triples`` parses.
+
+    A ``Split`` is serialized by taking each row's ``"head\\t"``,
+    ``"relation\\t"`` and ``"tail\\n"`` strings from its tables and one join.
+    """
+    if isinstance(triples, Split):
+        return "".join(triples._cells(("\t", "\t", "\n")).ravel().tolist())
     return "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
 
 

@@ -871,6 +871,21 @@ def test_classification_rejects_impossible_negative():
         triplet_classification(model, kg)
 
 
+def test_classification_names_the_test_triple_without_a_negative():
+    # The valid triple (a, r, c) has negatives; every tail of (b, r, ?) is known.
+    entities = ["a", "b", "c"]
+    model = make_model("distmult", {e: [1.0] for e in entities}, {"r": [1.0]})
+    kg = make_kg(
+        entities,
+        ["r"],
+        train=[Triple("b", "r", "a"), Triple("b", "r", "b")],
+        valid=[Triple("a", "r", "c")],
+        test=[Triple("b", "r", "c")],
+    )
+    with pytest.raises(ValueError, match=r"^no negative for \('b', 'r', 'c'\): 100 corrupted tails"):
+        triplet_classification(model, kg)
+
+
 def test_classification_on_trained_toy_model():
     kg = toy_graph()
     model = train(kg, TrainConfig(dim=16, epochs=200, seed=7))

@@ -1,16 +1,26 @@
 """Loader/writer contracts: counts, round-trips, strict vs lenient handling."""
 
+import gc
 import os
+import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import kgforge.kg
 from kgforge.bundle import AugmentationBundle, apply_bundles
+from kgforge.harness import TrainConfig, link_prediction, train
 from kgforge.kg import (
     DanglingReferenceError,
     DatasetStats,
     FormatError,
+    Split,
     Triple,
+    _index_rows,
     augment_training_set,
     dataset_stats,
     kg_fingerprint,
@@ -193,6 +203,18 @@ def test_cached_view_is_outside_the_record(toy_kg):
     assert "_fingerprint" not in vars(replace(kg))
 
 
+def test_filter_keys_are_sorted_once_per_graph_and_direction(toy_kg):
+    kg = replace(toy_kg)
+    model = train(kg, TrainConfig(dim=4, epochs=1))
+    report = link_prediction(model, kg)
+    keys = dict(kg._filter_keys)
+    assert sorted(keys) == [False, True]
+    assert all((np.diff(k) >= 0).all() and len(k) == 16 for k in keys.values())
+    assert link_prediction(model, kg) == report
+    assert all(kg._filter_keys[tail] is keys[tail] for tail in keys)
+    assert "_filter_keys" not in vars(replace(kg))
+
+
 def write_files(root, train="", valid="", test=""):
     """A three-entity, one-relation dataset with the given split contents."""
     files = {
@@ -243,3 +265,143 @@ def test_lenient_warnings_follow_file_and_line_order(tmp_path):
         "valid.txt: triple ('c', 'r', 'ghost') references unknown entity 'ghost'",
         "test.txt: triple ('c', 'q', 'spook') references unknown entity 'spook', relation 'q'",
     )
+
+
+def test_split_behaves_like_the_tuple_it_replaces(toy_root, toy_kg):
+    kg = load_dataset(toy_root)
+    split, triples = kg.train, tuple(kg.train)
+    assert isinstance(split, Split) and split.rows.dtype == np.int32 and split.rows.shape == (12, 3)
+    assert triples == tuple(toy_kg.train) and all(type(t) is Triple for t in triples)
+    assert len(split) == 12 and bool(split) and not kg.valid[:0] and len(kg.valid[:0]) == 0
+    assert split[-1] == triples[-1] and split[-1].head == "/m/armageddon" and split[3].tail == "/m/spielberg"
+    with pytest.raises(IndexError):
+        split[12]
+    assert split[2:7] == triples[2:7] and split[::-3] == triples[::-3]
+    assert isinstance(split[2:7], Split)
+    assert [t.relation for t in split] == [t.relation for t in triples]
+    # Equal to tuples of the same triples and to equal splits of other graphs.
+    assert split == triples and triples == split and split == toy_kg.train
+    assert split != triples[:-1] and split != kg.valid and split != list(triples)
+    reordered = replace(
+        kg, entity_name=dict(reversed(kg.entity_name.items())), relation_name=dict(reversed(kg.relation_name.items()))
+    )
+    assert reordered.train == split and reordered.train.rows.tolist() != split.rows.tolist()
+    assert hash(split) == hash(triples)
+    assert split + kg.valid == triples + tuple(kg.valid) and split + () == triples and () + split == triples
+    assert set(split) == set(triples) and split.index(triples[4]) == 4 and triples[4] in split
+    assert repr(split) == repr(triples)
+    with pytest.raises(ValueError):
+        split.rows[0, 0] = 1
+
+
+def test_construction_rejects_undeclared_split_ids(toy_kg):
+    for field_name, bad, message in (
+        ("train", Triple("/m/bay", "/film/directed_by", "/m/ghost"), "train split references unknown entity '/m/ghost'"),
+        ("valid", Triple("/m/bay", "/film/spooked_by", "/m/bay"), "valid split references unknown relation '/film/spooked_by'"),
+    ):
+        with pytest.raises(DanglingReferenceError, match=f"^{message}$"):
+            replace(toy_kg, **{field_name: (*toy_kg.train[:2], bad)})
+    fewer = {e: n for e, n in toy_kg.entity_name.items() if e != "/m/spielberg"}
+    with pytest.raises(DanglingReferenceError, match="^train split references unknown entity '/m/spielberg'$"):
+        replace(toy_kg, entity_name=fewer)
+
+
+def test_index_rows_of_a_split_equal_those_of_its_triples():
+    kg = planted_alias_graph(seed=13)[0]
+    entities, relations = sorted(kg.entities), sorted(kg.relations)
+    rng = np.random.default_rng(0)
+    for drop in (0, 1, 3):
+        entity_index = {e: i for i, e in enumerate(rng.permutation(entities)[drop:])}
+        relation_index = {r: i for i, r in enumerate(relations[drop % 2 :])}
+        for split in (kg.train, kg.test):
+            try:
+                expected = _index_rows(entity_index, relation_index, tuple(split))
+            except KeyError as err:
+                with pytest.raises(KeyError) as caught:
+                    _index_rows(entity_index, relation_index, split)
+                assert caught.value.args == err.args
+            else:
+                assert _index_rows(entity_index, relation_index, split).tolist() == expected.tolist()
+
+
+def write_triples_dataset(root, n, n_entities=1000, n_relations=10):
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "entity2text.txt").write_text("".join(f"e{i}\tE{i}\n" for i in range(n_entities)), encoding="utf-8")
+    (root / "relation2text.txt").write_text("".join(f"r{i}\tR{i}\n" for i in range(n_relations)), encoding="utf-8")
+    rng = np.random.default_rng(0)
+    h, r, t = rng.integers(n_entities, size=n), rng.integers(n_relations, size=n), rng.integers(n_entities, size=n)
+    lines = "".join(f"e{a}\tr{b}\te{c}\n" for a, b, c in zip(h.tolist(), r.tolist(), t.tolist()))
+    (root / "train.txt").write_text(lines, encoding="utf-8")
+    (root / "valid.txt").write_text(lines[: lines.index("\n") + 1], encoding="utf-8")
+    (root / "test.txt").write_text("", encoding="utf-8")
+
+
+def test_loading_adds_no_tracked_object_per_triple(tmp_path):
+    n = 50_000
+    write_triples_dataset(tmp_path / "warm", 10)
+    write_triples_dataset(tmp_path / "big", n)
+    load_dataset(tmp_path / "warm")
+    gc.collect()
+    before = len(gc.get_objects())
+    kg = load_dataset(tmp_path / "big")
+    gc.collect()
+    assert len(gc.get_objects()) - before < n / 10
+    assert len(kg.train) == n
+
+
+ENTITIES = ("a", "b", "é")
+LINE_ENDS = ("\n", "\r\n", "\r")
+FIELD = st.sampled_from(ENTITIES + ("r", "s", "ghost", "", " "))
+LINE = st.one_of(
+    st.tuples(st.sampled_from(ENTITIES), st.sampled_from(("r", "s")), st.sampled_from(ENTITIES)).map("\t".join),
+    st.lists(FIELD, min_size=3, max_size=3).map("\t".join),
+    st.lists(FIELD, min_size=2, max_size=2).map("\t".join),
+    st.lists(FIELD, min_size=4, max_size=4).map("\t".join),
+    st.sampled_from(("", " ", "\t", "\t\t", " \t \t ")),
+)
+SPLIT_FILE = st.tuples(
+    st.lists(st.tuples(LINE, st.sampled_from(LINE_ENDS)), max_size=12), st.booleans()
+).map(lambda drawn: "".join(line + end for line, end in drawn[0]) + ("a\tr\tb" if drawn[1] else ""))
+
+
+def load_outcome(root, mode):
+    try:
+        kg = load_dataset(root, mode=mode)
+    except (FormatError, DanglingReferenceError) as err:
+        return type(err), str(err)
+    return kg, kg.load_warnings
+
+
+def file_lines(path):
+    """Each line of a file as its own block, as the file object's own iteration splits them."""
+    with path.open(encoding="utf-8") as lines:
+        for line in lines:
+            yield line if line.endswith("\n") else line + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    files=st.tuples(SPLIT_FILE, SPLIT_FILE, SPLIT_FILE),
+    mode=st.sampled_from(("strict", "lenient")),
+    block=st.integers(1, 6),
+    blank_ids=st.booleans(),
+)
+@example(files=("a\tr\nb\ta\tr\tb\n", "", ""), mode="strict", block=4, blank_ids=False)
+@example(files=("a\tr\tb\r\nb\tr\ta", " \t \t \r\r\n", "a\tr\tghost\nb\tr\n"), mode="strict", block=3, blank_ids=True)
+def test_block_parser_agrees_with_the_line_loop(files, mode, block, blank_ids):
+    # "s" is declared as an entity only, "r" as a relation only. A declared
+    # " " id must not turn a whitespace line into a triple.
+    blank = " \tBlank\n" if blank_ids else ""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        root = Path(tmp)
+        (root / "entity2text.txt").write_text("a\tA\nb\tB\né\tE\ns\tS\n" + blank, encoding="utf-8")
+        (root / "relation2text.txt").write_text("r\tR\n" + blank, encoding="utf-8")
+        for name, content in zip(("train.txt", "valid.txt", "test.txt"), files):
+            (root / name).write_bytes(content.encode("utf-8"))
+        blocks = load_outcome(root, mode)
+        patch.setattr(kgforge.kg, "_BLOCK_CHARS", block)
+        small_blocks = load_outcome(root, mode)
+        patch.setattr(kgforge.kg, "_blocks", file_lines)
+        patch.setattr(kgforge.kg, "_three_fields_per_line", lambda text: False)
+        line_loop = load_outcome(root, mode)
+    assert blocks == small_blocks == line_loop
