@@ -6,18 +6,20 @@ handling, triplet classification via per-relation score thresholds, and A/B
 comparison of a base graph against an augmented one over multiple seeds.
 
 An ``EmbeddingModel`` is one record: its ``TrainConfig`` (score family and
-width), the row of each name, and the vectors. Outside the training step
-``_step``, ``_scores`` alone holds the scoring formulas. ``rank_triples``
-screens TransE-L2 queries in chunks, one matrix product per chunk, and settles
-each candidate with a rounding band, so its ranks equal those of ``_scores``;
-every other query is ranked through ``_scores`` one at a time.
+width), the names of its vector rows, and the vectors. ``train`` gives a model
+its graph's own sorted id tables, so a row of the model is an id's position
+in sorted id order, the integer the graph's split rows already hold. Outside
+the training step ``_step``, ``_scores`` alone holds the scoring formulas.
+``rank_triples`` screens TransE-L2 queries in chunks, one matrix product per
+chunk, and settles each candidate with a rounding band, so its ranks equal
+those of ``_scores``; every other query is ranked through ``_scores`` one at a
+time.
 
-Ranking and classification turn names into integers once per call, and
-integer maps from ``_index_map`` carry them between model indices and the
-graph's cached ``_index`` positions; a graph's own split becomes integers
-through its id tables, without a ``Triple`` per row. The ranking filter and
-the classification negatives come from one sorted-key join over the graph's
-rows, ``_completions``, whose sorted keys each graph keeps per direction.
+Ranking and classification accept only a model whose tables are the graph's,
+and then use the graph's split rows as model rows, with no translation. The
+ranking filter and the classification negatives come from one sorted-key
+join over those rows, ``_completions``, whose sorted keys each graph keeps
+per direction.
 
 Training is single-threaded and fully determined by the config seed: the same
 seed reproduces embeddings bit for bit.
@@ -29,12 +31,11 @@ import json
 import math
 import statistics
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kg import SPLITS, KnowledgeGraph, Triple, _index_rows, kg_fingerprint, require_int
+from .kg import SPLITS, KnowledgeGraph, Split, Triple, _index_rows, kg_fingerprint, require_int
 
 MODEL_KINDS = ("transe", "distmult")
 METRICS = ("mr", "mrr", "hits1", "hits3", "hits10")
@@ -72,31 +73,36 @@ class TrainConfig:
 
 @dataclass
 class EmbeddingModel:
-    """One record per model, holding each fact once: its config, each name's row, and the rows.
+    """One record per model, holding each fact once: its config, the names of its rows, and the rows.
 
     ``config`` gives the score family (``kind``, ``norm``) and the vectors'
-    width (``dim``); each index maps a name to its own row of the vectors.
-    Construction raises ``ValueError`` where these disagree.
+    width (``dim``). ``entities[i]`` and ``relations[i]`` name row ``i`` of
+    ``entity_vectors`` and ``relation_vectors``; a trained model holds its
+    graph's sorted id tables. Construction raises ``ValueError`` where these
+    disagree.
     """
 
     config: TrainConfig
-    entity_index: dict[str, int]
-    relation_index: dict[str, int]
+    entities: tuple[str, ...]
+    relations: tuple[str, ...]
     entity_vectors: np.ndarray
     relation_vectors: np.ndarray
     loss_history: tuple[float, ...] = ()
 
     def __post_init__(self):
+        self.entities, self.relations = tuple(self.entities), tuple(self.relations)
         dim = self.config.dim
-        for name, index, vectors in (
-            ("entity", self.entity_index, self.entity_vectors),
-            ("relation", self.relation_index, self.relation_vectors),
+        for name, table, vectors in (
+            ("entity", self.entities, self.entity_vectors),
+            ("relation", self.relations, self.relation_vectors),
         ):
             if vectors.ndim != 2 or vectors.shape[1] != dim:
                 raise ValueError(f"{name}_vectors must be {dim} wide, got shape {vectors.shape}")
-            rows = index.values()
-            if rows and (min(rows) < 0 or max(rows) >= len(vectors) or len(set(rows)) < len(rows)):
-                raise ValueError(f"{name}_index needs one row per name in [0, {len(vectors)})")
+            if len(table) != len(vectors) or len(set(table)) < len(table):
+                raise ValueError(
+                    f"{name} names must name each of the {len(vectors)} rows once, got {len(table)} names "
+                    f"({len(set(table))} distinct)"
+                )
 
 
 def _normalize_rows(matrix: np.ndarray) -> None:
@@ -181,22 +187,20 @@ def _step(E: np.ndarray, R: np.ndarray, rows: np.ndarray, cfg: TrainConfig) -> f
 def train(kg: KnowledgeGraph, cfg: TrainConfig) -> EmbeddingModel:
     """Train an embedding model on the graph's training split.
 
-    Entities and relations are indexed in sorted id order, the graph's cached
-    ``_index``, and the training rows are the train split's rows taken to
-    those positions. Negatives corrupt the head or tail uniformly (coin flip
-    per sample). Entity rows are L2-normalized at the start of each epoch.
-    Deterministic given the config seed.
+    The model's rows are the graph's sorted id tables, and the training rows
+    are the train split's own rows. Negatives corrupt the head or tail
+    uniformly (coin flip per sample). Entity rows are L2-normalized at the
+    start of each epoch. Deterministic given the config seed.
     """
     if not kg.train:
         raise ValueError("cannot train on an empty training set")
-    entity_index, relation_index = kg._index
-    triples = kg._split_rows("train")
-    n_ent, n_train = len(entity_index), len(triples)
+    entities, relations, triples = kg.train.entities, kg.train.relations, kg.train.rows
+    n_ent, n_train = len(entities), len(triples)
 
     rng = np.random.default_rng(cfg.seed)
     bound = 6.0 / np.sqrt(cfg.dim)
     E = rng.uniform(-bound, bound, (n_ent, cfg.dim))
-    R = rng.uniform(-bound, bound, (len(relation_index), cfg.dim))
+    R = rng.uniform(-bound, bound, (len(relations), cfg.dim))
     if cfg.kind == "transe":
         _normalize_rows(R)
 
@@ -227,21 +231,12 @@ def train(kg: KnowledgeGraph, cfg: TrainConfig) -> EmbeddingModel:
 
     return EmbeddingModel(
         config=cfg,
-        # Copies: a caller may edit a model's index, never the graph's cache.
-        entity_index=dict(entity_index),
-        relation_index=dict(relation_index),
+        entities=entities,
+        relations=relations,
         entity_vectors=E,
         relation_vectors=R,
         loss_history=tuple(loss_history),
     )
-
-
-def _require_finite(model: EmbeddingModel) -> None:
-    if not (np.isfinite(model.entity_vectors).all() and np.isfinite(model.relation_vectors).all()):
-        raise ValueError(
-            f"non-finite embeddings (kind={model.config.kind}): entity_vectors or relation_vectors "
-            "hold NaN or inf"
-        )
 
 
 def _scores(model: EmbeddingModel, vh: np.ndarray, vr: np.ndarray, vt: np.ndarray) -> np.ndarray:
@@ -262,7 +257,8 @@ def _row_scores(model: EmbeddingModel, ids: np.ndarray) -> np.ndarray:
 
 def score_triple(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
     """Plausibility score of one triple; higher is more plausible for both kinds."""
-    ids = _index_rows(model.entity_index, model.relation_index, [(head, relation, tail)])
+    index = ({name: i for i, name in enumerate(table)} for table in (model.entities, model.relations))
+    ids = _index_rows(*index, [(head, relation, tail)])
     return float(_row_scores(model, ids)[0])
 
 
@@ -369,14 +365,13 @@ def _completions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every known completion of each query's slot, by one sorted-key join.
 
-    ``queries`` are (head, relation, tail) rows of the graph's ``_index``
-    positions, -1 where the graph lacks a name. A row's slot is its head and
-    relation when completing tails, its tail and relation when completing
-    heads. Each train, valid and test triple gets the key
-    ``slot * |E| + completion``. The keys are sorted once per graph and
-    direction and kept in the graph's ``_filter_keys``, so one slot's
-    completions are one run of them, found by two binary searches. Returns
-    offsets and entity positions: query ``i``'s completions are
+    ``queries`` are (head, relation, tail) rows of the graph's sorted id
+    positions. A row's slot is its head and relation when completing tails,
+    its tail and relation when completing heads. Each train, valid and test
+    triple gets the key ``slot * |E| + completion``. The keys are sorted once
+    per graph and direction and kept in the graph's ``_filter_keys``, so one
+    slot's completions are one run of them, found by two binary searches.
+    Returns offsets and entity positions: query ``i``'s completions are
     ``completions[offsets[i]:offsets[i + 1]]``, a triple in several splits
     counted once per split.
     """
@@ -384,13 +379,11 @@ def _completions(
     own, other = (0, 2) if tail else (2, 0)
     keys = kg._filter_keys.get(tail)
     if keys is None:
-        rows = np.concatenate([kg._split_rows(name) for name in SPLITS])
+        rows = np.concatenate([kg.split(name).rows for name in SPLITS])
         keys = (rows[:, own].astype(np.int64) * n_rel + rows[:, 1]) * n_ent + rows[:, other]
         keys.sort()
         kg._filter_keys[tail] = keys
     slots = queries[:, own].astype(np.int64) * n_rel + queries[:, 1]
-    # Keys are never negative, so this slot's run is empty.
-    slots[(queries[:, [own, 1]] < 0).any(axis=1)] = -1
     lo = np.searchsorted(keys, slots * n_ent)
     counts = np.searchsorted(keys, (slots + 1) * n_ent) - lo
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -398,21 +391,18 @@ def _completions(
     return offsets, keys[runs] % n_ent
 
 
-def _index_map(source: dict[str, int], target: dict[str, int]) -> np.ndarray:
-    """Map ``source[name]`` to ``target[name]``; -1 where ``target`` lacks it or no name is."""
-    keys = np.fromiter(source.values(), dtype=np.intp, count=len(source))
-    out = np.full(keys.max(initial=-1) + 1, -1, dtype=np.intp)
-    out[keys] = np.fromiter(map(target.get, source, repeat(-1)), dtype=np.intp, count=len(source))
-    return out
-
-
-def _to_model(index_map: np.ndarray, positions: np.ndarray, names: dict, kind: str) -> np.ndarray:
-    """``index_map[positions]`` for positions into ``names``; -1 is a ``KeyError`` naming it."""
-    mapped = index_map[positions]
-    missing = positions[mapped < 0]
-    if missing.size:
-        raise KeyError(f"unknown {kind} {list(names)[missing[0]]!r}")
-    return mapped
+def _require_evaluable(model: EmbeddingModel, kg: KnowledgeGraph) -> None:
+    """Raise ``ValueError`` unless the model's rows are the graph's sorted ids and its vectors are finite."""
+    if model.entities != kg.train.entities or model.relations != kg.train.relations:
+        raise ValueError(
+            "the model's entities and relations are not the graph's ids in sorted order; "
+            "evaluate a model on the graph it was trained on"
+        )
+    if not (np.isfinite(model.entity_vectors).all() and np.isfinite(model.relation_vectors).all()):
+        raise ValueError(
+            f"non-finite embeddings (kind={model.config.kind}): entity_vectors or relation_vectors "
+            "hold NaN or inf"
+        )
 
 
 def rank_triples(
@@ -420,25 +410,21 @@ def rank_triples(
 ) -> list[int]:
     """Tail rank, then head rank, of each triple among all entities.
 
-    The names of ``triples`` become model indices once. The filtered rank
+    The model's tables must be the graph's (else ``ValueError``), so the
+    queries' graph positions are model rows: a split over those tables gives
+    its rows, any other sequence is turned into rows once. The filtered rank
     excludes candidates (other than the gold) whose completed triple appears
-    anywhere in train/valid/test, found by ``_completions`` on the queries'
-    graph positions; a completion the model does not index is a
-    ``KeyError``. Ranks are exact: each equals ``rank_of_gold`` over the
-    query's ``_scores``.
+    anywhere in train/valid/test, found by ``_completions``. Ranks are exact:
+    each equals ``rank_of_gold`` over the query's ``_scores``.
     """
-    _require_finite(model)
-    ids = _index_rows(model.entity_index, model.relation_index, triples)
+    _require_evaluable(model, kg)
+    if isinstance(triples, Split) and (triples.entities, triples.relations) == (model.entities, model.relations):
+        ids = triples.rows
+    else:
+        ids = _index_rows(*kg._index, triples)
     known = [(np.zeros(len(ids) + 1, dtype=np.intp), np.zeros(0, dtype=np.intp))] * 2
     if filtered:
-        entity_pos, relation_pos = kg._index
-        to_graph = _index_map(model.entity_index, entity_pos)
-        relations = _index_map(model.relation_index, relation_pos)[ids[:, 1]]
-        queries = np.column_stack((to_graph[ids[:, 0]], relations, to_graph[ids[:, 2]]))
-        entity_to_model = _index_map(entity_pos, model.entity_index)
-        for i, tail in enumerate((True, False)):
-            offsets, completions = _completions(kg, queries, tail)
-            known[i] = (offsets, _to_model(entity_to_model, completions, entity_pos, "entity"))
+        known = [_completions(kg, ids, tail) for tail in (True, False)]
     tail_ranks = _screened_ranks(model, ids, *known[0], True)
     head_ranks = _screened_ranks(model, ids, *known[1], False)
     return [rank for pair in zip(tail_ranks, head_ranks) for rank in pair]
@@ -538,17 +524,11 @@ def triplet_classification(
     """
     if not kg.valid or not kg.test:
         raise ValueError("triplet classification needs non-empty valid and test splits")
-    _require_finite(model)
-    entity_pos, relation_pos = kg._index
-    entity_to_model = _index_map(entity_pos, model.entity_index)
-    relation_to_model = _index_map(relation_pos, model.relation_index)
+    _require_evaluable(model, kg)
     # Query i is valid triple i, then test triple i - |valid|.
-    queries = np.concatenate((kg._split_rows("valid"), kg._split_rows("test")))
-    positives = queries.copy()
-    positives[:, [0, 2]] = _to_model(entity_to_model, queries[:, [0, 2]], entity_pos, "entity")
-    positives[:, 1] = _to_model(relation_to_model, queries[:, 1], relation_pos, "relation")
-    offsets, known = _completions(kg, queries, tail=True)
-    offsets, known, golds = offsets.tolist(), known.tolist(), queries[:, 2].tolist()
+    positives = np.concatenate((kg.valid.rows, kg.test.rows))
+    offsets, known = _completions(kg, positives, tail=True)
+    offsets, known, golds = offsets.tolist(), known.tolist(), positives[:, 2].tolist()
     n_ent, n_valid = len(kg.entities), len(kg.valid)
     rng = np.random.default_rng(negatives_seed)
 
@@ -565,8 +545,7 @@ def triplet_classification(
     def scored(first: int, stop: int) -> list[np.ndarray]:
         """Scores of rows ``first:stop``, then of one negative each, by one ``_scores`` call."""
         negatives = positives[first:stop].copy()
-        tails = np.array([corrupt(i) for i in range(first, stop)], dtype=np.intp)
-        negatives[:, 2] = _to_model(entity_to_model, tails, entity_pos, "entity")
+        negatives[:, 2] = [corrupt(i) for i in range(first, stop)]
         scores = _row_scores(model, np.concatenate((positives[first:stop], negatives)))
         if not np.isfinite(scores).all():
             kind = model.config.kind
@@ -574,8 +553,8 @@ def triplet_classification(
         return np.split(scores, 2)
 
     valid_pos, valid_neg = scored(0, n_valid)
-    test_pos, test_neg = scored(n_valid, len(queries))
-    valid_rel, test_rel = queries[:n_valid, 1], queries[n_valid:, 1]
+    test_pos, test_neg = scored(n_valid, len(positives))
+    valid_rel, test_rel = positives[:n_valid, 1], positives[n_valid:, 1]
     thresholds = {}
     for rel in set(valid_rel.tolist()):
         in_rel = valid_rel == rel

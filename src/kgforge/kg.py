@@ -15,12 +15,15 @@ A graph is one flat record. The keys of its ``entity_name`` and
 ``relation_name`` maps declare its ids, and ``entity_desc`` holds only
 non-empty descriptions.
 
-Each split is a ``Split``: (n, 3) int32 rows of indices into the graph's id
-tables, the keys of ``entity_name`` and ``relation_name`` in map order. It
-reads like a tuple of ``Triple``s, built on demand from the tables' strings,
-so a loaded graph holds one string per id and no Python object per triple.
-A graph built from any sequence of triples converts it once; an id the maps
-do not declare is a ``DanglingReferenceError`` at construction.
+An id has one integer: its position in sorted id order. Each split is a
+``Split``: (n, 3) int32 rows of those positions into the graph's id tables,
+``tuple(sorted(entity_name))`` and ``tuple(sorted(relation_name))``, which its
+three splits share. The same rows are training rows, filter keys and model
+rows in the harness. A split reads like a tuple of ``Triple``s, built on
+demand from the tables' strings, so a loaded graph holds one string per id
+and no Python object per triple. A graph built from any sequence of triples
+converts it once; an id the maps do not declare is a
+``DanglingReferenceError`` at construction.
 
 Split files are parsed in blocks of whole lines, never held whole. A block
 whose every line is three tab-separated declared ids is mapped in one pass;
@@ -28,12 +31,11 @@ any other block is checked line by line, so messages, line numbers and the
 strict/lenient rules are those of a line-by-line parse.
 
 A graph computes what is derived from it once, on first use, and keeps it
-outside its fields: the position of each id in sorted id order, its
-fingerprint, and the sorted filter keys of the harness. ``==``, ``repr``,
-``asdict`` and ``replace`` see only the fields, and a replaced graph starts
-with nothing cached. The cached view is never refreshed, so a graph's maps
-must not be mutated after construction; build a changed graph with
-``replace``.
+outside its fields: each id's position by name, its fingerprint, and the
+sorted filter keys of the harness. ``==``, ``repr``, ``asdict`` and
+``replace`` see only the fields, and a replaced graph starts with nothing
+cached. The cached view is never refreshed, so a graph's maps must not be
+mutated after construction; build a changed graph with ``replace``.
 """
 
 from __future__ import annotations
@@ -106,10 +108,10 @@ class Split(Sequence[Triple]):
     """A read-only sequence of triples held as (n, 3) int32 rows over two id tables.
 
     Row ``(h, r, t)`` is the triple ``(entities[h], relations[r],
-    entities[t])``. Indexing and iteration build each ``Triple`` on demand
-    from the tables' strings. ``len``, indexing, ``bool``, ``==`` (with
-    splits and with tuples), ``hash`` and ``+`` behave as on the tuple of
-    those triples; a slice is a ``Split`` and ``+`` returns a tuple.
+    entities[t])``; in a graph's split the tables are its sorted ids.
+    Indexing and iteration build each ``Triple`` on demand from the tables'
+    strings. ``len``, indexing, ``bool`` and ``==`` (with splits and with
+    tuples) behave as on the tuple of those triples; a slice is a ``Split``.
     """
 
     __slots__ = ("rows", "entities", "relations")
@@ -155,19 +157,6 @@ class Split(Sequence[Triple]):
             return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __add__(self, other) -> tuple:
-        if isinstance(other, (tuple, Split)):
-            return tuple(self) + tuple(other)
-        return NotImplemented
-
-    def __radd__(self, other) -> tuple:
-        if isinstance(other, tuple):
-            return other + tuple(self)
-        return NotImplemented
-
     def __repr__(self) -> str:
         return repr(tuple(self))
 
@@ -177,16 +166,17 @@ class KnowledgeGraph:
     """Immutable triple store with train/valid/test splits and attached texts.
 
     The keys of ``entity_name`` and ``relation_name`` are the graph's ids, in
-    file load order; ``entities`` and ``relations`` are views of those keys.
+    file load order, which writing keeps; ``entities`` and ``relations`` are
+    views of those keys.
     ``entity_desc`` holds only non-empty descriptions.
 
     Construction turns each split, given as any sequence of triples, into a
-    ``Split`` whose tables are the graph's ids in map order. A split whose
-    tables start with those ids keeps its rows; any other sequence is
-    converted once, and an id the maps do not declare raises
-    ``DanglingReferenceError``.
+    ``Split`` over the graph's sorted id tables, so an id's integer is its
+    position in sorted id order everywhere. A split already over those tables
+    keeps its rows; any other sequence is converted once, and an id the maps
+    do not declare raises ``DanglingReferenceError``.
 
-    The sorted-id positions (``_index``), the fingerprint and the harness's
+    The name-to-position maps (``_index``), the fingerprint and the harness's
     sorted filter keys are computed on first use and cached on the instance,
     outside the dataclass fields. Nothing refreshes them, so the maps must
     not be mutated after construction.
@@ -201,24 +191,17 @@ class KnowledgeGraph:
     load_warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        entities, relations = tuple(self.entity_name), tuple(self.relation_name)
-        index = None
+        tables = tuple(sorted(self.entity_name)), tuple(sorted(self.relation_name))
         for name in SPLITS:
             triples = getattr(self, name)
-            if (
-                isinstance(triples, Split)
-                and entities[: len(triples.entities)] == triples.entities
-                and relations[: len(triples.relations)] == triples.relations
-            ):
+            if isinstance(triples, Split) and (triples.entities, triples.relations) == tables:
                 rows = triples.rows
             else:
-                if index is None:
-                    index = ({e: i for i, e in enumerate(entities)}, {r: i for i, r in enumerate(relations)})
                 try:
-                    rows = _index_rows(*index, triples)
+                    rows = _index_rows(*self._index, triples)
                 except KeyError as err:
                     raise DanglingReferenceError(f"{name} split references {err.args[0]}") from None
-            object.__setattr__(self, name, Split(rows, entities, relations))
+            object.__setattr__(self, name, Split(rows, *tables))
 
     @property
     def entities(self) -> KeysView[str]:
@@ -243,10 +226,6 @@ class KnowledgeGraph:
             {e: i for i, e in enumerate(sorted(self.entity_name))},
             {r: i for i, r in enumerate(sorted(self.relation_name))},
         )
-
-    def _split_rows(self, name: str) -> np.ndarray:
-        """The split as (n, 3) int32 rows of ``_index`` positions."""
-        return _index_rows(*self._index, self.split(name))
 
     @cached_property
     def _filter_keys(self) -> dict[bool, np.ndarray]:
@@ -323,20 +302,42 @@ def _blocks(path: Path) -> Iterator[str]:
 
     LF, CRLF and a lone CR all end a line, as in ``Path.read_text``, and
     every block ends with a line break: a last line without one gets one.
+    Text that is not UTF-8 is a ``FormatError`` naming its line.
     """
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file: {path}")
     with path.open(encoding="utf-8") as text:
         rest = ""
-        while chunk := text.read(_BLOCK_CHARS):
-            cut = chunk.rfind("\n") + 1
-            if cut:
-                yield rest + chunk[:cut]
-                rest = chunk[cut:]
-            else:
-                rest += chunk
+        try:
+            while chunk := text.read(_BLOCK_CHARS):
+                cut = chunk.rfind("\n") + 1
+                if cut:
+                    yield rest + chunk[:cut]
+                    rest = chunk[cut:]
+                else:
+                    rest += chunk
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path.name}:{_undecodable_line(path)}: not UTF-8 ({err.reason})") from None
         if rest:
             yield rest + "\n"
+
+
+def _undecodable_line(path: Path) -> int:
+    """The number of the first line of ``path`` that is not UTF-8, counting as ``_numbered_lines`` does.
+
+    No line break byte occurs inside a UTF-8 sequence, so an undecodable
+    sequence lies within one line.
+    """
+    lineno = 0
+    with path.open("rb") as data:
+        for line in chain.from_iterable(map(bytes.splitlines, data)):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+            if text and not text.isspace():
+                lineno += 1
+    return lineno + 1
 
 
 def _numbered_lines(block: str, lineno: int) -> Iterator[tuple[int, str]]:
@@ -475,7 +476,7 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
 
     entity_name = dict(read_pairs(root / ENTITY_NAME_FILE))
     relation_name = dict(read_pairs(root / RELATION_NAME_FILE))
-    entities, relations = tuple(entity_name), tuple(relation_name)
+    entities, relations = tuple(sorted(entity_name)), tuple(sorted(relation_name))
     entity_ids = {e: i for i, e in enumerate(entities)}
     relation_ids = {r: i for i, r in enumerate(relations)}
     warnings: list[str] = []
@@ -512,19 +513,19 @@ def augment_training_set(kg: KnowledgeGraph, triples: Sequence[Triple]) -> Knowl
     """New graph with the triples appended to train; valid/test untouched.
 
     Relations introduced by the new triples are registered with their id as
-    display text, after the existing ones, so the rows of ``kg`` stay valid.
-    A triple referencing an unknown entity raises ``DanglingReferenceError``.
+    display text, after the existing ones in ``relation_name``. A triple
+    referencing an unknown entity raises ``DanglingReferenceError``.
     """
     if not triples:
         return kg
     relation_name = dict(kg.relation_name)
     for triple in triples:
         relation_name.setdefault(triple.relation, triple.relation)
-    # Construction turns the extras into rows over the grown tables, which
-    # begin with the tables of kg's rows.
-    extra = replace(kg, relation_name=relation_name, train=tuple(triples)).train
-    train = Split(np.concatenate((kg.train.rows, extra.rows)), extra.entities, extra.relations)
-    return replace(kg, relation_name=relation_name, train=train, load_warnings=())
+    # Construction turns the extras into rows over the grown tables; the base
+    # rows are taken to them through the base split's own tables.
+    grown = replace(kg, relation_name=relation_name, train=tuple(triples), load_warnings=())
+    rows = np.concatenate((_index_rows(*grown._index, kg.train), grown.train.rows))
+    return replace(grown, train=Split(rows, grown.train.entities, grown.train.relations))
 
 
 def pair_lines(pairs: Iterable[tuple[str, str]]) -> str:

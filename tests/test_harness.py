@@ -48,12 +48,12 @@ def make_kg(entities, relations, train=(), valid=(), test=()):
 
 
 def make_model(kind, entity_vecs, relation_vecs, norm=2):
-    entities = sorted(entity_vecs)
-    relations = sorted(relation_vecs)
+    entities = tuple(sorted(entity_vecs))
+    relations = tuple(sorted(relation_vecs))
     return EmbeddingModel(
         config=TrainConfig(kind=kind, dim=len(next(iter(entity_vecs.values()))), norm=norm),
-        entity_index={e: i for i, e in enumerate(entities)},
-        relation_index={r: i for i, r in enumerate(relations)},
+        entities=entities,
+        relations=relations,
         entity_vectors=np.array([entity_vecs[e] for e in entities], dtype=float),
         relation_vectors=np.array([relation_vecs[r] for r in relations], dtype=float),
     )
@@ -236,17 +236,17 @@ def test_rank_triples_matches_brute_force_oracle():
 
 def per_query_ranks(model, kg, triples, filtered=True):
     """Oracle: every query scored against all entities through ``_scores``, one at a time."""
-    ids = [
-        (model.entity_index[h], model.relation_index[r], model.entity_index[t]) for h, r, t in triples
-    ]
+    entity_row = {e: i for i, e in enumerate(model.entities)}
+    relation_row = {r: i for i, r in enumerate(model.relations)}
+    ids = [(entity_row[h], relation_row[r], entity_row[t]) for h, r, t in triples]
     known_tails = {(h, r): [] for h, r, _ in triples}
     known_heads = {(r, t): [] for _, r, t in triples}
     if filtered:
         for h, r, t in (*kg.train, *kg.valid, *kg.test):
             if (h, r) in known_tails:
-                known_tails[(h, r)].append(model.entity_index[t])
+                known_tails[(h, r)].append(entity_row[t])
             if (r, t) in known_heads:
-                known_heads[(r, t)].append(model.entity_index[h])
+                known_heads[(r, t)].append(entity_row[h])
     E, R = model.entity_vectors, model.relation_vectors
     ranks = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -289,12 +289,13 @@ def planted_model(rng, kind, norm, n_ent, dim, plant):
         # Small integers: many distinct candidates at exactly the gold's distance.
         E = rng.integers(-1, 2, size=(n_ent, dim)).astype(float)
         R = rng.integers(-1, 2, size=(2, dim)).astype(float)
-    entities = [f"e{i}" for i in range(n_ent)]
+    # In sorted id order, as a graph over these names holds them.
+    entities = sorted(f"e{i}" for i in range(n_ent))
     relations = ["r0", "r1"]
     model = EmbeddingModel(
         config=TrainConfig(kind=kind, dim=dim, norm=norm),
-        entity_index={e: i for i, e in enumerate(entities)},
-        relation_index={r: i for i, r in enumerate(relations)},
+        entities=entities,
+        relations=relations,
         entity_vectors=E,
         relation_vectors=R,
     )
@@ -328,7 +329,7 @@ def test_rank_triples_matches_per_query_oracle(scorer, plant, n_ent, dim, gold_t
         E = model.entity_vectors
         for h, _, t in kg.test:
             for gold in (h, t):
-                E[int(rng.integers(n_ent))] = E[model.entity_index[gold]]
+                E[int(rng.integers(n_ent))] = E[model.entities.index(gold)]
     for filtered in (True, False):
         with np.errstate(over="ignore", invalid="ignore"):
             ranks = rank_triples(model, kg, kg.test, filtered)
@@ -363,22 +364,23 @@ def test_rank_triples_matches_per_query_oracle_at_fb15k237_entity_count():
     # Exact twins of ten test tails send those queries down the per-query path.
     E = model.entity_vectors
     for _, _, t in kg.test[:10]:
-        E[int(rng.integers(n_ent))] = E[model.entity_index[t]]
+        E[int(rng.integers(n_ent))] = E[model.entities.index(t)]
     assert rank_triples(model, kg, kg.test) == per_query_ranks(model, kg, kg.test)
 
 
 @st.composite
 def ranked_graphs(draw):
-    """A small graph and a model that indexes it in its own order.
+    """A small graph and a model over its sorted id tables.
 
-    Names like ``e10`` sort before ``e2``, the model's index follows a random
-    permutation, triples repeat within and across splits, and with
-    ``extra_relation`` the graph also holds ``SameAs`` triples the model lacks.
+    Names like ``e10`` sort before ``e2``, the graph's maps list them in a
+    random order, triples repeat within and across splits, and with
+    ``extra_relation`` the graph also holds ``SameAs`` triples, whose
+    relation sorts after the others.
     """
     n_ent = draw(st.integers(1, 13))
     entities = [f"e{i}" for i in range(n_ent)]
     extra_relation = draw(st.booleans())
-    graph_relations = ["r0", "r1"] + ["SameAs"] * extra_relation
+    graph_relations = ["r1", "r0"] + ["SameAs"] * extra_relation
     entity = st.sampled_from(entities)
     triple = st.builds(Triple, entity, st.sampled_from(["r0", "r1"]), entity)
     train = draw(st.lists(triple, max_size=20))
@@ -395,10 +397,10 @@ def ranked_graphs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = EmbeddingModel(
         config=TrainConfig(kind=kind, dim=dim, norm=norm),
-        entity_index={e: i for i, e in enumerate(draw(st.permutations(entities)))},
-        relation_index={"r1": 0, "r0": 1},
+        entities=kg.train.entities,
+        relations=kg.train.relations,
         entity_vectors=rng.integers(-2, 3, size=(n_ent, dim)).astype(float),
-        relation_vectors=rng.normal(size=(2, dim)),
+        relation_vectors=rng.normal(size=(len(graph_relations), dim)),
     )
     return model, kg
 
@@ -408,29 +410,6 @@ def ranked_graphs(draw):
 def test_rank_triples_matches_per_query_oracle_on_random_graphs(graph, filtered):
     model, kg = graph
     assert rank_triples(model, kg, kg.test, filtered) == per_query_ranks(model, kg, kg.test, filtered)
-
-
-def test_rank_triples_filters_nothing_for_names_the_graph_lacks():
-    # The model indexes "x" and "s", the graph does not. Unguarded, the slot
-    # (b, s) would read as (a, r) and drop b, the best tail of (b, s, ?).
-    model = make_model(
-        "transe",
-        {"a": [5.0], "b": [0.0], "c": [1.0], "x": [9.0]},
-        {"q": [0.0], "r": [0.0], "s": [0.0]},
-    )
-    kg = make_kg(["a", "b", "c"], ["q", "r"], train=[Triple("a", "r", "b")], test=[Triple("a", "r", "c")])
-    queries = [Triple("b", "s", "c"), Triple("x", "r", "c"), Triple("a", "r", "x")]
-    ranks = rank_triples(model, kg, queries)
-    assert ranks == per_query_ranks(model, kg, queries)
-    assert ranks[0] == 2
-
-
-def test_rank_triples_completion_the_model_lacks_is_an_error():
-    model = make_model("transe", {"a": [0.0], "b": [1.0]}, {"r": [0.0]})
-    kg = make_kg(["a", "b", "z"], ["r"], train=[Triple("a", "r", "z")], test=[Triple("a", "r", "b")])
-    with pytest.raises(KeyError, match="'z'"):
-        rank_triples(model, kg, kg.test)
-    assert rank_triples(model, kg, kg.test, filtered=False) == [2, 2]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -466,7 +445,8 @@ def test_triple_scores_rows_equal_score_triple():
                 Triple(*(str(rng.choice(names)) for names in (entities, relations, entities)))
                 for _ in range(25)
             ]
-            ids = _index_rows(model.entity_index, model.relation_index, triples)
+            index = ({name: i for i, name in enumerate(table)} for table in (model.entities, model.relations))
+            ids = _index_rows(*index, triples)
             rows = _row_scores(model, ids)
             assert rows.tolist() == [score_triple(model, *triple) for triple in triples]
 
@@ -474,7 +454,7 @@ def test_triple_scores_rows_equal_score_triple():
 def test_model_record_holds_each_fact_once():
     names = [f.name for f in dataclasses.fields(EmbeddingModel)]
     assert names == [
-        "config", "entity_index", "relation_index", "entity_vectors", "relation_vectors",
+        "config", "entities", "relations", "entity_vectors", "relation_vectors",
         "loss_history",
     ]
     model = train(toy_graph(), TrainConfig(kind="distmult", dim=4, epochs=2, seed=1))
@@ -486,8 +466,8 @@ def model_fields(**changes):
     """Keyword arguments of a valid two-entity, one-relation, 2-wide model, with ``changes``."""
     return {
         "config": TrainConfig(dim=2),
-        "entity_index": {"a": 0, "b": 1},
-        "relation_index": {"r": 0},
+        "entities": ("a", "b"),
+        "relations": ("r",),
         "entity_vectors": np.zeros((2, 2)),
         "relation_vectors": np.zeros((1, 2)),
         **changes,
@@ -500,41 +480,58 @@ def model_fields(**changes):
         ({"config": TrainConfig(dim=3)}, "entity_vectors must be 3 wide"),
         ({"relation_vectors": np.zeros((1, 1))}, "relation_vectors must be 2 wide"),
         ({"entity_vectors": np.zeros(2)}, "entity_vectors must be 2 wide"),
-        ({"entity_index": {"a": 0, "b": -1}}, r"entity_index needs one row per name in \[0, 2\)"),
-        ({"entity_index": {"a": 0, "b": 2}}, r"entity_index needs one row per name in \[0, 2\)"),
-        ({"relation_index": {"r": 1}}, r"relation_index needs one row per name in \[0, 1\)"),
-        ({"entity_index": {"a": 1, "b": 1}}, "entity_index needs one row per name"),
+        ({"entities": ("a", "b", "c")}, r"^entity names must name each of the 2 rows once, got 3 names \(3 distinct\)$"),
+        ({"relations": ()}, r"^relation names must name each of the 1 rows once, got 0 names \(0 distinct\)$"),
+        ({"entities": ("a", "a")}, r"^entity names must name each of the 2 rows once, got 2 names \(1 distinct\)$"),
     ],
-    ids=["width-config", "width-relation", "vectors-1d", "index-minus-one", "index-rows",
-         "relation-index-rows", "index-shared-row"],
+    ids=["width-config", "width-relation", "vectors-1d", "entity-table-length", "relation-table-length",
+         "repeated-name"],
 )
 def test_model_construction_rejects_disagreeing_facts(changes, message):
     with pytest.raises(ValueError, match=message):
         EmbeddingModel(**model_fields(**changes))
 
 
-def test_model_may_leave_rows_unnamed():
-    model = EmbeddingModel(**model_fields(entity_index={"b": 1}, relation_index={}))
-    assert model.entity_index == {"b": 1}
+def test_a_trained_model_holds_its_graphs_tables():
+    kg = toy_graph()
+    model = train(kg, TrainConfig(dim=4, epochs=1))
+    assert model.entities is kg.train.entities and model.relations is kg.train.relations
+    assert model.entities == tuple(sorted(kg.entities)) and model.relations == tuple(sorted(kg.relations))
 
 
-@pytest.mark.parametrize("split", ["valid", "test"])
-@pytest.mark.parametrize("slot", [0, 2])
-def test_classification_names_a_split_entity_the_model_lacks(split, slot):
-    entities = ["a", "b", "c", "d"]
-    model = make_model("transe", {e: [0.1 * i] for i, e in enumerate(entities)}, {"r": [0.3]})
-    kg = make_kg(
-        [*entities, "z"],
-        ["r"],
-        train=[Triple("a", "r", "b")],
-        valid=[Triple("a", "r", "c")],
-        test=[Triple("b", "r", "d")],
+def zero_model(entities, relations):
+    return EmbeddingModel(
+        config=TrainConfig(dim=2),
+        entities=entities,
+        relations=relations,
+        entity_vectors=np.zeros((len(entities), 2)),
+        relation_vectors=np.zeros((len(relations), 2)),
     )
-    lacking = list(getattr(kg, split)[0])
-    lacking[slot] = "z"
-    kg = dataclasses.replace(kg, **{split: (Triple(*lacking),)})
-    with pytest.raises(KeyError, match="unknown entity 'z'"):
-        triplet_classification(model, kg)
+
+
+@pytest.mark.parametrize(
+    "entities, relations",
+    [(("a", "b", "c", "d"), ("q", "r")), (("a", "b", "c"), ("r",)), (("c", "b", "a"), ("r", "q"))],
+    ids=["extra-entity", "missing-relation", "reordered"],
+)
+def test_evaluating_a_model_on_other_ids_is_an_error(entities, relations):
+    kg = make_kg(
+        ["b", "a", "c"],
+        ["r", "q"],
+        train=[Triple("a", "r", "b")],
+        valid=[Triple("a", "q", "c")],
+        test=[Triple("b", "r", "c")],
+    )
+    assert rank_triples(zero_model(("a", "b", "c"), ("q", "r")), kg, kg.test, filtered=False) == [3, 3]
+    model = zero_model(entities, relations)
+    for evaluate in (
+        lambda: rank_triples(model, kg, kg.test),
+        lambda: rank_triples(model, kg, [Triple("a", "r", "b")], filtered=False),
+        lambda: link_prediction(model, kg),
+        lambda: triplet_classification(model, kg),
+    ):
+        with pytest.raises(ValueError, match="^the model's entities and relations are not the graph's ids"):
+            evaluate()
 
 
 def test_metrics_oracle_1_2_4():
@@ -695,20 +692,6 @@ def test_step_without_margin_violation_changes_nothing(norm):
     assert loss == 0.0
     assert E.tobytes() == E_before.tobytes()
     assert R.tobytes() == R_before.tobytes()
-
-
-def test_editing_a_model_index_leaves_the_next_training_alone():
-    kg = toy_graph()
-    cfg = TrainConfig(dim=8, epochs=5, seed=1)
-    first = train(kg, cfg)
-    a, b = sorted(first.entity_index)[:2]
-    first.entity_index[a], first.entity_index[b] = first.entity_index[b], first.entity_index[a]
-    first.relation_index["unseen"] = 99
-    second, fresh = train(kg, cfg), train(toy_graph(), cfg)
-    assert second.entity_index == fresh.entity_index == {e: i for i, e in enumerate(sorted(kg.entities))}
-    assert second.relation_index == fresh.relation_index
-    assert second.entity_vectors.tobytes() == fresh.entity_vectors.tobytes()
-    assert second.relation_vectors.tobytes() == fresh.relation_vectors.tobytes()
 
 
 def test_training_loss_decreases():
@@ -908,8 +891,8 @@ def classification_record(model, kg, negatives_seed, monkeypatch):
     """
     import kgforge.harness as harness
 
-    names = {model.entity_vectors[i].tobytes(): e for e, i in model.entity_index.items()}
-    assert len(names) == len(model.entity_index)
+    names = {vector.tobytes(): e for e, vector in zip(model.entities, model.entity_vectors)}
+    assert len(names) == len(model.entities)
     negatives = []
     scores = harness._scores
 

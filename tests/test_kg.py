@@ -121,6 +121,17 @@ def test_duplicate_id_in_text_file(tmp_path, toy_root):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["train.txt", "entity2text.txt"])
+def test_text_that_is_not_utf8_names_its_file_and_line(tmp_path, name):
+    # 20,000 lines span more than one block; blank lines are not counted.
+    write_files(tmp_path, train="a\tr\tb\n\n" * 20_000)
+    with (tmp_path / name).open("ab") as fh:
+        fh.write(b"\r\nc\tr\t\xff\nb\tr\tc\n")
+    lineno = 20_001 if name == "train.txt" else 4
+    with pytest.raises(FormatError, match=f"^{name}:{lineno}: not UTF-8 \\(invalid start byte\\)$"):
+        load_dataset(tmp_path)
+
+
 def test_dangling_reference_strict_vs_lenient(tmp_path, toy_root):
     for name in os.listdir(toy_root):
         (tmp_path / name).write_text(read(toy_root / name), encoding="utf-8")
@@ -171,7 +182,7 @@ def test_derived_graphs_fingerprint_like_their_reloaded_files(tmp_path, toy_root
     # The base's cache is filled first; no derived graph may inherit it.
     base = load_dataset(toy_root)
     base_fp = kg_fingerprint(base)
-    base_rows = base._split_rows("train")
+    base_rows = base.train.rows
     extra = [Triple("/m/bay", "SameAs", "/m/spielberg")]
     bundle = AugmentationBundle(
         kind="structure",
@@ -190,17 +201,53 @@ def test_derived_graphs_fingerprint_like_their_reloaded_files(tmp_path, toy_root
         reloaded = load_dataset(tmp_path / name)
         assert kg_fingerprint(kg) == kg_fingerprint(reloaded) != base_fp, name
         for split in ("train", "valid", "test"):
-            assert kg._split_rows(split).tolist() == reloaded._split_rows(split).tolist(), name
-    assert len(derived["augment"]._split_rows("train")) == len(base_rows) + 1
+            assert kg.split(split).rows.tolist() == reloaded.split(split).rows.tolist(), name
+    assert len(derived["augment"].train.rows) == len(base_rows) + 1
     assert kg_fingerprint(base) == base_fp
+
+
+def test_every_split_row_is_a_sorted_id_position(toy_root, tmp_path):
+    # New relations that sort first, in the middle and last all shift the
+    # base rows' relation column, or leave it.
+    base = load_dataset(toy_root)
+    extra = [Triple("/m/bay", "SameAs", "/m/spielberg")]
+    bundle = AugmentationBundle(
+        kind="structure",
+        fingerprint=kg_fingerprint(base),
+        relation_text={"/film/directed_by": "is directed by"},
+        extra_triples=extra,
+    )
+    graphs = {
+        "load": base,
+        "reversed": replace(
+            base,
+            entity_name=dict(reversed(base.entity_name.items())),
+            relation_name=dict(reversed(base.relation_name.items())),
+        ),
+        "apply": apply_bundles(base, [bundle]),
+    }
+    for relation in ("/a/same_as", "/film/m", "SameAs"):
+        added = [Triple("/m/bay", relation, "/m/spielberg"), Triple("/m/la", relation, "/m/bay")]
+        graphs[relation] = augment_training_set(base, added)
+        assert graphs[relation].train[-2:] == tuple(added) and graphs[relation].train[:-2] == base.train
+    for i, (name, kg) in enumerate(graphs.items()):
+        entities, relations = sorted(kg.entities), sorted(kg.relations)
+        write_dataset(kg, tmp_path / str(i))
+        reloaded = load_dataset(tmp_path / str(i))
+        for split in ("train", "valid", "test"):
+            expected = [
+                [entities.index(h), relations.index(r), entities.index(t)] for h, r, t in tuple(kg.split(split))
+            ]
+            assert kg.split(split).rows.tolist() == expected == reloaded.split(split).rows.tolist(), name
+            assert (kg.split(split).entities, kg.split(split).relations) == (tuple(entities), tuple(relations))
 
 
 def test_cached_view_is_outside_the_record(toy_kg):
     kg = replace(toy_kg)
     kg_fingerprint(kg)
-    kg._split_rows("test")
+    kg._index
     assert kg == toy_kg and repr(kg) == repr(toy_kg) and asdict(kg) == asdict(toy_kg)
-    assert "_fingerprint" not in vars(replace(kg))
+    assert "_fingerprint" not in vars(replace(kg)) and "_index" not in vars(replace(kg))
 
 
 def test_filter_keys_are_sorted_once_per_graph_and_direction(toy_kg):
@@ -285,9 +332,7 @@ def test_split_behaves_like_the_tuple_it_replaces(toy_root, toy_kg):
     reordered = replace(
         kg, entity_name=dict(reversed(kg.entity_name.items())), relation_name=dict(reversed(kg.relation_name.items()))
     )
-    assert reordered.train == split and reordered.train.rows.tolist() != split.rows.tolist()
-    assert hash(split) == hash(triples)
-    assert split + kg.valid == triples + tuple(kg.valid) and split + () == triples and () + split == triples
+    assert reordered.train == split and reordered.train.rows.tolist() == split.rows.tolist()
     assert set(split) == set(triples) and split.index(triples[4]) == 4 and triples[4] in split
     assert repr(split) == repr(triples)
     with pytest.raises(ValueError):
