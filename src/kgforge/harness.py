@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kg import SPLITS, KnowledgeGraph, Split, Triple, _index_rows, kg_fingerprint, require_int
+from .kg import SPLITS, KnowledgeGraph, Triple, _index_rows, kg_fingerprint, require_int
 
 MODEL_KINDS = ("transe", "distmult")
 METRICS = ("mr", "mrr", "hits1", "hits3", "hits10")
@@ -257,9 +257,13 @@ def _row_scores(model: EmbeddingModel, ids: np.ndarray) -> np.ndarray:
 
 def score_triple(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
     """Plausibility score of one triple; higher is more plausible for both kinds."""
-    index = ({name: i for i, name in enumerate(table)} for table in (model.entities, model.relations))
-    ids = _index_rows(*index, [(head, relation, tail)])
-    return float(_row_scores(model, ids)[0])
+    tables, row = {"entity": model.entities, "relation": model.relations}, []
+    for kind, name in zip(("entity", "relation", "entity"), (head, relation, tail)):
+        try:
+            row.append(tables[kind].index(name))
+        except ValueError:
+            raise KeyError(f"unknown {kind} {name!r}") from None
+    return float(_row_scores(model, np.array([row]))[0])
 
 
 def rank_of_gold(scores: np.ndarray, gold_idx: int, excluded: Iterable[int] = ()) -> int:
@@ -411,17 +415,14 @@ def rank_triples(
     """Tail rank, then head rank, of each triple among all entities.
 
     The model's tables must be the graph's (else ``ValueError``), so the
-    queries' graph positions are model rows: a split over those tables gives
-    its rows, any other sequence is turned into rows once. The filtered rank
-    excludes candidates (other than the gold) whose completed triple appears
-    anywhere in train/valid/test, found by ``_completions``. Ranks are exact:
-    each equals ``rank_of_gold`` over the query's ``_scores``.
+    queries' graph positions, found once by ``_index_rows``, are model rows.
+    The filtered rank excludes candidates (other than the gold) whose
+    completed triple appears anywhere in train/valid/test, found by
+    ``_completions``. Ranks are exact: each equals ``rank_of_gold`` over the
+    query's ``_scores``.
     """
     _require_evaluable(model, kg)
-    if isinstance(triples, Split) and (triples.entities, triples.relations) == (model.entities, model.relations):
-        ids = triples.rows
-    else:
-        ids = _index_rows(*kg._index, triples)
+    ids = _index_rows(*kg._index, triples)
     known = [(np.zeros(len(ids) + 1, dtype=np.intp), np.zeros(0, dtype=np.intp))] * 2
     if filtered:
         known = [_completions(kg, ids, tail) for tail in (True, False)]

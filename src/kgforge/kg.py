@@ -192,13 +192,15 @@ class KnowledgeGraph:
 
     def __post_init__(self):
         tables = tuple(sorted(self.entity_name)), tuple(sorted(self.relation_name))
+        index = None
         for name in SPLITS:
             triples = getattr(self, name)
             if isinstance(triples, Split) and (triples.entities, triples.relations) == tables:
                 rows = triples.rows
             else:
+                index = index or _positions(*tables)
                 try:
-                    rows = _index_rows(*self._index, triples)
+                    rows = _index_rows(*index, triples)
                 except KeyError as err:
                     raise DanglingReferenceError(f"{name} split references {err.args[0]}") from None
             object.__setattr__(self, name, Split(rows, *tables))
@@ -222,10 +224,7 @@ class KnowledgeGraph:
     @cached_property
     def _index(self) -> tuple[dict[str, int], dict[str, int]]:
         """Position of each entity and each relation id in sorted id order."""
-        return (
-            {e: i for i, e in enumerate(sorted(self.entity_name))},
-            {r: i for i, r in enumerate(sorted(self.relation_name))},
-        )
+        return _positions(self.train.entities, self.train.relations)
 
     @cached_property
     def _filter_keys(self) -> dict[bool, np.ndarray]:
@@ -242,6 +241,11 @@ class KnowledgeGraph:
             digest.update(files[name].encode("utf-8"))
             digest.update(b"\0")
         return digest.hexdigest()
+
+
+def _positions(entities: Sequence[str], relations: Sequence[str]) -> tuple[dict[str, int], dict[str, int]]:
+    """Each entity's and each relation's position in its table, by name."""
+    return {e: i for i, e in enumerate(entities)}, {r: i for i, r in enumerate(relations)}
 
 
 def _index_rows(
@@ -477,8 +481,7 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
     entity_name = dict(read_pairs(root / ENTITY_NAME_FILE))
     relation_name = dict(read_pairs(root / RELATION_NAME_FILE))
     entities, relations = tuple(sorted(entity_name)), tuple(sorted(relation_name))
-    entity_ids = {e: i for i, e in enumerate(entities)}
-    relation_ids = {r: i for i, r in enumerate(relations)}
+    entity_ids, relation_ids = _positions(entities, relations)
     warnings: list[str] = []
 
     entity_desc: dict[str, str] = {}
@@ -521,11 +524,22 @@ def augment_training_set(kg: KnowledgeGraph, triples: Sequence[Triple]) -> Knowl
     relation_name = dict(kg.relation_name)
     for triple in triples:
         relation_name.setdefault(triple.relation, triple.relation)
-    # Construction turns the extras into rows over the grown tables; the base
-    # rows are taken to them through the base split's own tables.
-    grown = replace(kg, relation_name=relation_name, train=tuple(triples), load_warnings=())
-    rows = np.concatenate((_index_rows(*grown._index, kg.train), grown.train.rows))
-    return replace(grown, train=Split(rows, grown.train.entities, grown.train.relations))
+    relations = tuple(sorted(relation_name))
+    relation_ids = {r: i for i, r in enumerate(relations)}
+    try:
+        extras = _index_rows(kg._index[0], relation_ids, triples)
+    except KeyError as err:
+        raise DanglingReferenceError(f"train split references {err.args[0]}") from None
+    # Entity positions stay; a new relation may sort among the old ones and move them.
+    moved = np.array([relation_ids[r] for r in kg.train.relations], dtype=np.int32)
+
+    def grown(split: Split, appended: np.ndarray = extras[:0]) -> Split:
+        rows = np.concatenate((split.rows, appended))
+        rows[: len(split), 1] = moved[split.rows[:, 1]]
+        return Split(rows, split.entities, relations)
+
+    splits = dict(train=grown(kg.train, extras), valid=grown(kg.valid), test=grown(kg.test))
+    return replace(kg, relation_name=relation_name, load_warnings=(), **splits)
 
 
 def pair_lines(pairs: Iterable[tuple[str, str]]) -> str:

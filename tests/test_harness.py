@@ -32,7 +32,7 @@ from kgforge.harness import (
     train,
     triplet_classification,
 )
-from kgforge.kg import KnowledgeGraph, Triple, _index_rows
+from kgforge.kg import KnowledgeGraph, Triple
 from kgforge.synth import planted_alias_graph, toy_graph
 
 
@@ -441,12 +441,9 @@ def test_triple_scores_rows_equal_score_triple():
             entities = [f"e{i}" for i in range(int(rng.integers(2, 30)))]
             relations = ["r0", "r1", "r2"]
             model = random_model(rng, kind, norm, entities, relations, dim=int(rng.integers(1, 40)))
-            triples = [
-                Triple(*(str(rng.choice(names)) for names in (entities, relations, entities)))
-                for _ in range(25)
-            ]
-            index = ({name: i for i, name in enumerate(table)} for table in (model.entities, model.relations))
-            ids = _index_rows(*index, triples)
+            tables = (model.entities, model.relations, model.entities)
+            ids = np.column_stack([rng.integers(0, len(table), 25) for table in tables])
+            triples = [Triple(*map(tuple.__getitem__, tables, row)) for row in ids.tolist()]
             rows = _row_scores(model, ids)
             assert rows.tolist() == [score_triple(model, *triple) for triple in triples]
 

@@ -230,6 +230,7 @@ def test_every_split_row_is_a_sorted_id_position(toy_root, tmp_path):
         added = [Triple("/m/bay", relation, "/m/spielberg"), Triple("/m/la", relation, "/m/bay")]
         graphs[relation] = augment_training_set(base, added)
         assert graphs[relation].train[-2:] == tuple(added) and graphs[relation].train[:-2] == base.train
+        assert (graphs[relation].valid, graphs[relation].test) == (base.valid, base.test)
     for i, (name, kg) in enumerate(graphs.items()):
         entities, relations = sorted(kg.entities), sorted(kg.relations)
         write_dataset(kg, tmp_path / str(i))
