@@ -18,11 +18,6 @@ DEFAULT_BUDGET_TOKENS = 70
 EMPTY_GENERATION_FLAG = "empty generation"
 
 
-def token_count(text: str) -> int:
-    """Whitespace-token count used by the merge budget."""
-    return len(text.split())
-
-
 def merge_entity_text(original: str, generated: str, budget_tokens: int) -> str:
     """Append generated text to the original, truncated to ``budget_tokens`` tokens.
 

@@ -21,14 +21,16 @@ An id has one integer: its position in sorted id order. Each split is a
 three splits share. The same rows are training rows, filter keys and model
 rows in the harness. A split reads like a tuple of ``Triple``s, built on
 demand from the tables' strings, so a loaded graph holds one string per id
-and no Python object per triple. A graph built from any sequence of triples
-converts it once; an id the maps do not declare is a
-``DanglingReferenceError`` at construction.
+and no Python object per triple. A graph built from any sequence of triples,
+a split over other tables included, converts it once; an id the maps do not
+declare is a ``DanglingReferenceError`` at construction.
 
-Split files are parsed in blocks of whole lines, never held whole. A block
-whose every line is three tab-separated declared ids is mapped in one pass;
-any other block is checked line by line, so messages, line numbers and the
-strict/lenient rules are those of a line-by-line parse.
+Names become positions in one place, ``_name_rows``, with -1 for an
+undeclared name. Split files are parsed in blocks of whole lines, never held
+whole. A block whose every line has three fields is kept as mapped if it has
+no -1; any other block is split line by line, then mapped, and its -1s are
+its dangling triples. So messages, line numbers and the strict/lenient rules
+are those of a line-by-line parse.
 
 A graph computes what is derived from it once, on first use, and keeps it
 outside its fields: each id's position by name, its fingerprint, and the
@@ -110,8 +112,9 @@ class Split(Sequence[Triple]):
     Row ``(h, r, t)`` is the triple ``(entities[h], relations[r],
     entities[t])``; in a graph's split the tables are its sorted ids.
     Indexing and iteration build each ``Triple`` on demand from the tables'
-    strings. ``len``, indexing, ``bool`` and ``==`` (with splits and with
-    tuples) behave as on the tuple of those triples; a slice is a ``Split``.
+    strings. ``len``, indexing, ``bool`` and ``==`` behave as on the tuple of
+    those triples: a split equals a split or a tuple of the same triples,
+    whatever its tables. A slice is a ``Split``.
     """
 
     __slots__ = ("rows", "entities", "relations")
@@ -143,17 +146,8 @@ class Split(Sequence[Triple]):
             ),
         )
 
-    def _cells(self, ends: tuple[str, str, str] = ("", "", "")) -> np.ndarray:
-        """(n, 3) object array of each row's head, relation and tail, each followed by its end."""
-        cells = np.empty(self.rows.shape, dtype=object)
-        for column, table, end in zip(range(3), (self.entities, self.relations, self.entities), ends):
-            cells[:, column] = np.array([name + end for name in table], dtype=object)[self.rows[:, column]]
-        return cells
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, Split):
-            return len(self) == len(other) and bool((self._cells() == other._cells()).all())
-        if isinstance(other, tuple):
+        if isinstance(other, (Split, tuple)):
             return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
 
@@ -173,8 +167,9 @@ class KnowledgeGraph:
     Construction turns each split, given as any sequence of triples, into a
     ``Split`` over the graph's sorted id tables, so an id's integer is its
     position in sorted id order everywhere. A split already over those tables
-    keeps its rows; any other sequence is converted once, and an id the maps
-    do not declare raises ``DanglingReferenceError``.
+    keeps its rows; any other sequence, a split over other tables included,
+    is converted once by ``_index_rows``, and an id the maps do not declare
+    raises ``DanglingReferenceError``.
 
     The name-to-position maps (``_index``), the fingerprint and the harness's
     sorted filter keys are computed on first use and cached on the instance,
@@ -248,46 +243,29 @@ def _positions(entities: Sequence[str], relations: Sequence[str]) -> tuple[dict[
     return {e: i for i, e in enumerate(entities)}, {r: i for i, r in enumerate(relations)}
 
 
+def _name_rows(
+    entity_index: dict[str, int], relation_index: dict[str, int], names: Iterable[str], count: int
+) -> np.ndarray:
+    """(n, 3) int32 rows of a flat run of ``count`` head, relation and tail names; -1 for a name its map lacks."""
+    lookups = cycle((entity_index, relation_index, entity_index))
+    return np.fromiter(map(dict.get, lookups, names, repeat(-1)), dtype=np.int32, count=count).reshape(-1, 3)
+
+
 def _index_rows(
     entity_index: dict[str, int], relation_index: dict[str, int], triples: Sequence[Triple]
 ) -> np.ndarray:
-    """(n, 3) int32 rows of head, relation and tail indices, without a Python pass per triple.
+    """(n, 3) int32 rows of the head, relation and tail indices of any sequence of triples.
 
-    A ``Split`` is mapped through its tables, one lookup per table entry and
-    one take; any other sequence in one ``np.fromiter`` pass over its names.
-    A name missing from the index raises ``KeyError("unknown entity/relation
+    A ``Split`` goes through its triples' names like any other sequence. A
+    name missing from the index raises ``KeyError("unknown entity/relation
     ...")``, naming the first one met in row order.
     """
-    kinds = ("entity", "relation", "entity")
-    if isinstance(triples, Split):
-        table = np.fromiter(
-            chain(
-                map(entity_index.get, triples.entities, repeat(-1)),
-                map(relation_index.get, triples.relations, repeat(-1)),
-            ),
-            dtype=np.int32,
-            count=len(triples.entities) + len(triples.relations),
-        )
-        rows = table[triples.rows + np.array([0, len(triples.entities), 0], dtype=np.int32)]
-        missing = np.flatnonzero(rows < 0)
-        if missing.size:
-            row, column = divmod(int(missing[0]), 3)
-            raise KeyError(f"unknown {kinds[column]} {triples[row][column]!r}")
-        return rows
-    lookups = cycle((entity_index, relation_index, entity_index))
-    try:
-        flat = np.fromiter(
-            map(dict.__getitem__, lookups, chain.from_iterable(triples)),
-            dtype=np.int32,
-            count=3 * len(triples),
-        )
-    except KeyError:
-        for triple in triples:
-            for index, name, kind in zip((entity_index, relation_index, entity_index), triple, kinds):
-                if name not in index:
-                    raise KeyError(f"unknown {kind} {name!r}") from None
-        raise
-    return flat.reshape(-1, 3)
+    rows = _name_rows(entity_index, relation_index, chain.from_iterable(triples), 3 * len(triples))
+    missing = np.flatnonzero(rows < 0)
+    if missing.size:
+        row, column = divmod(int(missing[0]), 3)
+        raise KeyError(f"unknown {('entity', 'relation', 'entity')[column]} {triples[row][column]!r}")
+    return rows
 
 
 def dataset_stats(kg: KnowledgeGraph) -> DatasetStats:
@@ -412,54 +390,44 @@ def _read_split(
 ) -> np.ndarray:
     """A split file as (n, 3) int32 rows of table indices, parsed block by block.
 
-    A block whose every line is three declared ids is split once and mapped
-    in one ``np.fromiter`` pass. Any other block goes line by line, with the
-    checks of ``read_triples``, so a line's number and message do not depend
-    on the blocks. A dangling triple is warned about in lenient mode; in
+    A block whose every line has three fields is split once and mapped
+    through ``_name_rows``; it is kept if every name is declared. Any other
+    block is split into fields line by line, with the checks of
+    ``read_triples``, so a line's number and message do not depend on the
+    blocks, and is then mapped; a row with a -1 is a dangling triple, dropped
+    and reported. Dangling triples are warned about in lenient mode; in
     strict mode the first one is raised once the file is parsed, so a later
     malformed line wins.
     """
-    lookups = (entity_ids, relation_ids, entity_ids)
     # A line of whitespace is skipped, never read as a triple. In a one-pass
-    # block its head fails the lookup, unless an entity id is whitespace.
+    # block its head is -1, unless an entity id is whitespace.
     one_pass = not any(map(str.isspace, entity_ids))
-    parts = [np.empty(0, dtype=np.int32)]
-    lineno, dangling = 0, None
+    parts = [np.empty((0, 3), dtype=np.int32)]
+    lineno, reports = 0, []
     for block in _blocks(path):
         if one_pass and _three_fields_per_line(block):
             fields = block.replace("\n", "\t").split("\t")
             fields.pop()
-            try:
-                parts.append(np.fromiter(map(dict.__getitem__, cycle(lookups), fields), np.int32, len(fields)))
-            except KeyError:
-                pass
-            else:
-                lineno += len(fields) // 3
+            rows = _name_rows(entity_ids, relation_ids, fields, len(fields))
+            if (rows >= 0).all():
+                parts.append(rows)
+                lineno += len(rows)
                 continue
-        kept: list[int] = []
+        fields = []
         for lineno, line in _numbered_lines(block, lineno):
-            h, r, t = _triple_fields(path.name, lineno, line)
-            try:
-                kept += entity_ids[h], relation_ids[r], entity_ids[t]
-            except KeyError:
-                if dangling is not None:
-                    continue
-                missing = []
-                if h not in entity_ids:
-                    missing.append(f"entity {h!r}")
-                if t not in entity_ids:
-                    missing.append(f"entity {t!r}")
-                if r not in relation_ids:
-                    missing.append(f"relation {r!r}")
-                msg = f"{path.name}: triple {(h, r, t)} references unknown {', '.join(missing)}"
-                if strict:
-                    dangling = msg
-                else:
-                    warnings.append(msg)
-        parts.append(np.array(kept, dtype=np.int32))
-    if dangling is not None:
-        raise DanglingReferenceError(dangling)
-    return np.concatenate(parts).reshape(-1, 3)
+            fields += _triple_fields(path.name, lineno, line)
+        rows = _name_rows(entity_ids, relation_ids, fields, len(fields))
+        dangling = (rows < 0).any(axis=1)
+        for i in np.flatnonzero(dangling).tolist():
+            h, r, t = fields[3 * i : 3 * i + 3]
+            unknown = zip(("entity", "entity", "relation"), (h, t, r), rows[i, [0, 2, 1]].tolist())
+            missing = ", ".join(f"{kind} {name!r}" for kind, name, position in unknown if position < 0)
+            reports.append(f"{path.name}: triple {(h, r, t)} references unknown {missing}")
+        parts.append(rows[~dangling])
+    if strict and reports:
+        raise DanglingReferenceError(reports[0])
+    warnings += reports
+    return np.concatenate(parts)
 
 
 def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
@@ -554,7 +522,10 @@ def triple_lines(triples: Iterable[Triple]) -> str:
     ``"relation\\t"`` and ``"tail\\n"`` strings from its tables and one join.
     """
     if isinstance(triples, Split):
-        return "".join(triples._cells(("\t", "\t", "\n")).ravel().tolist())
+        cells = np.empty(triples.rows.shape, dtype=object)
+        for column, table, end in zip(range(3), (triples.entities, triples.relations, triples.entities), "\t\t\n"):
+            cells[:, column] = np.array([name + end for name in table], dtype=object)[triples.rows[:, column]]
+        return "".join(cells.ravel().tolist())
     return "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
 
 

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgforge.entity import (
-    EMPTY_GENERATION_FLAG,
-    expand_descriptions,
-    merge_entity_text,
-    token_count,
-)
+from kgforge.entity import EMPTY_GENERATION_FLAG, expand_descriptions, merge_entity_text
 from kgforge.gateway import GenerationParams, LlmGateway, ReplayBackend, write_fixture
 from kgforge.kg import kg_fingerprint
 from kgforge.synth import toy_fixture_records, toy_graph
@@ -38,14 +33,14 @@ texts = st.lists(words, max_size=30).map(" ".join)
 @settings(max_examples=200)
 def test_merge_respects_budget(original, generated, budget):
     merged = merge_entity_text(original, generated, budget)
-    assert token_count(merged) <= budget
+    assert len(merged.split()) <= budget
 
 
 @given(original=texts, generated=texts, budget=st.integers(min_value=1, max_value=40))
 @settings(max_examples=200)
 def test_merge_preserves_original_prefix(original, generated, budget):
     merged = merge_entity_text(original, generated, budget)
-    if token_count(original) <= budget:
+    if len(original.split()) <= budget:
         assert merged.startswith(original)
 
 
@@ -57,7 +52,7 @@ def test_expand_descriptions_covers_every_entity(replay_gateway):
     assert set(bundle.entity_text) == set(kg.entities)
     assert not bundle.errors
     for entity, merged in bundle.entity_text.items():
-        assert token_count(merged) <= 70
+        assert len(merged.split()) <= 70
         assert merged.startswith(kg.desc_of(entity))
     assert [item.subject for item in bundle.items] == list(kg.entity_name)
     assert all(item.response for item in bundle.items)  # raw response preserved verbatim
@@ -66,7 +61,7 @@ def test_expand_descriptions_covers_every_entity(replay_gateway):
 def test_expand_respects_tight_budget(replay_gateway):
     kg = toy_graph()
     bundle = expand_descriptions(kg, replay_gateway, budget_tokens=5)
-    assert all(token_count(text) <= 5 for text in bundle.entity_text.values())
+    assert all(len(text.split()) <= 5 for text in bundle.entity_text.values())
 
 
 def test_empty_generation_keeps_original_and_flags(tmp_path):

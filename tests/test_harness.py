@@ -333,6 +333,8 @@ def test_rank_triples_matches_per_query_oracle(scorer, plant, n_ent, dim, gold_t
     for filtered in (True, False):
         with np.errstate(over="ignore", invalid="ignore"):
             ranks = rank_triples(model, kg, kg.test, filtered)
+            # A split and a list of its triples become the same query rows.
+            assert ranks == rank_triples(model, kg, list(kg.test), filtered)
         assert ranks == per_query_ranks(model, kg, kg.test, filtered)
 
 

@@ -225,7 +225,12 @@ def test_every_split_row_is_a_sorted_id_position(toy_root, tmp_path):
             relation_name=dict(reversed(base.relation_name.items())),
         ),
         "apply": apply_bundles(base, [bundle]),
+        # An entity that sorts first shifts every entity position, so the
+        # base splits are converted from the base's tables.
+        "first": replace(base, entity_name={"/a/first": "First", **base.entity_name}),
     }
+    for name in ("reversed", "first"):
+        assert (graphs[name].train, graphs[name].valid, graphs[name].test) == (base.train, base.valid, base.test)
     for relation in ("/a/same_as", "/film/m", "SameAs"):
         added = [Triple("/m/bay", relation, "/m/spielberg"), Triple("/m/la", relation, "/m/bay")]
         graphs[relation] = augment_training_set(base, added)
@@ -415,7 +420,41 @@ def load_outcome(root, mode):
         kg = load_dataset(root, mode=mode)
     except (FormatError, DanglingReferenceError) as err:
         return type(err), str(err)
-    return kg, kg.load_warnings
+    return (tuple(kg.train), tuple(kg.valid), tuple(kg.test)), kg.load_warnings
+
+
+def reference_outcome(root, mode, entities, relations):
+    """What loading the split files must give, by a plain line loop that shares no code with the loader.
+
+    Blank lines are skipped and only non-blank ones numbered; a line without
+    three tab-separated fields is a FormatError at once; a triple with an
+    undeclared id is dropped with a warning, or in strict mode the file's
+    first one is raised once the file is read.
+    """
+    splits, warnings = [], []
+    for name in ("train.txt", "valid.txt", "test.txt"):
+        kept, dangling, lineno = [], [], 0
+        with (root / name).open(encoding="utf-8") as lines:
+            for line in lines:
+                line = line.rstrip("\n")
+                if not line or line.isspace():
+                    continue
+                lineno += 1
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    return FormatError, f"{name}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                h, r, t = fields
+                checks = (("entity", h, entities), ("entity", t, entities), ("relation", r, relations))
+                missing = [f"{kind} {id_!r}" for kind, id_, declared in checks if id_ not in declared]
+                if missing:
+                    dangling.append(f"{name}: triple {(h, r, t)} references unknown {', '.join(missing)}")
+                else:
+                    kept.append((h, r, t))
+        if dangling and mode == "strict":
+            return DanglingReferenceError, dangling[0]
+        splits.append(tuple(kept))
+        warnings += dangling
+    return tuple(splits), tuple(warnings)
 
 
 def file_lines(path):
@@ -444,10 +483,12 @@ def test_block_parser_agrees_with_the_line_loop(files, mode, block, blank_ids):
         (root / "relation2text.txt").write_text("r\tR\n" + blank, encoding="utf-8")
         for name, content in zip(("train.txt", "valid.txt", "test.txt"), files):
             (root / name).write_bytes(content.encode("utf-8"))
+        blanks = {" "} if blank_ids else set()
+        expected = reference_outcome(root, mode, {"a", "b", "é", "s"} | blanks, {"r"} | blanks)
         blocks = load_outcome(root, mode)
         patch.setattr(kgforge.kg, "_BLOCK_CHARS", block)
         small_blocks = load_outcome(root, mode)
         patch.setattr(kgforge.kg, "_blocks", file_lines)
         patch.setattr(kgforge.kg, "_three_fields_per_line", lambda text: False)
         line_loop = load_outcome(root, mode)
-    assert blocks == small_blocks == line_loop
+    assert blocks == small_blocks == line_loop == expected
