@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .gateway import GatewayError, LlmGateway, prompt_key
+from .gateway import GatewayError, LlmGateway
 from .kg import (
     KnowledgeGraph,
     Triple,
@@ -171,21 +171,16 @@ def query_audited(
         modes = [None] * len(prompts)
     items = []
     for prompt, result, mode in zip(prompts, results, modes):
-        if isinstance(result, GatewayError):
-            item = AuditItem(
-                subject=prompt.subject_id,
-                prompt_hash=prompt_key(prompt.text, gateway.params),
-                error=str(result),
-                mode=mode,
-            )
-        else:
-            item = AuditItem(
+        failed = isinstance(result, GatewayError)
+        items.append(
+            AuditItem(
                 subject=prompt.subject_id,
                 prompt_hash=result.key,
-                response=result.response,
+                response=None if failed else result.response,
+                error=str(result) if failed else None,
                 mode=mode,
             )
-        items.append(item)
+        )
     bundle.items.extend(items)
     return items
 

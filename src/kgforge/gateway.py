@@ -9,12 +9,13 @@ fixture (or persisted cache, same format) is keyed purely by content; both
 load into the same hash -> response map. ``LlmGateway.batch_query`` is the one
 way to query: it hashes each prompt once, sends each distinct miss to the
 backend, and returns an ``LlmExchange(key, response)`` or an in-place
-``GatewayError`` per prompt. Replay backends never touch the network and make
-whole pipeline runs bit-for-bit reproducible.
+``GatewayError`` with the same ``key`` per prompt. Replay backends never
+touch the network and make whole pipeline runs bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import threading
@@ -37,7 +38,13 @@ TRANSIENT_STATUS = (429, 500, 502, 503, 504)
 
 
 class GatewayError(Exception):
-    """Base class for backend and replay failures."""
+    """Base class for backend and replay failures.
+
+    ``key`` is the hash of the failed prompt, set by ``LlmGateway`` on each
+    failure that ``batch_query`` returns.
+    """
+
+    key: str | None = None
 
 
 class ReplayMissError(GatewayError):
@@ -74,8 +81,6 @@ class GenerationParams:
 
 def prompt_key(prompt_text: str, params: GenerationParams) -> str:
     """Content hash identifying one (prompt, params) exchange."""
-    import hashlib
-
     payload = json.dumps(
         {"prompt": prompt_text, **vars(params)}, sort_keys=True, ensure_ascii=False
     )
@@ -294,7 +299,8 @@ class LlmGateway:
 
         A persisted cache is opened once per call that has misses; each line
         is flushed as it is written, so a crash mid-batch leaves only
-        complete, replayable lines. Returns the failures by key.
+        complete, replayable lines. Returns the failures by key, each
+        carrying its key.
         """
         if not misses:
             return {}
@@ -309,6 +315,7 @@ class LlmGateway:
                 try:
                     response = self.backend.generate(text, self.params)
                 except GatewayError as exc:
+                    exc.key = key
                     return exc
                 with self._lock:
                     self._cache[key] = response

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kg import SPLITS, KnowledgeGraph, Triple, _index_rows, kg_fingerprint, require_int
+from .kg import SPLITS, KnowledgeGraph, Triple, _index_rows, _positions, kg_fingerprint, require_int
 
 MODEL_KINDS = ("transe", "distmult")
 METRICS = ("mr", "mrr", "hits1", "hits3", "hits10")
@@ -257,13 +257,8 @@ def _row_scores(model: EmbeddingModel, ids: np.ndarray) -> np.ndarray:
 
 def score_triple(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
     """Plausibility score of one triple; higher is more plausible for both kinds."""
-    tables, row = {"entity": model.entities, "relation": model.relations}, []
-    for kind, name in zip(("entity", "relation", "entity"), (head, relation, tail)):
-        try:
-            row.append(tables[kind].index(name))
-        except ValueError:
-            raise KeyError(f"unknown {kind} {name!r}") from None
-    return float(_row_scores(model, np.array([row]))[0])
+    row = _index_rows(*_positions(model.entities, model.relations), [(head, relation, tail)])
+    return float(_row_scores(model, row)[0])
 
 
 def rank_of_gold(scores: np.ndarray, gold_idx: int, excluded: Iterable[int] = ()) -> int:

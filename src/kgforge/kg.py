@@ -21,9 +21,15 @@ An id has one integer: its position in sorted id order. Each split is a
 three splits share. The same rows are training rows, filter keys and model
 rows in the harness. A split reads like a tuple of ``Triple``s, built on
 demand from the tables' strings, so a loaded graph holds one string per id
-and no Python object per triple. A graph built from any sequence of triples,
-a split over other tables included, converts it once; an id the maps do not
-declare is a ``DanglingReferenceError`` at construction.
+and no Python object per triple.
+
+Graph construction is the one place that sorts the id tables, and
+``_index_rows`` the one way rows reach their positions. Every split is
+re-keyed at construction: a ``Split`` over any tables (the loader's are the
+name files' order) by mapping each table entry once and taking its rows
+through the two maps; any other sequence of triples name by name. An id the
+maps do not declare is a ``DanglingReferenceError``. Two splits compare
+through the same mapping.
 
 Names become positions in one place, ``_name_rows``, with -1 for an
 undeclared name. Split files are parsed in blocks of whole lines, never held
@@ -110,12 +116,15 @@ class Split(Sequence[Triple]):
     """A read-only sequence of triples held as (n, 3) int32 rows over two id tables.
 
     Row ``(h, r, t)`` is the triple ``(entities[h], relations[r],
-    entities[t])``; in a graph's split the tables are its sorted ids.
+    entities[t])``; each table holds distinct names, and in a graph's split
+    the tables are its sorted ids.
     Indexing and iteration build each ``Triple`` on demand from the tables'
     strings. ``len``, indexing, ``bool`` and ``==`` behave as on the tuple of
     those triples: a split equals a split or a tuple of the same triples,
-    whatever its tables, comparing one ``Triple`` pair per row (about 0.6 s
-    for 272k rows). A slice is a ``Split``.
+    whatever its tables. Two splits compare by mapping the other's tables
+    through this one's positions and comparing rows, building no ``Triple``;
+    a tuple compares with the tuple of this split's triples. A slice is a
+    ``Split``.
     """
 
     __slots__ = ("rows", "entities", "relations")
@@ -148,9 +157,13 @@ class Split(Sequence[Triple]):
         )
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Split, tuple)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
+        if not isinstance(other, Split):
+            return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        try:
+            rows = _index_rows(*_positions(self.entities, self.relations), other)
+        except KeyError:
+            return False
+        return np.array_equal(rows, self.rows)
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -167,10 +180,9 @@ class KnowledgeGraph:
 
     Construction turns each split, given as any sequence of triples, into a
     ``Split`` over the graph's sorted id tables, so an id's integer is its
-    position in sorted id order everywhere. A split already over those tables
-    keeps its rows; any other sequence, a split over other tables included,
-    is converted once by ``_index_rows``, one ``Triple`` per row (about 0.6 s
-    for 272k rows), and an id the maps do not declare raises
+    position in sorted id order everywhere. Every split is re-keyed by
+    ``_index_rows`` into new rows, a ``Split`` table by table and any other
+    sequence triple by triple, and an id the maps do not declare raises
     ``DanglingReferenceError``. Graphs compare through their splits' ``==``.
 
     The name-to-position maps (``_index``), the fingerprint and the harness's
@@ -189,17 +201,12 @@ class KnowledgeGraph:
 
     def __post_init__(self):
         tables = tuple(sorted(self.entity_name)), tuple(sorted(self.relation_name))
-        index = None
+        index = _positions(*tables)
         for name in SPLITS:
-            triples = getattr(self, name)
-            if isinstance(triples, Split) and (triples.entities, triples.relations) == tables:
-                rows = triples.rows
-            else:
-                index = index or _positions(*tables)
-                try:
-                    rows = _index_rows(*index, triples)
-                except KeyError as err:
-                    raise DanglingReferenceError(f"{name} split references {err.args[0]}") from None
+            try:
+                rows = _index_rows(*index, getattr(self, name))
+            except KeyError as err:
+                raise DanglingReferenceError(f"{name} split references {err.args[0]}") from None
             object.__setattr__(self, name, Split(rows, *tables))
 
     @property
@@ -258,11 +265,21 @@ def _index_rows(
 ) -> np.ndarray:
     """(n, 3) int32 rows of the head, relation and tail indices of any sequence of triples.
 
-    A ``Split`` goes through its triples' names like any other sequence. A
-    name missing from the index raises ``KeyError("unknown entity/relation
-    ...")``, naming the first one met in row order.
+    A ``Split`` maps its two tables, one lookup per table entry, and then
+    takes its rows through them, building no ``Triple``; any other sequence
+    goes through its triples' names. A name missing from the index raises
+    ``KeyError("unknown entity/relation ...")``, naming the first one met in
+    row order.
     """
-    rows = _name_rows(entity_index, relation_index, chain.from_iterable(triples), 3 * len(triples))
+    if isinstance(triples, Split):
+        entity_map, relation_map = (
+            np.fromiter(map(index.get, table, repeat(-1)), dtype=np.int32, count=len(table))
+            for index, table in ((entity_index, triples.entities), (relation_index, triples.relations))
+        )
+        heads, relations, tails = triples.rows.T
+        rows = np.stack((entity_map[heads], relation_map[relations], entity_map[tails]), axis=1)
+    else:
+        rows = _name_rows(entity_index, relation_index, chain.from_iterable(triples), 3 * len(triples))
     missing = np.flatnonzero(rows < 0)
     if missing.size:
         row, column = divmod(int(missing[0]), 3)
@@ -450,7 +467,7 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
 
     entity_name = dict(read_pairs(root / ENTITY_NAME_FILE))
     relation_name = dict(read_pairs(root / RELATION_NAME_FILE))
-    entities, relations = tuple(sorted(entity_name)), tuple(sorted(relation_name))
+    entities, relations = tuple(entity_name), tuple(relation_name)
     entity_ids, relation_ids = _positions(entities, relations)
     warnings: list[str] = []
 
@@ -494,22 +511,14 @@ def augment_training_set(kg: KnowledgeGraph, triples: Sequence[Triple]) -> Knowl
     relation_name = dict(kg.relation_name)
     for triple in triples:
         relation_name.setdefault(triple.relation, triple.relation)
-    relations = tuple(sorted(relation_name))
-    relation_ids = {r: i for i, r in enumerate(relations)}
+    # The new relations follow the base table; construction sorts them in.
+    entities, relations = kg.train.entities, kg.train.relations + tuple(relation_name)[len(kg.relation_name) :]
     try:
-        extras = _index_rows(kg._index[0], relation_ids, triples)
+        extras = _index_rows(*_positions(entities, relations), triples)
     except KeyError as err:
         raise DanglingReferenceError(f"train split references {err.args[0]}") from None
-    # Entity positions stay; a new relation may sort among the old ones and move them.
-    moved = np.array([relation_ids[r] for r in kg.train.relations], dtype=np.int32)
-
-    def grown(split: Split, appended: np.ndarray = extras[:0]) -> Split:
-        rows = np.concatenate((split.rows, appended))
-        rows[: len(split), 1] = moved[split.rows[:, 1]]
-        return Split(rows, split.entities, relations)
-
-    splits = dict(train=grown(kg.train, extras), valid=grown(kg.valid), test=grown(kg.test))
-    return replace(kg, relation_name=relation_name, load_warnings=(), **splits)
+    train = Split(np.concatenate((kg.train.rows, extras)), entities, relations)
+    return replace(kg, relation_name=relation_name, train=train, load_warnings=())
 
 
 def pair_lines(pairs: Iterable[tuple[str, str]]) -> str:

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import kgforge.bundle
 import kgforge.gateway
+from kgforge.bundle import AugmentationBundle, query_audited
 from kgforge.gateway import (
     Backend,
     GatewayError,
@@ -25,6 +27,7 @@ from kgforge.gateway import (
     write_fixture,
 )
 from kgforge.synth import toy_fixture_records
+from kgforge.templates import RenderedPrompt
 
 
 class ScriptedBackend:
@@ -238,6 +241,31 @@ def test_gateway_error_mid_batch_keeps_every_other_cache_line(tmp_path):
     fixture_path = tmp_path / "fx.jsonl"
     write_fixture(fixture_path, [(p, params, f"r-{p}") for p in kept])
     assert cache_path.read_bytes() == fixture_path.read_bytes()
+
+
+def test_audited_failure_keeps_its_prompt_hash_and_hashes_once(monkeypatch):
+    params = GenerationParams()
+    prompts = ["p0", "p1", "p2", "p3", "p2"]
+    expected = [prompt_key(p, params) for p in prompts]
+    calls = 0
+    real_prompt_key = kgforge.gateway.prompt_key
+
+    def counting_prompt_key(text, params):
+        nonlocal calls
+        calls += 1
+        return real_prompt_key(text, params)
+
+    monkeypatch.setattr(kgforge.gateway, "prompt_key", counting_prompt_key)
+    monkeypatch.setattr(kgforge.bundle, "prompt_key", counting_prompt_key, raising=False)
+    backend = FailingBackend({p: f"r-{p}" for p in prompts}, "p2", HttpBackendError("down"))
+    bundle = AugmentationBundle(kind="entity", fingerprint="f")
+    rendered = [RenderedPrompt(subject_id=f"s{i}", text=p) for i, p in enumerate(prompts)]
+    items = query_audited(bundle, LlmGateway(backend, params=params), rendered)
+    assert calls == len(prompts)
+    assert [item.prompt_hash for item in items] == expected and bundle.items == items
+    assert [(item.response, item.error) for item in items] == [
+        (None, "down") if p == "p2" else (f"r-{p}", None) for p in prompts
+    ]
 
 
 def test_crash_mid_batch_leaves_complete_replayable_cache_lines(tmp_path):

@@ -376,6 +376,56 @@ def test_index_rows_of_a_split_equal_those_of_its_triples():
                 assert _index_rows(entity_index, relation_index, split).tolist() == expected.tolist()
 
 
+NAMES = ("a", "b", "c", "d")
+
+
+@st.composite
+def splits(draw):
+    """A split over tables of distinct names, possibly with names no row uses."""
+    entities = tuple(draw(st.permutations(NAMES))[: draw(st.integers(1, len(NAMES)))])
+    relations = tuple(draw(st.permutations(NAMES))[: draw(st.integers(1, len(NAMES)))])
+    column = lambda table: st.integers(0, len(table) - 1)
+    rows = draw(st.lists(st.tuples(column(entities), column(relations), column(entities)), max_size=4))
+    return Split(np.array(rows, dtype=np.int32).reshape(-1, 3), entities, relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(splits(), splits())
+@example(
+    Split(np.array([[0, 0, 1]]), ("a", "b"), ("r",)),
+    Split(np.array([[1, 2, 3]]), ("x", "a", "y", "b"), ("q", "s", "r")),
+)
+def test_split_equality_is_that_of_its_triples(left, right):
+    assert (left == right) is (right == left) is (tuple(left) == tuple(right))
+    assert (left == tuple(right)) is (tuple(left) == right) is (tuple(left) == tuple(right))
+    assert left == left[:] and (left == left[1:]) is (len(left) == 0)
+    # Other tuples never raise, whatever their items.
+    others = [(("a", "r"),), (1, 2, 3)]
+    if left:
+        others += [tuple(t[:2] for t in left), tuple(range(len(left)))]
+    for other in others:
+        assert left != other and other != left
+
+
+def test_rekeying_and_comparing_splits_build_no_triple(monkeypatch):
+    kg = planted_alias_graph(seed=13)[0]
+    head = kg.train[0].head
+    renamed = Split(kg.train.rows, tuple("/z/ghost" if e == head else e for e in kg.train.entities), kg.train.relations)
+
+    def no_triples(*args):
+        raise AssertionError("a Triple was built")
+
+    monkeypatch.setattr(Split, "__iter__", no_triples)
+    monkeypatch.setattr(Split, "__getitem__", no_triples)
+    first = replace(kg, entity_name={"/a/first": "First", **kg.entity_name})
+    assert first.train.rows.tolist() != kg.train.rows.tolist()
+    assert first.train == kg.train and kg == replace(kg) and first != kg
+    assert first.valid != kg.test
+    monkeypatch.undo()
+    # A name the other tables lack takes the error path, which names its triple.
+    assert renamed != kg.train and kg.train != renamed
+
+
 def write_triples_dataset(root, n, n_entities=1000, n_relations=10):
     root.mkdir(parents=True, exist_ok=True)
     (root / "entity2text.txt").write_text("".join(f"e{i}\tE{i}\n" for i in range(n_entities)), encoding="utf-8")
