@@ -18,20 +18,21 @@ On-disk layout (one directory per bundle):
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
 
 from .gateway import GatewayError, LlmGateway
 from .kg import (
     KnowledgeGraph,
     Triple,
+    _triple_blocks,
     augment_training_set,
     kg_fingerprint,
     pair_lines,
     read_pairs,
     read_triples,
-    triple_lines,
 )
 from .templates import RenderedPrompt
 
@@ -96,20 +97,23 @@ class AugmentationBundle:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
 
-        def write(name: str, text: str) -> None:
-            (out / name).write_text(text, encoding="utf-8", newline="\n")
+        def write(name: str, texts: Iterable[str]) -> None:
+            with (out / name).open("w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(texts)
 
         def write_json(name: str, payload) -> None:
-            write(name, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+            with (out / name).open("w", encoding="utf-8", newline="\n") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
+                fh.write("\n")
 
         if self.entity_text:
-            write(ENTITY_TEXT_FILE, pair_lines(self.entity_text.items()))
+            write(ENTITY_TEXT_FILE, [pair_lines(self.entity_text.items())])
         if self.relation_text:
-            write(RELATION_TEXT_FILE, pair_lines(self.relation_text.items()))
+            write(RELATION_TEXT_FILE, [pair_lines(self.relation_text.items())])
         if self.kind == "structure":
-            write(TRIPLES_FILE, triple_lines(self.extra_triples))
+            write(TRIPLES_FILE, _triple_blocks(self.extra_triples))
             if base_kg is not None:
-                merged = triple_lines(base_kg.train) + triple_lines(self.extra_triples)
+                merged = chain(_triple_blocks(base_kg.train), _triple_blocks(self.extra_triples))
                 write(TRAIN_AUGMENTED_FILE, merged)
         if self.keyword_sets:
             write_json(KEYWORDS_FILE, {e: list(words) for e, words in self.keyword_sets.items()})

@@ -24,11 +24,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .kg import require_int
+
+if TYPE_CHECKING:
+    import requests
 
 ENDPOINT_ENV = "LLM_ENDPOINT"
 API_KEY_ENV = "LLM_API_KEY"
@@ -120,24 +121,26 @@ def write_fixture(
 def read_fixture(path: str | Path) -> dict[str, str]:
     """Load a fixture file into a hash -> response map (later records win).
 
-    Records are split on "\\n" only: responses may hold U+2028, U+2029 or
-    U+0085, which ``json.dumps(ensure_ascii=False)`` leaves unescaped.
+    The file is read line by line, never whole. LF, CRLF and a lone CR end
+    a record, but U+2028, U+2029 and U+0085 do not: responses may hold them,
+    as ``json.dumps(ensure_ascii=False)`` leaves them unescaped.
     """
     responses: dict[str, str] = {}
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"fixture file does not exist: {path}")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            key, response = record["hash"], record["response"]
-            if not (isinstance(key, str) and isinstance(response, str)):
-                raise TypeError("hash and response must be strings")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise GatewayError(f"{path.name}:{lineno}: bad fixture record ({exc})")
-        responses[key] = response
+    with path.open(encoding="utf-8") as lines:
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line.removesuffix("\n"))
+                key, response = record["hash"], record["response"]
+                if not (isinstance(key, str) and isinstance(response, str)):
+                    raise TypeError("hash and response must be strings")
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise GatewayError(f"{path.name}:{lineno}: bad fixture record ({exc})")
+            responses[key] = response
     return responses
 
 
@@ -166,6 +169,9 @@ class HttpBackend(Backend):
     "temperature", "max_tokens"}; the response is read from the first
     choice's message content. Transient failures (connection errors, 429,
     5xx) retry with exponential backoff up to ``max_retries``.
+
+    ``requests`` is imported only here, so runs that never build an
+    ``HttpBackend`` never load it.
     """
 
     name = "http"
@@ -180,6 +186,8 @@ class HttpBackend(Backend):
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
+        import requests
+
         super().__init__()
         self.endpoint = endpoint
         self.api_key = api_key
@@ -191,6 +199,8 @@ class HttpBackend(Backend):
         self._semaphore = threading.Semaphore(self.concurrency)
 
     def generate(self, prompt_text: str, params: GenerationParams) -> str:
+        import requests
+
         self._count()
         payload = {
             "model": params.model_id,

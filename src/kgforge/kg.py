@@ -38,6 +38,11 @@ no -1; any other block is split line by line, then mapped, and its -1s are
 its dangling triples. So messages, line numbers and the strict/lenient rules
 are those of a line-by-line parse.
 
+Writing and fingerprinting work in row blocks too. ``_triple_blocks`` renders
+a split ``_BLOCK_ROWS`` rows at a time, ``write_dataset`` writes each block to
+its open file and the fingerprint feeds each to its running hash, so neither
+holds a whole split file's text.
+
 A graph computes what is derived from it once, on first use, and keeps it
 outside its fields: each id's position by name, its fingerprint, and the
 sorted filter keys of the harness. ``==``, ``repr``, ``asdict`` and
@@ -72,6 +77,10 @@ SPLITS = ("train", "valid", "test")
 #: Characters read per block of a split file, before the block is cut back to
 #: its last line break.
 _BLOCK_CHARS = 1 << 20
+#: Rows rendered per block when a split is written or fingerprinted. A block's
+#: transients (its cells, its text and that text's UTF-8 copy) grow with this,
+#: not with the split.
+_BLOCK_ROWS = 1 << 15
 
 
 def require_int(name: str, value, minimum: int) -> None:
@@ -238,11 +247,11 @@ class KnowledgeGraph:
     @cached_property
     def _fingerprint(self) -> str:
         digest = hashlib.sha256()
-        files = _canonical_files(self)
-        for name in sorted(files):
+        for name, blocks in _canonical_files(self):
             digest.update(name.encode("utf-8"))
             digest.update(b"\0")
-            digest.update(files[name].encode("utf-8"))
+            for block in blocks:
+                digest.update(block.encode("utf-8"))
             digest.update(b"\0")
         return digest.hexdigest()
 
@@ -526,45 +535,62 @@ def pair_lines(pairs: Iterable[tuple[str, str]]) -> str:
     return "".join(f"{key}\t{text}\n" for key, text in pairs)
 
 
-def triple_lines(triples: Iterable[Triple]) -> str:
-    """Serialize triples as the lines ``read_triples`` parses.
+def _triple_blocks(triples: Iterable[Triple]) -> Iterator[str]:
+    """Serialize triples as the lines ``read_triples`` parses, in a run of strings.
 
-    A ``Split`` is serialized by taking each row's ``"head\\t"``,
-    ``"relation\\t"`` and ``"tail\\n"`` strings from its tables and one join.
+    A ``Split`` comes ``_BLOCK_ROWS`` rows per string: each row's
+    ``"head\\t"``, ``"relation\\t"`` and ``"tail\\n"`` strings are taken
+    from its tables and joined once per block. Any other triples come as one
+    string.
     """
-    if isinstance(triples, Split):
-        cells = np.empty(triples.rows.shape, dtype=object)
-        for column, table, end in zip(range(3), (triples.entities, triples.relations, triples.entities), "\t\t\n"):
-            cells[:, column] = np.array([name + end for name in table], dtype=object)[triples.rows[:, column]]
-        return "".join(cells.ravel().tolist())
-    return "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
+    if not isinstance(triples, Split):
+        yield "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
+        return
+    ends = [
+        np.array([name + end for name in table], dtype=object)
+        for table, end in zip((triples.entities, triples.relations, triples.entities), "\t\t\n")
+    ]
+    for start in range(0, len(triples.rows), _BLOCK_ROWS):
+        rows = triples.rows[start : start + _BLOCK_ROWS]
+        cells = np.empty(rows.shape, dtype=object)
+        for column, names in enumerate(ends):
+            cells[:, column] = names[rows[:, column]]
+        yield "".join(cells.ravel().tolist())
 
 
-def _canonical_files(kg: KnowledgeGraph) -> dict[str, str]:
-    """Exact file contents ``write_dataset`` emits, keyed by file name."""
+def _canonical_files(kg: KnowledgeGraph) -> Iterator[tuple[str, Iterable[str]]]:
+    """Each file ``write_dataset`` emits, in name order, with its exact content as a run of strings.
+
+    A split's content comes in blocks of rows; a pair file's is one string.
+    Each content is rendered only as it is consumed.
+    """
     files = {
-        TRAIN_FILE: triple_lines(kg.train),
-        VALID_FILE: triple_lines(kg.valid),
-        TEST_FILE: triple_lines(kg.test),
-        ENTITY_NAME_FILE: pair_lines(kg.entity_name.items()),
-        RELATION_NAME_FILE: pair_lines(kg.relation_name.items()),
+        TRAIN_FILE: kg.train,
+        VALID_FILE: kg.valid,
+        TEST_FILE: kg.test,
+        ENTITY_NAME_FILE: kg.entity_name.items(),
+        RELATION_NAME_FILE: kg.relation_name.items(),
     }
     descs = [(e, kg.entity_desc[e]) for e in kg.entity_name if kg.desc_of(e)]
     if descs:
-        files[ENTITY_DESC_FILE] = pair_lines(descs)
-    return files
+        files[ENTITY_DESC_FILE] = descs
+    for name in sorted(files):
+        content = files[name]
+        yield name, _triple_blocks(content) if isinstance(content, Split) else (pair_lines(content),)
 
 
 def write_dataset(kg: KnowledgeGraph, root_path: str | Path) -> None:
     """Write a graph back to the tab-separated layout (UTF-8, LF endings).
 
     The description file is emitted only when at least one description is
-    non-empty, and lists entities in name-file order.
+    non-empty, and lists entities in name-file order. Split files are written
+    block by block, never held whole.
     """
     root = Path(root_path)
     root.mkdir(parents=True, exist_ok=True)
-    for name, content in _canonical_files(kg).items():
-        (root / name).write_text(content, encoding="utf-8", newline="\n")
+    for name, blocks in _canonical_files(kg):
+        with (root / name).open("w", encoding="utf-8", newline="\n") as out:
+            out.writelines(blocks)
 
 
 def kg_fingerprint(kg: KnowledgeGraph) -> str:

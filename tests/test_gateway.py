@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kgforge.bundle
 import kgforge.gateway
@@ -353,6 +358,70 @@ def test_unicode_line_separators_round_trip(tmp_path):
     resumed = LlmGateway(dead, params=params, cache_path=cache_path).batch_query(prompts)
     assert [r.response for r in resumed] == responses
     assert dead.calls == 0
+
+
+def whole_text_fixture(path):
+    """A fixture map parsed from the whole decoded text split on "\\n", or the GatewayError message."""
+    responses = {}
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            key, response = record["hash"], record["response"]
+            if not (isinstance(key, str) and isinstance(response, str)):
+                raise TypeError("hash and response must be strings")
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            return f"{path.name}:{lineno}: bad fixture record ({exc})"
+        responses[key] = response
+    return responses
+
+
+RECORD_LINE = st.one_of(
+    st.tuples(st.sampled_from("ab"), st.text(alphabet="x \u2028\u2029\u0085\r\né", max_size=4)).map(
+        lambda record: json.dumps({"hash": record[0], "response": record[1]}, ensure_ascii=False)
+    ),
+    st.sampled_from(("", " ", "\u2028", "\u0085", "{", '{"hash": "a"}', '{"hash": 1, "response": "r"}', "[]", '"s"')),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(RECORD_LINE, st.sampled_from(("\n", "\r\n", "\r"))), max_size=6), st.booleans())
+@example([('{"hash": "a", "response": "x\u2028y\u0085z"}', "\r\n"), ("", "\r"), ("{", "\n")], False)
+def test_read_fixture_streams_lines_like_the_whole_text_split(lines, last_line_ended):
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_line_ended:
+        text = text[: -len(lines[-1][1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fx.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        expected = whole_text_fixture(path)
+        try:
+            got = read_fixture(path)
+        except GatewayError as exc:
+            got = str(exc)
+    assert got == expected
+
+
+def test_replay_runs_never_load_requests(tmp_path, toy_root):
+    fixture = tmp_path / "fx.jsonl"
+    write_fixture(fixture, [("p", GenerationParams(), "r")])
+    script = f"""
+import sys
+import kgforge
+
+kg = kgforge.load_dataset({str(toy_root)!r})
+gateway = kgforge.LlmGateway(kgforge.ReplayBackend({str(fixture)!r}))
+assert gateway.batch_query(["p"])[0].response == "r"
+print("requests" in sys.modules)
+backend = kgforge.HttpBackend("http://127.0.0.1:9/v1/chat")
+print(type(backend._session).__module__, "requests" in sys.modules)
+"""
+    src = Path(kgforge.gateway.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "requests.sessions", "True"]
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

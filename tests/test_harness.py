@@ -960,3 +960,17 @@ def test_ab_compare_rejects_split_mismatch():
     other = replace(kg, test=kg.test[:1])
     with pytest.raises(SplitMismatchError):
         ab_compare(kg, other, TrainConfig(dim=8, epochs=5), n_seeds=1)
+
+
+@pytest.mark.parametrize(
+    "n_seeds, message",
+    [
+        (True, "n_seeds must be an integer, got True"),
+        (2.0, "n_seeds must be an integer, got 2.0"),
+        (0, "n_seeds must be >= 1, got 0"),
+    ],
+)
+def test_ab_compare_rejects_a_seed_count_that_is_not_a_positive_integer(n_seeds, message):
+    kg = toy_graph()
+    with pytest.raises(ValueError, match=message):
+        ab_compare(kg, kg, TrainConfig(dim=8, epochs=1), n_seeds=n_seeds)

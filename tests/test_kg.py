@@ -1,8 +1,10 @@
 """Loader/writer contracts: counts, round-trips, strict vs lenient handling."""
 
 import gc
+import hashlib
 import os
 import tempfile
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -552,3 +554,94 @@ def test_block_parser_agrees_with_the_line_loop(files, mode, block, blank_ids):
         line_loop = load_outcome(root, mode)
     assert blocks == small_blocks == line_loop
     assert split_outcome(blocks) == split_outcome(small_blocks) == split_outcome(line_loop) == expected
+
+
+def whole_string_files(kg):
+    """The files a graph serializes to, each rendered as one string, line by line."""
+    triple_text = lambda split: "".join(f"{h}\t{r}\t{t}\n" for h, r, t in split)
+    pair_text = lambda pairs: "".join(f"{key}\t{text}\n" for key, text in pairs)
+    files = {
+        "train.txt": triple_text(kg.train),
+        "valid.txt": triple_text(kg.valid),
+        "test.txt": triple_text(kg.test),
+        "entity2text.txt": pair_text(kg.entity_name.items()),
+        "relation2text.txt": pair_text(kg.relation_name.items()),
+    }
+    descs = [(e, kg.entity_desc[e]) for e in kg.entity_name if kg.entity_desc.get(e)]
+    if descs:
+        files["entity2textlong.txt"] = pair_text(descs)
+    return files
+
+
+def whole_string_fingerprint(files):
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(name.encode("utf-8") + b"\0" + files[name].encode("utf-8") + b"\0")
+    return digest.hexdigest()
+
+
+ID = st.text(alphabet="ab/_é中\u2028😀", min_size=1, max_size=3)
+
+
+@st.composite
+def rendered_graphs(draw):
+    """A graph with non-ASCII ids, any splits (empty too), descriptions or none, maybe augmented."""
+    entities = draw(st.lists(ID, min_size=1, max_size=5, unique=True))
+    relations = draw(st.lists(ID, min_size=1, max_size=3, unique=True))
+    descs = st.dictionaries(st.sampled_from(entities), st.text(alphabet="xé ", max_size=3))
+    triple = lambda relation: st.tuples(st.sampled_from(entities), relation, st.sampled_from(entities))
+    split = st.lists(triple(st.sampled_from(relations)).map(Triple._make), max_size=7).map(tuple)
+    kg = KnowledgeGraph(
+        entity_name={e: e.upper() for e in entities},
+        relation_name={r: f"R {r}" for r in relations},
+        entity_desc={e: text for e, text in draw(descs).items() if text},
+        train=draw(split),
+        valid=draw(split),
+        test=draw(split),
+    )
+    # New relations among the extras are registered by the augmentation.
+    extras = draw(st.lists(triple(ID).map(Triple._make), max_size=4))
+    return augment_training_set(kg, extras)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kg=rendered_graphs(), block=st.integers(1, 4))
+def test_block_rendering_equals_the_whole_string_oracle(kg, block):
+    expected = whole_string_files(kg)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kgforge.kg, "_BLOCK_ROWS", block)
+        blocks = list(kgforge.kg._triple_blocks(kg.train))
+        write_dataset(kg, tmp)
+        written = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+        fingerprint = kg_fingerprint(kg)
+    assert [block.count("\n") for block in blocks] == [block] * (len(kg.train) // block) + (
+        [len(kg.train) % block] if len(kg.train) % block else []
+    )
+    assert written == {name: text.encode("utf-8") for name, text in expected.items()}
+    assert fingerprint == whole_string_fingerprint(expected)
+
+
+def test_writing_and_fingerprinting_hold_no_whole_split_file(tmp_path):
+    n_entities, n_relations, n = 2000, 20, 8 * kgforge.kg._BLOCK_ROWS + 5
+    entities = tuple(f"/m/e{i:05d}" for i in range(n_entities))
+    relations = tuple(f"/r/relation{i:02d}" for i in range(n_relations))
+    rng = np.random.default_rng(0)
+    rows = np.stack([rng.integers(size, size=n) for size in (n_entities, n_relations, n_entities)], axis=1)
+    kg = KnowledgeGraph(
+        entity_name=dict(zip(entities, entities)),
+        relation_name=dict(zip(relations, relations)),
+        entity_desc={},
+        train=Split(rows, entities, relations),
+        valid=Split(rows[:0], entities, relations),
+        test=Split(rows[:3], entities, relations),
+    )
+    tracemalloc.start()
+    try:
+        fingerprint = kg_fingerprint(kg)
+        write_dataset(kg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "train.txt").stat().st_size
+    assert peak < size, (peak, size)
+    assert fingerprint == whole_string_fingerprint({p.name: read(p) for p in tmp_path.iterdir()})
