@@ -13,12 +13,17 @@ On-disk layout (one directory per bundle):
     train_augmented.txt base train plus extras, in order        (structure kind)
     keywords.json       entity id -> keyword list               (structure kind)
     audit.json          kind, fingerprint, per-item records
+
+Every file is written through ``kg.write_text``; the two JSON files go through
+``write_json``, which ``kgforge fixtures planted`` also uses for its keyword
+sets. ``load`` rejects a malformed ``audit.json`` or ``keywords.json`` with a
+``ValueError`` naming the file and the key.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -33,6 +38,7 @@ from .kg import (
     pair_lines,
     read_pairs,
     read_triples,
+    write_text,
 )
 from .templates import RenderedPrompt
 
@@ -46,9 +52,39 @@ SCHEMA_VERSION = 1
 
 KINDS = ("entity", "relation", "structure")
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+_MISSING = object()
+
 
 class FingerprintMismatchError(ValueError):
     """A bundle was built from a different base dataset than the one given."""
+
+
+def write_json(path: Path, payload) -> None:
+    """Write ``payload`` through ``write_text`` as indented, key-sorted JSON and a final newline.
+
+    Non-ASCII text is kept as is. The JSON is streamed in the encoder's
+    chunks, as ``json.dump`` does, never held whole.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False).iterencode(payload)
+    write_text(path, chain(chunks, ("\n",)))
+
+
+def _json_object(value, where: str) -> dict:
+    """``value`` if it is a JSON object, else a ``ValueError`` naming ``where``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must hold a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _json_field(data: dict, key: str, kind: type, where: str, default=_MISSING):
+    """``data[key]`` (or ``default``) if it is a ``kind``, else a ``ValueError`` naming ``where`` and the key."""
+    value = data.get(key, default)
+    if value is _MISSING:
+        raise ValueError(f"{where}: missing key {key!r}")
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: key {key!r} must be a JSON {_JSON_TYPES[kind]}, not {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -95,29 +131,18 @@ class AugmentationBundle:
     def save(self, out_dir: str | Path, base_kg: KnowledgeGraph | None = None) -> Path:
         """Write the bundle directory; pass ``base_kg`` to also emit the merged train file."""
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-
-        def write(name: str, texts: Iterable[str]) -> None:
-            with (out / name).open("w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(texts)
-
-        def write_json(name: str, payload) -> None:
-            with (out / name).open("w", encoding="utf-8", newline="\n") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-                fh.write("\n")
-
         if self.entity_text:
-            write(ENTITY_TEXT_FILE, [pair_lines(self.entity_text.items())])
+            write_text(out / ENTITY_TEXT_FILE, [pair_lines(self.entity_text.items())])
         if self.relation_text:
-            write(RELATION_TEXT_FILE, [pair_lines(self.relation_text.items())])
+            write_text(out / RELATION_TEXT_FILE, [pair_lines(self.relation_text.items())])
         if self.kind == "structure":
-            write(TRIPLES_FILE, _triple_blocks(self.extra_triples))
+            write_text(out / TRIPLES_FILE, _triple_blocks(self.extra_triples))
             if base_kg is not None:
                 merged = chain(_triple_blocks(base_kg.train), _triple_blocks(self.extra_triples))
-                write(TRAIN_AUGMENTED_FILE, merged)
+                write_text(out / TRAIN_AUGMENTED_FILE, merged)
         if self.keyword_sets:
-            write_json(KEYWORDS_FILE, {e: list(words) for e, words in self.keyword_sets.items()})
-        write_json(AUDIT_FILE, {
+            write_json(out / KEYWORDS_FILE, {e: list(words) for e, words in self.keyword_sets.items()})
+        write_json(out / AUDIT_FILE, {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "fingerprint": self.fingerprint,
@@ -128,31 +153,39 @@ class AugmentationBundle:
 
     @classmethod
     def load(cls, bundle_dir: str | Path) -> "AugmentationBundle":
+        """Read a bundle directory; a malformed ``audit.json`` or ``keywords.json`` is a ``ValueError`` naming the file and key."""
         root = Path(bundle_dir)
         audit_path = root / AUDIT_FILE
         if not audit_path.is_file():
             raise FileNotFoundError(f"not a bundle directory (no {AUDIT_FILE}): {root}")
-        audit = json.loads(audit_path.read_text(encoding="utf-8"))
+        where = str(audit_path)
+        audit = _json_object(json.loads(audit_path.read_text(encoding="utf-8")), where)
         version = audit.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported bundle schema_version {version!r} in {audit_path} "
                 f"(expected {SCHEMA_VERSION})"
             )
+        items = _json_field(audit, "items", list, where, default=[])
+        for i, item in enumerate(items):
+            _json_object(item, f"{where}: items[{i}]")
+            _json_field(item, "subject", str, f"{where}: items[{i}]")
+            _json_field(item, "flags", list, f"{where}: items[{i}]", default=[])
         bundle = cls(
-            kind=audit["kind"],
-            fingerprint=audit["fingerprint"],
-            items=[AuditItem.from_dict(item) for item in audit.get("items", ())],
+            kind=_json_field(audit, "kind", str, where),
+            fingerprint=_json_field(audit, "fingerprint", str, where),
+            items=[AuditItem.from_dict(item) for item in items],
         )
         if (root / ENTITY_TEXT_FILE).is_file():
-            bundle.entity_text = dict(read_pairs(root / ENTITY_TEXT_FILE))
+            bundle.entity_text = read_pairs(root / ENTITY_TEXT_FILE)
         if (root / RELATION_TEXT_FILE).is_file():
-            bundle.relation_text = dict(read_pairs(root / RELATION_TEXT_FILE))
+            bundle.relation_text = read_pairs(root / RELATION_TEXT_FILE)
         if (root / TRIPLES_FILE).is_file():
             bundle.extra_triples = tuple(map(Triple._make, read_triples(root / TRIPLES_FILE)))
         if (root / KEYWORDS_FILE).is_file():
-            raw = json.loads((root / KEYWORDS_FILE).read_text(encoding="utf-8"))
-            bundle.keyword_sets = {entity: tuple(words) for entity, words in raw.items()}
+            where = str(root / KEYWORDS_FILE)
+            raw = _json_object(json.loads((root / KEYWORDS_FILE).read_text(encoding="utf-8")), where)
+            bundle.keyword_sets = {entity: tuple(_json_field(raw, entity, list, where)) for entity in raw}
         return bundle
 
 

@@ -10,12 +10,12 @@ import json
 import sys
 from pathlib import Path
 
-from .bundle import AugmentationBundle, apply_bundles
+from .bundle import AugmentationBundle, apply_bundles, write_json
 from .config import ConfigError, build_gateway, load_config, parse_relation_modes, with_overrides
 from .entity import expand_descriptions
 from .gateway import GatewayError
 from .harness import ab_compare, format_table
-from .kg import MODES, DatasetError, dataset_stats, load_dataset, write_dataset
+from .kg import MODES, DatasetError, dataset_stats, load_dataset, write_dataset, write_text
 from .relation import describe_relations
 from .structure import extract_structure
 from .synth import planted_alias_graph, write_toy_dataset, write_toy_fixture
@@ -98,8 +98,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = ab_compare(kg_base, kg_augmented, cfg.train, n_seeds=cfg.n_seeds, split=cfg.eval_split)
     print(format_table(report))
     out = Path(args.out) if args.out else cfg.output_dir / "comparison.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report.to_json(), encoding="utf-8", newline="\n")
+    write_text(out, [report.to_json()])
     print(f"report written to {out}")
     return EXIT_OK
 
@@ -116,16 +115,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
         kg, keyword_sets = planted_alias_graph(seed=args.seed)
         write_dataset(kg, out)
         keywords_path = out / "keywords.json"
-        keywords_path.write_text(
-            json.dumps(
-                {entity: list(ks.keywords) for entity, ks in keyword_sets.items()},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-            newline="\n",
-        )
+        write_json(keywords_path, {entity: list(ks.keywords) for entity, ks in keyword_sets.items()})
         print(f"planted dataset written to {out} (keyword sets in {keywords_path})")
     return EXIT_OK
 

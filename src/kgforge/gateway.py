@@ -24,9 +24,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .kg import require_int
+from .kg import require_int, write_text
 
 if TYPE_CHECKING:
     import requests
@@ -104,18 +104,13 @@ def _record_line(key: str, prompt: str, params: GenerationParams, response: str)
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def write_fixture(
-    path: str | Path, records: Iterable[tuple[str, GenerationParams, str]]
-) -> int:
+def write_fixture(path: str | Path, records: Sequence[tuple[str, GenerationParams, str]]) -> int:
     """Write (prompt, params, response) triples as a replay fixture; returns count."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n = 0
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for prompt, params, response in records:
-            fh.write(_record_line(prompt_key(prompt, params), prompt, params, response))
-            n += 1
-    return n
+    write_text(
+        path,
+        (_record_line(prompt_key(prompt, params), prompt, params, response) for prompt, params, response in records),
+    )
+    return len(records)
 
 
 def read_fixture(path: str | Path) -> dict[str, str]:
@@ -307,13 +302,15 @@ class LlmGateway:
     def _fetch(self, misses: dict[str, str]) -> dict[str, GatewayError]:
         """Send each key -> text miss to the backend and cache its response.
 
-        A persisted cache is opened once per call that has misses; each line
-        is flushed as it is written, so a crash mid-batch leaves only
+        A persisted cache is opened once per call that has misses, after its
+        directory is created; each line is flushed as it is written, so a crash mid-batch leaves only
         complete, replayable lines. Returns the failures by key, each
         carrying its key.
         """
         if not misses:
             return {}
+        if self._cache_path:
+            self._cache_path.parent.mkdir(parents=True, exist_ok=True)
         with (
             self._cache_path.open("a", encoding="utf-8", newline="\n")
             if self._cache_path

@@ -410,14 +410,15 @@ def rank_triples(
     """Tail rank, then head rank, of each triple among all entities.
 
     The model's tables must be the graph's (else ``ValueError``), so the
-    queries' graph positions, found once by ``_index_rows``, are model rows.
+    queries' model rows, found by ``_index_rows`` as in ``score_triple``, are
+    also their graph positions.
     The filtered rank excludes candidates (other than the gold) whose
     completed triple appears anywhere in train/valid/test, found by
     ``_completions``. Ranks are exact: each equals ``rank_of_gold`` over the
     query's ``_scores``.
     """
     _require_evaluable(model, kg)
-    ids = _index_rows(*kg._index, triples)
+    ids = _index_rows(*_positions(model.entities, model.relations), triples)
     known = [(np.zeros(len(ids) + 1, dtype=np.intp), np.zeros(0, dtype=np.intp))] * 2
     if filtered:
         known = [_completions(kg, ids, tail) for tail in (True, False)]

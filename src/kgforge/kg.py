@@ -41,14 +41,19 @@ are those of a line-by-line parse.
 Writing and fingerprinting work in row blocks too. ``_triple_blocks`` renders
 a split ``_BLOCK_ROWS`` rows at a time, ``write_dataset`` writes each block to
 its open file and the fingerprint feeds each to its running hash, so neither
-holds a whole split file's text.
+holds a whole split file's text. ``pair_lines`` renders any other rows, pairs
+or triples, as tab-separated lines.
 
-A graph computes what is derived from it once, on first use, and keeps it
-outside its fields: each id's position by name, its fingerprint, and the
-sorted filter keys of the harness. ``==``, ``repr``, ``asdict`` and
-``replace`` see only the fields, and a replaced graph starts with nothing
-cached. The cached view is never refreshed, so a graph's maps must not be
-mutated after construction; build a changed graph with ``replace``.
+``write_text`` is the one writer of text artifacts: datasets, bundle files
+(``bundle.write_json`` for their JSON), A/B reports and replay fixtures all go
+through it, as UTF-8 with LF endings, into a directory it creates.
+
+A graph caches only what is costly to derive and kept for its life: its
+fingerprint and the sorted filter keys of the harness, computed on first use
+and held outside its fields. ``==``, ``repr``, ``asdict`` and ``replace`` see
+only the fields, and a replaced graph starts with nothing cached. The cached
+view is never refreshed, so a graph's maps must not be mutated after
+construction; build a changed graph with ``replace``.
 """
 
 from __future__ import annotations
@@ -194,10 +199,10 @@ class KnowledgeGraph:
     sequence triple by triple, and an id the maps do not declare raises
     ``DanglingReferenceError``. Graphs compare through their splits' ``==``.
 
-    The name-to-position maps (``_index``), the fingerprint and the harness's
-    sorted filter keys are computed on first use and cached on the instance,
-    outside the dataclass fields. Nothing refreshes them, so the maps must
-    not be mutated after construction.
+    Only the fingerprint and the harness's sorted filter keys are cached:
+    computed on first use and kept on the instance, outside the dataclass
+    fields. Nothing refreshes them, so the maps must not be mutated after
+    construction.
     """
 
     entity_name: dict[str, str]
@@ -233,11 +238,6 @@ class KnowledgeGraph:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
-
-    @cached_property
-    def _index(self) -> tuple[dict[str, int], dict[str, int]]:
-        """Position of each entity and each relation id in sorted id order."""
-        return _positions(self.train.entities, self.train.relations)
 
     @cached_property
     def _filter_keys(self) -> dict[bool, np.ndarray]:
@@ -366,20 +366,18 @@ def _read_lines(path: Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def read_pairs(path: Path) -> list[tuple[str, str]]:
-    """Parse an id<TAB>text file, rejecting duplicate ids."""
-    pairs: list[tuple[str, str]] = []
-    seen: set[str] = set()
+def read_pairs(path: Path) -> dict[str, str]:
+    """Parse an id<TAB>text file into an id -> text map in file order, rejecting duplicate ids."""
+    pairs: dict[str, str] = {}
     for lineno, line in _read_lines(path):
         if "\t" not in line:
             raise FormatError(f"{path.name}:{lineno}: expected id<TAB>text, got {line!r}")
         key, text = line.split("\t", 1)
         if not key:
             raise FormatError(f"{path.name}:{lineno}: empty id")
-        if key in seen:
+        if key in pairs:
             raise FormatError(f"{path.name}:{lineno}: duplicate id {key!r}")
-        seen.add(key)
-        pairs.append((key, text))
+        pairs[key] = text
     return pairs
 
 
@@ -474,8 +472,8 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root does not exist: {root}")
 
-    entity_name = dict(read_pairs(root / ENTITY_NAME_FILE))
-    relation_name = dict(read_pairs(root / RELATION_NAME_FILE))
+    entity_name = read_pairs(root / ENTITY_NAME_FILE)
+    relation_name = read_pairs(root / RELATION_NAME_FILE)
     entities, relations = tuple(entity_name), tuple(relation_name)
     entity_ids, relation_ids = _positions(entities, relations)
     warnings: list[str] = []
@@ -483,7 +481,7 @@ def load_dataset(root_path: str | Path, mode: str = MODES[0]) -> KnowledgeGraph:
     entity_desc: dict[str, str] = {}
     desc_path = root / ENTITY_DESC_FILE
     if desc_path.is_file():
-        for key, text in read_pairs(desc_path):
+        for key, text in read_pairs(desc_path).items():
             i = entity_ids.get(key)
             if i is None:
                 msg = f"{ENTITY_DESC_FILE}: description for undeclared entity {key!r}"
@@ -530,9 +528,9 @@ def augment_training_set(kg: KnowledgeGraph, triples: Sequence[Triple]) -> Knowl
     return replace(kg, relation_name=relation_name, train=train, load_warnings=())
 
 
-def pair_lines(pairs: Iterable[tuple[str, str]]) -> str:
-    """Serialize pairs as the id<TAB>text lines ``read_pairs`` parses."""
-    return "".join(f"{key}\t{text}\n" for key, text in pairs)
+def pair_lines(rows: Iterable[Sequence[str]]) -> str:
+    """Serialize rows as tab-separated lines: pairs as ``read_pairs`` parses them, triples as ``read_triples``."""
+    return "".join("\t".join(row) + "\n" for row in rows)
 
 
 def _triple_blocks(triples: Iterable[Triple]) -> Iterator[str]:
@@ -541,10 +539,10 @@ def _triple_blocks(triples: Iterable[Triple]) -> Iterator[str]:
     A ``Split`` comes ``_BLOCK_ROWS`` rows per string: each row's
     ``"head\\t"``, ``"relation\\t"`` and ``"tail\\n"`` strings are taken
     from its tables and joined once per block. Any other triples come as one
-    string.
+    ``pair_lines`` string.
     """
     if not isinstance(triples, Split):
-        yield "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
+        yield pair_lines(triples)
         return
     ends = [
         np.array([name + end for name in table], dtype=object)
@@ -587,10 +585,20 @@ def write_dataset(kg: KnowledgeGraph, root_path: str | Path) -> None:
     block by block, never held whole.
     """
     root = Path(root_path)
-    root.mkdir(parents=True, exist_ok=True)
     for name, blocks in _canonical_files(kg):
-        with (root / name).open("w", encoding="utf-8", newline="\n") as out:
-            out.writelines(blocks)
+        write_text(root / name, blocks)
+
+
+def write_text(path: str | Path, texts: Iterable[str]) -> None:
+    """Write the strings to ``path`` as UTF-8 with LF endings, creating its directory.
+
+    Each string is written as it comes, so a generator of blocks is never
+    held whole.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.writelines(texts)
 
 
 def kg_fingerprint(kg: KnowledgeGraph) -> str:

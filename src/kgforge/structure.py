@@ -89,15 +89,9 @@ def parse_keywords(raw: str, entity: str = "") -> KeywordSet:
     markers ("1.", "-", "*") and surrounding punctuation; lowercases and
     deduplicates keeping first occurrence.
     """
-    keywords: list[str] = []
-    seen: set[str] = set()
-    for part in _SPLIT_RE.split(raw or ""):
-        part = _ENUM_RE.sub("", part.strip())
-        part = part.strip(_STRIP_CHARS)
-        keyword = " ".join(part.split()).lower()
-        if keyword and keyword not in seen:
-            seen.add(keyword)
-            keywords.append(keyword)
+    parts = (_ENUM_RE.sub("", part.strip()).strip(_STRIP_CHARS) for part in _SPLIT_RE.split(raw or ""))
+    keywords = dict.fromkeys(" ".join(part.split()).lower() for part in parts)
+    keywords.pop("", None)
     if not keywords:
         raise KeywordParseError(f"no keywords recoverable from {raw!r}")
     return KeywordSet(entity=entity, keywords=tuple(keywords))
@@ -178,13 +172,7 @@ def synthesize_triples(
     triples = [Triple(pair.head, relation, pair.tail) for pair in pairs]
     if cfg.self_loop:
         triples.extend(Triple(entity, relation, entity) for entity in self_loop_entities)
-    deduped: list[Triple] = []
-    seen: set[Triple] = set()
-    for triple in triples:
-        if triple not in seen:
-            seen.add(triple)
-            deduped.append(triple)
-    return deduped
+    return list(dict.fromkeys(triples))
 
 
 def extract_structure(

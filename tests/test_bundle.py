@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from kgforge.bundle import AugmentationBundle, FingerprintMismatchError, apply_bundles
+from kgforge.bundle import AugmentationBundle, FingerprintMismatchError, apply_bundles, write_json
 from kgforge.entity import expand_descriptions
 from kgforge.kg import FormatError, dataset_stats, kg_fingerprint, load_dataset, write_dataset
 from kgforge.relation import describe_relations
@@ -22,6 +22,14 @@ def bundles(replay_gateway):
         "R": describe_relations(kg, replay_gateway, modes={RelationMode.GLOBAL}),
         "S": extract_structure(kg, replay_gateway, StructureConfig(k=1, self_loop=True)),
     }
+
+
+def test_write_json_streams_the_text_of_json_dumps(tmp_path):
+    payload = {"z": ["é", "\u2028", 1.5], "a": {"nested": None, "ünïcode": [True]}, "": []}
+    path = tmp_path / "sub" / "out.json"
+    write_json(path, payload)
+    expected = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_save_load_round_trip(bundles, tmp_path):

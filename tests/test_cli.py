@@ -9,6 +9,7 @@ import pytest
 from kgforge.cli import main
 from kgforge.gateway import ReplayBackend
 from kgforge.kg import load_dataset
+from kgforge.synth import planted_alias_graph
 
 
 @pytest.fixture
@@ -161,6 +162,47 @@ def test_compose_rejects_stale_bundle(run_config, tmp_path, toy_fixture_path, ca
     assert "fingerprint" in capsys.readouterr().err
 
 
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    ("file_name", "corrupt", "named"),
+    [
+        ("audit.json", lambda audit: _without(audit, "kind"), "'kind'"),
+        ("audit.json", lambda audit: [audit], "not list"),
+        ("audit.json", lambda audit: {**audit, "items": [_without(audit["items"][0], "subject")]}, "'subject'"),
+        ("audit.json", lambda audit: {**audit, "items": ["an item"]}, "items[0]"),
+        ("audit.json", lambda audit: {**audit, "items": [{**audit["items"][0], "flags": 3}]}, "'flags'"),
+        ("audit.json", lambda audit: {**audit, "fingerprint": 7}, "'fingerprint'"),
+        ("keywords.json", lambda keywords: list(keywords), "not list"),
+        ("keywords.json", lambda keywords: dict.fromkeys(keywords, 5), "must be a JSON array"),
+    ],
+    ids=[
+        "no-kind",
+        "audit-list",
+        "no-subject",
+        "item-not-object",
+        "flags-not-list",
+        "fingerprint-not-string",
+        "keywords-list",
+        "keyword-set-not-list",
+    ],
+)
+def test_compose_rejects_malformed_bundle_in_one_line(run_config, tmp_path, capsys, file_name, corrupt, named):
+    config = run_config()
+    assert main(["enrich", "--config", str(config), "--strategy", "S"]) == 0
+    path = tmp_path / "out" / "bundle_S" / file_name
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "never"
+    assert main(["compose", "--config", str(config), "--bundle", str(path.parent), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert file_name in err and named in err, err
+    assert not out.exists()
+
+
 def test_eval_identical_datasets_zero_delta(run_config, tmp_path, toy_root, capsys):
     config = run_config()
     report_path = tmp_path / "report.json"
@@ -301,4 +343,7 @@ def test_fixtures_toy_and_planted(tmp_path, capsys):
     assert main(["fixtures", "planted", "--out", str(planted_out)]) == 0
     kg = load_dataset(planted_out)
     assert len(kg.entities) == 60
-    assert (planted_out / "keywords.json").is_file()
+    _, keyword_sets = planted_alias_graph(seed=13)
+    keywords = {entity: list(ks.keywords) for entity, ks in keyword_sets.items()}
+    expected = json.dumps(keywords, indent=2, sort_keys=True) + "\n"
+    assert (planted_out / "keywords.json").read_bytes() == expected.encode("utf-8")

@@ -193,6 +193,27 @@ def test_persistent_cache_doubles_as_fixture(tmp_path):
     assert [r.response for r in replayed.batch_query(["p1", "p2"])] == ["r1", "r2"]
 
 
+def test_cache_in_a_missing_directory_is_created_at_the_first_miss(tmp_path):
+    params = GenerationParams()
+    fixture_path = tmp_path / "fx.jsonl"
+    write_fixture(fixture_path, [("p", params, "r")])
+    cache_path = tmp_path / "nodir" / "deeper" / "cache.jsonl"
+    gateway = LlmGateway(ReplayBackend(fixture_path), params=params, cache_path=cache_path)
+    assert not cache_path.parent.exists()
+    [result] = gateway.batch_query(["p"])
+    assert result.response == "r"
+    assert cache_path.read_bytes() == fixture_path.read_bytes()
+
+
+def test_write_fixture_returns_its_record_count_and_reads_back(tmp_path):
+    params = GenerationParams()
+    records = [("a", params, "ra"), ("b", params, "rb\u2028"), ("a", params, "ra again")]
+    path = tmp_path / "sub" / "fx.jsonl"
+    assert write_fixture(path, records) == 3
+    assert len(path.read_bytes().splitlines()) == 3
+    assert read_fixture(path) == {prompt_key("a", params): "ra again", prompt_key("b", params): "rb\u2028"}
+
+
 def test_cache_is_opened_once_per_batch_with_misses(tmp_path, monkeypatch):
     appends = []
     real_open = Path.open

@@ -28,7 +28,9 @@ from kgforge.kg import (
     dataset_stats,
     kg_fingerprint,
     load_dataset,
+    read_pairs,
     write_dataset,
+    write_text,
 )
 from kgforge.synth import planted_alias_graph, toy_graph
 
@@ -105,6 +107,18 @@ def test_write_to_unwritable_path_raises(toy_kg, tmp_path):
     target.write_text("in the way", encoding="utf-8")
     with pytest.raises(OSError):
         write_dataset(toy_kg, target)
+
+
+def test_write_text_creates_its_directory_and_writes_utf8_with_lf(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    write_text(path, (line for line in ["é\tx\n", "y\n"]))
+    assert path.read_bytes() == "é\tx\ny\n".encode("utf-8")
+
+
+def test_read_pairs_maps_ids_to_texts_in_file_order(tmp_path):
+    path = tmp_path / "pairs.txt"
+    path.write_text("z\tlast letter\na\tfirst\n\nm\t\n", encoding="utf-8")
+    assert list(read_pairs(path).items()) == [("z", "last letter"), ("a", "first"), ("m", "")]
 
 
 def test_malformed_triple_line(tmp_path, toy_root):
@@ -254,9 +268,8 @@ def test_every_split_row_is_a_sorted_id_position(toy_root, tmp_path):
 def test_cached_view_is_outside_the_record(toy_kg):
     kg = replace(toy_kg)
     kg_fingerprint(kg)
-    kg._index
     assert kg == toy_kg and repr(kg) == repr(toy_kg) and asdict(kg) == asdict(toy_kg)
-    assert "_fingerprint" not in vars(replace(kg)) and "_index" not in vars(replace(kg))
+    assert "_fingerprint" not in vars(replace(kg))
 
 
 def test_filter_keys_are_sorted_once_per_graph_and_direction(toy_kg):
