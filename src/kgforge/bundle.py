@@ -229,9 +229,14 @@ def apply_bundles(
 
     Application order is fixed (entity texts, then relation texts, then extra
     train triples) so composing the same set of bundles in any argument order
-    yields an identical graph. Every bundle must carry the base graph's
-    fingerprint.
+    yields an identical graph. That holds only with at most one bundle per
+    kind, so two bundles of one kind raise ``ValueError``. Every bundle must
+    carry the base graph's fingerprint.
     """
+    kinds = [bundle.kind for bundle in bundles]
+    for kind in KINDS:
+        if kinds.count(kind) > 1:
+            raise ValueError(f"{kinds.count(kind)} {kind} bundles given; compose at most one bundle per kind")
     base_fp = kg_fingerprint(kg)
     for bundle in bundles:
         if bundle.fingerprint != base_fp:

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .bundle import AugmentationBundle, apply_bundles, write_json
-from .config import ConfigError, build_gateway, load_config, parse_relation_modes, with_overrides
+from .config import ConfigError, build_gateway, load_config
 from .entity import expand_descriptions
 from .gateway import GatewayError
 from .harness import ab_compare, format_table
@@ -41,17 +41,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_enrich(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    overrides = {}
-    if args.k is not None:
-        overrides["k"] = args.k
-    if args.self_loop:
-        overrides["self_loop"] = True
-    if args.budget_tokens is not None:
-        overrides["budget_tokens"] = args.budget_tokens
-    if args.modes:
-        overrides["relation_modes"] = parse_relation_modes(args.modes.split(","))
-    cfg = with_overrides(cfg, **overrides)
+    flags = {
+        "structure.k": args.k,
+        "structure.self_loop": args.self_loop,
+        "entity.budget_tokens": args.budget_tokens,
+        "relation.modes": None if args.modes is None else args.modes.split(","),
+    }
+    cfg = load_config(args.config, {key: value for key, value in flags.items() if value is not None})
 
     strategies = list(dict.fromkeys(args.strategy))
     gateway = build_gateway(cfg.gateway)
@@ -143,10 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="strategy to run (repeatable): E entity text, R relation text, S structure",
     )
     p_enrich.add_argument("--out", help="output directory (default: config output_dir)")
-    p_enrich.add_argument("--k", type=int, help="override structure top-k")
-    p_enrich.add_argument("--self-loop", action="store_true", help="enable structure self-loops")
-    p_enrich.add_argument("--budget-tokens", type=int, help="override entity merge budget")
-    p_enrich.add_argument("--modes", help="override relation modes, comma-separated")
+    p_enrich.add_argument("--k", type=int, help="structure.k (top-k), over the config file's value")
+    p_enrich.add_argument(
+        "--self-loop", action="store_true", default=None, help="structure.self_loop: true, over the config file's value"
+    )
+    p_enrich.add_argument("--budget-tokens", type=int, help="entity.budget_tokens, over the config file's value")
+    p_enrich.add_argument("--modes", help="relation.modes, comma-separated, over the config file's value")
     p_enrich.add_argument(
         "--allow-partial", action="store_true", help="exit 0 even with per-item errors"
     )

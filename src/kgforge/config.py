@@ -21,6 +21,12 @@ type or an out-of-range value is a ConfigError. The replay fixture is
 checked only when ``enrich`` builds the gateway, so compose and eval run
 without one.
 
+``load_config`` is the one way to build a RunConfig. Its ``flags`` set dotted
+file keys over the file's values: the ``enrich`` flags --k, --self-loop,
+--budget-tokens and --modes set structure.k, structure.self_loop,
+entity.budget_tokens and relation.modes, and each is parsed, checked and
+reported exactly like the same key in the file.
+
 Gateway endpoint, API key and model fall back to the LLM_ENDPOINT,
 LLM_API_KEY, and LLM_MODEL environment variables.
 """
@@ -29,8 +35,8 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .entity import DEFAULT_BUDGET_TOKENS
@@ -85,7 +91,7 @@ class GatewaySettings:
 
 
 def parse_relation_modes(names) -> tuple[RelationMode, ...]:
-    """Parse relation mode names, as listed in relation.modes or given to --modes."""
+    """Parse relation mode names, as listed in relation.modes."""
     try:
         return tuple(RelationMode(name) for name in names)
     except (TypeError, ValueError):
@@ -128,19 +134,8 @@ class RunConfig:
 _SECTIONS = {"structure": StructureConfig, "gateway": GatewaySettings, "train": TrainConfig}
 
 
-@contextmanager
-def _config_errors():
-    """Report a bad value met while building a config as a ConfigError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run configuration file."""
+def load_config(path: str | Path, flags: Mapping[str, object] | None = None) -> RunConfig:
+    """Parse and validate a run configuration file, with ``flags`` ({"structure.k": 3}) over its keys."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file does not exist: {path}")
@@ -163,6 +158,7 @@ def load_config(path: str | Path) -> RunConfig:
             given.update({(key, name): item for name, item in value.items()})
         else:
             raise ConfigError(f"section {key!r} must be an object")
+    given.update({tuple(key.split(".")): value for key, value in (flags or {}).items()})
     unknown = set(given) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted('.'.join(key) for key in unknown)}")
@@ -171,7 +167,7 @@ def load_config(path: str | Path) -> RunConfig:
     if ("seed",) in given:
         given.setdefault(("train", "seed"), given.pop(("seed",)))
 
-    with _config_errors():
+    try:
         kwargs = {}
         for key, f in run_fields.items():
             if key in given:
@@ -180,6 +176,10 @@ def load_config(path: str | Path) -> RunConfig:
         for section, cls in _SECTIONS.items():
             kwargs[section] = cls(**{key[1]: v for key, v in given.items() if key[0] == section})
         cfg = RunConfig(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     if not cfg.dataset_root.is_dir():
         raise ConfigError(f"dataset.root does not exist: {cfg.dataset_root}")
     return cfg
@@ -222,14 +222,3 @@ def build_gateway(settings: GatewaySettings) -> LlmGateway:
             max_retries=settings.max_retries,
         )
     return LlmGateway(backend, params=generation_params(settings), cache_path=settings.cache)
-
-
-def with_overrides(cfg: RunConfig, **updates) -> RunConfig:
-    """Apply flag overrides on top of a loaded config; a bad value raises ConfigError."""
-    structure_updates = {
-        f.name: updates.pop(f.name) for f in fields(StructureConfig) if f.name in updates
-    }
-    with _config_errors():
-        if structure_updates:
-            updates["structure"] = replace(cfg.structure, **structure_updates)
-        return replace(cfg, **updates)

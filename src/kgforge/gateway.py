@@ -181,12 +181,14 @@ class HttpBackend(Backend):
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
+        require_int("concurrency", concurrency, 1)
+        require_int("max_retries", max_retries, 0)
         import requests
 
         super().__init__()
         self.endpoint = endpoint
         self.api_key = api_key
-        self.concurrency = max(1, concurrency)
+        self.concurrency = concurrency
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.timeout = timeout

@@ -18,8 +18,8 @@ time.
 Ranking and classification accept only a model whose tables are the graph's,
 and then use the graph's split rows as model rows, with no translation. The
 ranking filter and the classification negatives come from one sorted-key
-join over those rows, ``_completions``, whose sorted keys each graph keeps
-per direction.
+join over those rows, ``_completions``, which sorts the keys of one
+direction per call.
 
 Training is single-threaded and fully determined by the config seed: the same
 seed reproduces embeddings bit for bit.
@@ -367,21 +367,18 @@ def _completions(
     ``queries`` are (head, relation, tail) rows of the graph's sorted id
     positions. A row's slot is its head and relation when completing tails,
     its tail and relation when completing heads. Each train, valid and test
-    triple gets the key ``slot * |E| + completion``. The keys are sorted once
-    per graph and direction and kept in the graph's ``_filter_keys``, so one
-    slot's completions are one run of them, found by two binary searches.
+    triple gets the key ``slot * |E| + completion``. Once the keys are
+    sorted, one slot's completions are one run of them, found by two binary
+    searches.
     Returns offsets and entity positions: query ``i``'s completions are
     ``completions[offsets[i]:offsets[i + 1]]``, a triple in several splits
     counted once per split.
     """
     n_ent, n_rel = len(kg.entities), len(kg.relations)
     own, other = (0, 2) if tail else (2, 0)
-    keys = kg._filter_keys.get(tail)
-    if keys is None:
-        rows = np.concatenate([kg.split(name).rows for name in SPLITS])
-        keys = (rows[:, own].astype(np.int64) * n_rel + rows[:, 1]) * n_ent + rows[:, other]
-        keys.sort()
-        kg._filter_keys[tail] = keys
+    rows = np.concatenate([kg.split(name).rows for name in SPLITS])
+    keys = (rows[:, own].astype(np.int64) * n_rel + rows[:, 1]) * n_ent + rows[:, other]
+    keys.sort()
     slots = queries[:, own].astype(np.int64) * n_rel + queries[:, 1]
     lo = np.searchsorted(keys, slots * n_ent)
     counts = np.searchsorted(keys, (slots + 1) * n_ent) - lo

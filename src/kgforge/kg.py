@@ -48,11 +48,10 @@ or triples, as tab-separated lines.
 (``bundle.write_json`` for their JSON), A/B reports and replay fixtures all go
 through it, as UTF-8 with LF endings, into a directory it creates.
 
-A graph caches only what is costly to derive and kept for its life: its
-fingerprint and the sorted filter keys of the harness, computed on first use
-and held outside its fields. ``==``, ``repr``, ``asdict`` and ``replace`` see
+A graph caches one derived value, its fingerprint, computed on first use and
+held outside its fields. ``==``, ``repr``, ``asdict`` and ``replace`` see
 only the fields, and a replaced graph starts with nothing cached. The cached
-view is never refreshed, so a graph's maps must not be mutated after
+fingerprint is never refreshed, so a graph's maps must not be mutated after
 construction; build a changed graph with ``replace``.
 """
 
@@ -199,10 +198,9 @@ class KnowledgeGraph:
     sequence triple by triple, and an id the maps do not declare raises
     ``DanglingReferenceError``. Graphs compare through their splits' ``==``.
 
-    Only the fingerprint and the harness's sorted filter keys are cached:
-    computed on first use and kept on the instance, outside the dataclass
-    fields. Nothing refreshes them, so the maps must not be mutated after
-    construction.
+    Only the fingerprint is cached: computed on first use and kept on the
+    instance, outside the dataclass fields. Nothing refreshes it, so the maps
+    must not be mutated after construction.
     """
 
     entity_name: dict[str, str]
@@ -238,11 +236,6 @@ class KnowledgeGraph:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
-
-    @cached_property
-    def _filter_keys(self) -> dict[bool, np.ndarray]:
-        """Sorted train+valid+test keys by completion direction, filled by ``harness._completions``."""
-        return {}
 
     @cached_property
     def _fingerprint(self) -> str:

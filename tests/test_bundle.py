@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -77,6 +78,18 @@ def test_apply_is_order_insensitive(bundles):
     reference = apply_bundles(kg, [bundles["E"], bundles["R"], bundles["S"]])
     for order in itertools.permutations("ERS"):
         assert apply_bundles(kg, [bundles[key] for key in order]) == reference
+
+
+@pytest.mark.parametrize("key", ["E", "S"])
+def test_apply_rejects_two_bundles_of_one_kind_in_either_order(bundles, key):
+    bundle = bundles[key]
+    if key == "E":
+        pair = [replace(bundle, entity_text={"/m/bay": text}) for text in ("A", "B")]
+    else:
+        pair = [bundle, replace(bundle, extra_triples=bundle.extra_triples[:1])]
+    for order in (pair, pair[::-1]):
+        with pytest.raises(ValueError, match=f"^2 {bundle.kind} bundles given"):
+            apply_bundles(toy_graph(), [bundles["R"], *order])
 
 
 def test_apply_effects(bundles):

@@ -6,9 +6,10 @@ import os
 
 import pytest
 
+from kgforge.bundle import AugmentationBundle
 from kgforge.cli import main
 from kgforge.gateway import ReplayBackend
-from kgforge.kg import load_dataset
+from kgforge.kg import kg_fingerprint, load_dataset
 from kgforge.synth import planted_alias_graph
 
 
@@ -79,12 +80,16 @@ def test_enrich_entity_strategy(run_config, tmp_path, capsys):
 
 
 def test_enrich_structure_count_law(run_config, tmp_path):
-    config = run_config()
+    config = run_config(structure={"k": 1, "self_loop": False})
     rc = main(
         ["enrich", "--config", str(config), "--strategy", "S", "--k", "3", "--self-loop"]
     )
     assert rc == 0
     bundle_dir = tmp_path / "out" / "bundle_S"
+    # The flags win over the file's values: the bundle is the one the same keys in the file give.
+    config = run_config(structure={"k": 3, "self_loop": True})
+    assert main(["enrich", "--config", str(config), "--strategy", "S", "--out", str(tmp_path / "file")]) == 0
+    assert read_tree(tmp_path / "file" / "bundle_S") == read_tree(bundle_dir)
     triples = (bundle_dir / "extra_triples.tsv").read_text(encoding="utf-8").splitlines()
     keywords = json.loads((bundle_dir / "keywords.json").read_text(encoding="utf-8"))
     self_loops = [line for line in triples if line.split("\t")[0] == line.split("\t")[2]]
@@ -138,6 +143,22 @@ def test_compose_applies_bundles(run_config, tmp_path):
     extra = (tmp_path / "out" / "bundle_S" / "extra_triples.tsv").read_text(encoding="utf-8")
     assert len(kg.train) == 12 + len(extra.splitlines())
     assert "SameAs" in kg.relations
+
+
+def test_compose_rejects_two_bundles_of_one_kind_in_either_order(run_config, tmp_path, toy_root, capsys):
+    config = run_config()
+    fingerprint = kg_fingerprint(load_dataset(toy_root))
+    paths = [
+        AugmentationBundle("entity", fingerprint, entity_text={"/m/bay": text}).save(tmp_path / text)
+        for text in ("A", "B")
+    ]
+    for order in (paths, paths[::-1]):
+        argv = ["compose", "--config", str(config), "--out", str(tmp_path / "never")]
+        for path in order:
+            argv += ["--bundle", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: 2 entity bundles given; compose at most one bundle per kind\n"
+    assert not (tmp_path / "never").exists()
 
 
 def test_compose_rejects_stale_bundle(run_config, tmp_path, toy_fixture_path, capsys):
@@ -253,11 +274,16 @@ def test_config_validation_failures(tmp_path, toy_root, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--budget-tokens", "0"], ["--k", "-1"], ["--modes", "global,bogus"]],
-    ids=["budget-tokens", "k", "modes"],
+    "flags, same_in_file",
+    [
+        (["--budget-tokens", "0"], {"entity": {"budget_tokens": 0}}),
+        (["--k", "-1"], {"structure": {"k": -1}}),
+        (["--modes", "global,bogus"], {"relation": {"modes": ["global", "bogus"]}}),
+        (["--modes", ""], {"relation": {"modes": [""]}}),
+    ],
+    ids=["budget-tokens", "k", "modes", "modes-empty"],
 )
-def test_invalid_flag_is_config_error_before_any_query(run_config, monkeypatch, capsys, flags):
+def test_invalid_flag_is_config_error_before_any_query(run_config, monkeypatch, capsys, flags, same_in_file):
     prompts = []
 
     def generate(self, prompt_text, params):
@@ -265,11 +291,14 @@ def test_invalid_flag_is_config_error_before_any_query(run_config, monkeypatch, 
         return "unused"
 
     monkeypatch.setattr(ReplayBackend, "generate", generate)
-    config = run_config()
-    argv = ["enrich", "--config", str(config), "--strategy", "E", "--strategy", "R", "--strategy", "S"]
-    assert main(argv + flags) == 2
+    argv = ["enrich", "--strategy", "E", "--strategy", "R", "--strategy", "S", "--config"]
+    # The file's own values are valid, so the flag's value is the one reported.
+    assert main(argv + [str(run_config(structure={"k": 1}, entity={"budget_tokens": 70}))] + flags) == 2
+    flag_error = capsys.readouterr().err
+    assert main(argv + [str(run_config(**same_in_file))]) == 2
+    assert capsys.readouterr().err == flag_error
+    assert flag_error.startswith("config error: ") and flag_error.count("\n") == 1
     assert prompts == []
-    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -513,6 +513,21 @@ def test_http_backend_gives_up_after_retries(chat_server):
         backend.generate("never", GenerationParams())
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"concurrency": 0}, "concurrency must be >= 1, got 0"),
+        ({"max_retries": -1}, "max_retries must be >= 0, got -1"),
+        ({"concurrency": 1.5}, "concurrency must be an integer, got 1.5"),
+    ],
+    ids=["concurrency-0", "max-retries-negative", "concurrency-float"],
+)
+def test_http_backend_rejects_bad_arguments_before_any_request(chat_server, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HttpBackend(chat_server, backoff_base=0.01, **kwargs).generate("never", GenerationParams())
+    assert _ChatHandler.seen_payloads == []
+
+
 def test_http_backend_rejects_malformed_body(chat_server):
     _ChatHandler.malformed = True
     backend = HttpBackend(chat_server, backoff_base=0.01)

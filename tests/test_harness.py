@@ -747,6 +747,7 @@ def test_link_prediction_shapes_and_metadata():
     assert report.split == "test" and report.filtered
     assert report.model_kind == "transe" and report.seed == 1
     assert report.dataset_fingerprint
+    assert link_prediction(model, kg, split="test") == report
     with pytest.raises(ValueError, match="unknown split"):
         link_prediction(model, kg, split="nope")
 

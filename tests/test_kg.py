@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import kgforge.kg
 from kgforge.bundle import AugmentationBundle, apply_bundles
-from kgforge.harness import TrainConfig, link_prediction, train
 from kgforge.kg import (
     DanglingReferenceError,
     DatasetStats,
@@ -270,18 +269,6 @@ def test_cached_view_is_outside_the_record(toy_kg):
     kg_fingerprint(kg)
     assert kg == toy_kg and repr(kg) == repr(toy_kg) and asdict(kg) == asdict(toy_kg)
     assert "_fingerprint" not in vars(replace(kg))
-
-
-def test_filter_keys_are_sorted_once_per_graph_and_direction(toy_kg):
-    kg = replace(toy_kg)
-    model = train(kg, TrainConfig(dim=4, epochs=1))
-    report = link_prediction(model, kg)
-    keys = dict(kg._filter_keys)
-    assert sorted(keys) == [False, True]
-    assert all((np.diff(k) >= 0).all() and len(k) == 16 for k in keys.values())
-    assert link_prediction(model, kg) == report
-    assert all(kg._filter_keys[tail] is keys[tail] for tail in keys)
-    assert "_filter_keys" not in vars(replace(kg))
 
 
 def write_files(root, train="", valid="", test=""):
