@@ -21,12 +21,13 @@ from kgforge import (
 from kgforge.synth import toy_graph, write_toy_fixture
 
 # The pieces, by hand first: parsing tolerates lists, bullets, and casing.
-parsed = parse_keywords("1. Film\n2. Director\n3. ACTION", entity="demo")
-print("parsed keywords:", parsed.keywords)
+print("parsed keywords:", parse_keywords("1. Film\n2. Director\n3. ACTION"))
 
-a = parse_keywords("film, director, action, producer, hollywood", entity="a")
-b = parse_keywords("film, producer, studio, budget, hollywood", entity="b")
-score = match_score(a, b)
+keyword_sets = {
+    "a": parse_keywords("film, director, action, producer, hollywood"),
+    "b": parse_keywords("film, producer, studio, budget, hollywood"),
+}
+score = match_score(keyword_sets, "a", "b")
 print(f"match a~b: {score.n_matched} shared -> score {score.score}")
 
 # The full pipeline against the replay fixture.

@@ -32,7 +32,6 @@ from .kg import (
 )
 from .relation import compose_relation_text, describe_relations
 from .structure import (
-    KeywordSet,
     MatchScore,
     StructureConfig,
     extract_structure,
@@ -58,7 +57,6 @@ __all__ = [
     "FingerprintMismatchError",
     "GenerationParams",
     "HttpBackend",
-    "KeywordSet",
     "KnowledgeGraph",
     "LlmExchange",
     "LlmGateway",

@@ -23,7 +23,7 @@ sets. ``load`` rejects a malformed ``audit.json`` or ``keywords.json`` with a
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -141,7 +141,7 @@ class AugmentationBundle:
                 merged = chain(_triple_blocks(base_kg.train), _triple_blocks(self.extra_triples))
                 write_text(out / TRAIN_AUGMENTED_FILE, merged)
         if self.keyword_sets:
-            write_json(out / KEYWORDS_FILE, {e: list(words) for e, words in self.keyword_sets.items()})
+            write_json(out / KEYWORDS_FILE, self.keyword_sets)
         write_json(out / AUDIT_FILE, {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
@@ -189,10 +189,18 @@ class AugmentationBundle:
         return bundle
 
 
+def render_or_fail(render: Callable[..., RenderedPrompt], *args, subject_id: str) -> RenderedPrompt | AuditItem:
+    """``render(*args, subject_id=...)``, or a failed item whose error names the field it could not fill."""
+    try:
+        return render(*args, subject_id=subject_id)
+    except ValueError as exc:
+        return AuditItem(subject=subject_id, error=str(exc))
+
+
 def query_audited(
     bundle: AugmentationBundle,
     gateway: LlmGateway,
-    prompts: Sequence[RenderedPrompt],
+    prompts: Sequence[RenderedPrompt | AuditItem],
     modes: Sequence[str] | None = None,
 ) -> list[AuditItem]:
     """Send ``prompts`` through the gateway in one batch and audit every exchange.
@@ -201,13 +209,18 @@ def query_audited(
     returns those items. Each item's subject is the prompt's subject id and
     its mode is the matching entry of ``modes``, if given. A failed exchange
     keeps the error and the hash its prompt would have had; it never aborts
-    the batch.
+    the batch. A prompt that could not be rendered, an ``AuditItem`` from
+    ``render_or_fail``, keeps its place and error with no hash or backend call.
     """
-    results = gateway.batch_query([prompt.text for prompt in prompts])
+    results = iter(gateway.batch_query([p.text for p in prompts if isinstance(p, RenderedPrompt)]))
     if modes is None:
         modes = [None] * len(prompts)
     items = []
-    for prompt, result, mode in zip(prompts, results, modes):
+    for prompt, mode in zip(prompts, modes):
+        if isinstance(prompt, AuditItem):
+            items.append(replace(prompt, mode=mode))
+            continue
+        result = next(results)
         failed = isinstance(result, GatewayError)
         items.append(
             AuditItem(

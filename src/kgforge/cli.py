@@ -111,7 +111,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
         kg, keyword_sets = planted_alias_graph(seed=args.seed)
         write_dataset(kg, out)
         keywords_path = out / "keywords.json"
-        write_json(keywords_path, {entity: list(ks.keywords) for entity, ks in keyword_sets.items()})
+        write_json(keywords_path, keyword_sets)
         print(f"planted dataset written to {out} (keyword sets in {keywords_path})")
     return EXIT_OK
 
@@ -161,7 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="A/B compare base vs augmented dataset")
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--base", required=True, help="base dataset directory")
-    p_eval.add_argument("--augmented", required=True, help="augmented dataset directory")
+    p_eval.add_argument(
+        "--augmented", required=True, help="augmented dataset directory, with the base's entities and valid/test splits"
+    )
     p_eval.add_argument("--out", help="JSON report path")
     p_eval.set_defaults(func=cmd_eval)
 

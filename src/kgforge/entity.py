@@ -8,7 +8,7 @@ tokens suits Freebase-style graphs, 50 WordNet-style ones.
 
 from __future__ import annotations
 
-from .bundle import AugmentationBundle, query_audited
+from .bundle import AugmentationBundle, query_audited, render_or_fail
 from .gateway import LlmGateway
 from .kg import KnowledgeGraph, kg_fingerprint
 from .templates import render_entity_prompt
@@ -47,13 +47,13 @@ def expand_descriptions(
     """Expand every entity's description through the gateway.
 
     Failures are recorded per entity in the bundle's audit items and never
-    abort the run. Entities whose generation failed keep no replacement text,
-    so composition leaves their original description untouched. Raw responses
-    are preserved verbatim in the audit trail.
+    abort the run. An empty name is one: its item's error names
+    ``{Entity Name}``, with no prompt hash and no backend call. Entities whose
+    generation failed keep no replacement text, so composition leaves their
+    original description untouched. Raw responses are preserved verbatim in
+    the audit trail.
     """
-    prompts = [
-        render_entity_prompt(name, subject_id=entity) for entity, name in kg.entity_name.items()
-    ]
+    prompts = [render_or_fail(render_entity_prompt, name, subject_id=e) for e, name in kg.entity_name.items()]
     bundle = AugmentationBundle(kind="entity", fingerprint=kg_fingerprint(kg))
     for item in query_audited(bundle, gateway, prompts):
         if item.error is not None:

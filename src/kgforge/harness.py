@@ -616,6 +616,9 @@ def ab_compare(
 ) -> ComparisonReport:
     """Train on both graphs with the same seeds and compare on the shared split.
 
+    Both graphs must share their valid and test splits and their entities,
+    since ranks are taken over every entity; a mismatch raises ``SplitMismatchError``.
+
     Seeds run cfg.seed, cfg.seed + 1, ... cfg.seed + n_seeds - 1. Deltas are
     augmented minus base per metric; the report carries every per-seed row
     plus medians.
@@ -623,6 +626,8 @@ def ab_compare(
     require_int("n_seeds", n_seeds, 1)
     if kg_base.valid != kg_augmented.valid or kg_base.test != kg_augmented.test:
         raise SplitMismatchError("base and augmented graphs must share valid/test splits")
+    if kg_base.entities != kg_augmented.entities:
+        raise SplitMismatchError("base and augmented graphs must rank over the same entities")
     rows = []
     for offset in range(n_seeds):
         run_cfg = replace(cfg, seed=cfg.seed + offset)

@@ -132,12 +132,11 @@ class Split(Sequence[Triple]):
     entities[t])``; each table holds distinct names, and in a graph's split
     the tables are its sorted ids.
     Indexing and iteration build each ``Triple`` on demand from the tables'
-    strings. ``len``, indexing, ``bool`` and ``==`` behave as on the tuple of
-    those triples: a split equals a split or a tuple of the same triples,
-    whatever its tables. Two splits compare by mapping the other's tables
-    through this one's positions and comparing rows, building no ``Triple``;
-    a tuple compares with the tuple of this split's triples. A slice is a
-    ``Split``.
+    strings. ``len``, indexing and ``bool`` behave as on the tuple of those
+    triples. A split equals a split of the same triples, whatever its
+    tables: the other's tables are mapped through this one's positions and
+    the rows compared, building no ``Triple``. A split never equals a tuple;
+    compare ``tuple(split)`` for that. A slice is a ``Split``.
     """
 
     __slots__ = ("rows", "entities", "relations")
@@ -171,7 +170,7 @@ class Split(Sequence[Triple]):
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Split):
-            return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+            return NotImplemented
         try:
             rows = _index_rows(*_positions(self.entities, self.relations), other)
         except KeyError:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .bundle import AugmentationBundle, query_audited
+from .bundle import AugmentationBundle, query_audited, render_or_fail
 from .gateway import LlmGateway
 from .kg import KnowledgeGraph, kg_fingerprint
 from .templates import MODE_ORDER, RelationMode, render_relation_prompt
@@ -59,7 +59,9 @@ def describe_relations(
     """Generate explanations for every relation in every requested mode.
 
     Failures are captured per (relation, mode); a relation with partial
-    failures is still composed from whichever mode texts succeeded.
+    failures is still composed from whichever mode texts succeeded. An empty
+    name fails every mode: each item's error names ``{Relation Name}``, with
+    no prompt hash and no backend call.
     """
     mode_set = {RelationMode(m) for m in modes}
     if not mode_set:
@@ -68,10 +70,7 @@ def describe_relations(
 
     relations = list(kg.relation_name)
     jobs = [(relation, mode) for relation in relations for mode in ordered_modes]
-    prompts = [
-        render_relation_prompt(kg.relation_name[relation], mode, subject_id=relation)
-        for relation, mode in jobs
-    ]
+    prompts = [render_or_fail(render_relation_prompt, kg.relation_name[r], m, subject_id=r) for r, m in jobs]
     bundle = AugmentationBundle(kind="relation", fingerprint=kg_fingerprint(kg))
     items = query_audited(bundle, gateway, prompts, modes=[mode.value for _, mode in jobs])
     texts_by_relation: dict[str, list[tuple[str, str]]] = {r: [] for r in relations}

@@ -1,13 +1,16 @@
 """Structure extraction: keyword matching that synthesizes SameAs training triples.
 
-Keywords summarize each entity's description; two entities whose keyword sets
-overlap strongly get a directed SameAs edge. The matching score is
+Keywords summarize each entity's description as a tuple of strings, and one
+mapping, entity id -> keywords, goes from parser to matcher to bundle. Two
+entities whose keyword sets overlap strongly get a directed SameAs edge. The
+matching score is
 
     score = |k_head & k_tail| / min(|k_head|, |k_tail|)
 
-Top-k selection is per head entity, and optional self-loop triples reinforce
-the SameAs relation itself. All synthesized triples are appended to the
-training split only.
+over sets that must be non-empty and free of repeats, as ``parse_keywords``
+guarantees and ``match_score`` and ``top_k_pairs`` check. Top-k selection is
+per head entity, and optional self-loop triples reinforce the SameAs relation
+itself. All synthesized triples are appended to the training split only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bundle import AugmentationBundle, query_audited
+from .bundle import AugmentationBundle, query_audited, render_or_fail
 from .gateway import LlmGateway
 from .kg import KnowledgeGraph, Triple, kg_fingerprint, require_int
 from .templates import render_keyword_prompt
@@ -34,24 +37,6 @@ class KeywordParseError(ValueError):
 
 class RelationCollisionError(ValueError):
     """The synthesized relation id already exists in the graph."""
-
-
-@dataclass(frozen=True)
-class KeywordSet:
-    entity: str
-    keywords: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.keywords:
-            raise ValueError(f"keyword set for {self.entity!r} is empty")
-        if len(set(self.keywords)) != len(self.keywords):
-            raise ValueError(f"keyword set for {self.entity!r} has duplicates")
-
-    def __len__(self) -> int:
-        return len(self.keywords)
-
-    def as_set(self) -> frozenset[str]:
-        return frozenset(self.keywords)
 
 
 @dataclass(frozen=True)
@@ -82,8 +67,8 @@ _ENUM_RE = re.compile(r"^\s*(?:\d+[.)]\s*|[-*•]\s*)+")
 _STRIP_CHARS = string.punctuation + string.whitespace
 
 
-def parse_keywords(raw: str, entity: str = "") -> KeywordSet:
-    """Parse an LLM keyword response into a normalized keyword set.
+def parse_keywords(raw: str) -> tuple[str, ...]:
+    """Parse an LLM keyword response into a normalized, non-empty keyword tuple.
 
     Splits on commas, newlines and semicolons; strips leading enumeration
     markers ("1.", "-", "*") and surrounding punctuation; lowercases and
@@ -94,48 +79,49 @@ def parse_keywords(raw: str, entity: str = "") -> KeywordSet:
     keywords.pop("", None)
     if not keywords:
         raise KeywordParseError(f"no keywords recoverable from {raw!r}")
-    return KeywordSet(entity=entity, keywords=tuple(keywords))
+    return tuple(keywords)
 
 
-def match_score(kh: KeywordSet, kt: KeywordSet) -> MatchScore:
-    """Similarity of two keyword sets: matched count over the smaller set size."""
-    if kh.entity and kh.entity == kt.entity:
-        raise ValueError(f"match_score requires distinct entities, got {kh.entity!r} twice")
-    if not kh.keywords or not kt.keywords:
-        raise ValueError("match_score requires non-empty keyword sets")
-    matched = len(kh.as_set() & kt.as_set())
-    return MatchScore(
-        head=kh.entity,
-        tail=kt.entity,
-        score=matched / min(len(kh), len(kt)),
-        n_matched=matched,
-    )
+def _keywords(keyword_sets: Mapping[str, tuple[str, ...]], entity: str) -> tuple[str, ...]:
+    """``keyword_sets[entity]``, or a ``ValueError`` naming the entity if it is empty or repeats a keyword."""
+    words = keyword_sets[entity]
+    if not words or len(set(words)) != len(words):
+        raise ValueError(f"keyword set for {entity!r} must be non-empty with no repeats, got {words!r}")
+    return words
 
 
-def top_k_pairs(
-    keyword_sets: Mapping[str, KeywordSet], cfg: StructureConfig
-) -> list[MatchScore]:
-    """Best-matched partners per entity.
+def match_score(keyword_sets: Mapping[str, tuple[str, ...]], head: str, tail: str) -> MatchScore:
+    """Similarity of two distinct entities' keyword sets: matched count over the smaller set size."""
+    if head == tail:
+        raise ValueError(f"match_score requires distinct entities, got {head!r} twice")
+    kh, kt = _keywords(keyword_sets, head), _keywords(keyword_sets, tail)
+    matched = len(set(kh) & set(kt))
+    return MatchScore(head=head, tail=tail, score=matched / min(len(kh), len(kt)), n_matched=matched)
+
+
+def top_k_pairs(keyword_sets: Mapping[str, tuple[str, ...]], cfg: StructureConfig) -> list[MatchScore]:
+    """Best-matched partners per entity of ``keyword_sets`` (entity id -> keywords).
 
     For every entity the k highest-scoring partners are selected; ties break
     by (score descending, partner id ascending) and zero-score partners are
     never selected. Heads are processed in sorted id order, so the output is
     a pure function of the mapping contents. Candidates come from a keyword
     -> entity postings index, so the cost scales with the number of pairs
-    that share a keyword, not with the square of the entity count.
+    that share a keyword, not with the square of the entity count. An empty
+    or repeating keyword set raises ``ValueError`` naming its entity.
     """
     if cfg.k == 0:
         return []
     heads = sorted(keyword_sets)
     postings: dict[str, list[int]] = {}
     for i, head in enumerate(heads):
-        for word in keyword_sets[head].keywords:
+        for word in _keywords(keyword_sets, head):
             postings.setdefault(word, []).append(i)
     index = {word: np.array(ids) for word, ids in postings.items()}
     sizes = np.array([len(keyword_sets[head]) for head in heads])
     selected: list[MatchScore] = []
     for i, head in enumerate(heads):
-        shared = np.concatenate([index[word] for word in keyword_sets[head].keywords])
+        shared = np.concatenate([index[word] for word in keyword_sets[head]])
         tails, matched = np.unique(shared, return_counts=True)
         other = tails != i
         tails, matched = tails[other], matched[other]
@@ -181,35 +167,32 @@ def extract_structure(
     """Full structure pipeline: keywords, matching, triple synthesis.
 
     Entities with empty descriptions fall back to keyword-extracting their
-    name; entities whose response yields no keywords are flagged and excluded
-    from matching. Self-loops (when enabled) cover exactly the entities that
-    ended up with keywords.
+    name; if that is empty too, the entity's item fails with an error naming
+    ``{Entity Description}``, with no prompt hash and no backend call.
+    Entities whose response yields no keywords are flagged and excluded from
+    matching. ``bundle.keyword_sets`` holds the entities that ended up with
+    keywords, in graph order; self-loops (when enabled) cover exactly those.
     """
-    entities = list(kg.entity_name)
     prompts = []
     fallback: set[str] = set()
-    for entity in entities:
+    for entity in kg.entity_name:
         source = kg.desc_of(entity)
         if not source.strip():
             source = kg.entity_name[entity]
             fallback.add(entity)
-        prompts.append(render_keyword_prompt(source, subject_id=entity))
+        prompts.append(render_or_fail(render_keyword_prompt, source, subject_id=entity))
     bundle = AugmentationBundle(kind="structure", fingerprint=kg_fingerprint(kg))
-    keyword_sets: dict[str, KeywordSet] = {}
+    keyword_sets: dict[str, tuple[str, ...]] = {}
     for item in query_audited(bundle, gateway, prompts):
         if item.subject in fallback:
             item.flags = (NAME_FALLBACK_FLAG,)
         if item.error is not None:
             continue
         try:
-            keyword_sets[item.subject] = parse_keywords(item.response, entity=item.subject)
+            keyword_sets[item.subject] = parse_keywords(item.response)
         except KeywordParseError:
             item.flags += (NO_KEYWORDS_FLAG,)
 
-    pairs = top_k_pairs(keyword_sets, cfg)
-    triples = synthesize_triples(
-        pairs, kg, cfg, self_loop_entities=[e for e in entities if e in keyword_sets]
-    )
-    bundle.extra_triples = tuple(triples)
-    bundle.keyword_sets = {e: keyword_sets[e].keywords for e in entities if e in keyword_sets}
+    bundle.extra_triples = tuple(synthesize_triples(top_k_pairs(keyword_sets, cfg), kg, cfg, keyword_sets))
+    bundle.keyword_sets = keyword_sets
     return bundle

@@ -20,7 +20,6 @@ import numpy as np
 
 from .gateway import GenerationParams, write_fixture
 from .kg import KnowledgeGraph, Triple, write_dataset
-from .structure import KeywordSet
 from .templates import (
     MODE_ORDER,
     RelationMode,
@@ -148,12 +147,13 @@ def planted_alias_graph(
     n_alias_pairs: int = 10,
     neighbors_per_pair: int = 6,
     seed: int = 13,
-) -> tuple[KnowledgeGraph, dict[str, KeywordSet]]:
+) -> tuple[KnowledgeGraph, dict[str, tuple[str, ...]]]:
     """Graph with alias pairs plus oracle keyword sets for the aliases.
 
-    Returns the base graph and a keyword-set map ready for matching: each
-    alias pair shares one unique five-keyword set, every background entity
-    gets five keywords nobody else has. Test triples connect each alias to
+    Returns the base graph and the keyword sets ready for ``top_k_pairs``:
+    entity id -> keyword tuple, in graph order. Each alias pair shares one
+    unique five-keyword set, every background entity gets five keywords
+    nobody else has. Test triples connect each alias to
     one neighbor from its partner's training half, in the pair's relation.
     """
     if neighbors_per_pair < 2 or neighbors_per_pair % 2:
@@ -163,9 +163,8 @@ def planted_alias_graph(
     relations = ["rel_a", "rel_b", "rel_c"]
 
     entity_name: dict[str, str] = {b: f"Background {i}" for i, b in enumerate(backgrounds)}
-    keyword_sets: dict[str, KeywordSet] = {
-        b: KeywordSet(entity=b, keywords=tuple(f"bg{i}kw{j}" for j in range(5)))
-        for i, b in enumerate(backgrounds)
+    keyword_sets: dict[str, tuple[str, ...]] = {
+        b: tuple(f"bg{i}kw{j}" for j in range(5)) for i, b in enumerate(backgrounds)
     }
     alias_pairs: list[tuple[str, str]] = []
     for p in range(n_alias_pairs):
@@ -174,8 +173,7 @@ def planted_alias_graph(
         entity_name[xa] = f"Alias {p} left"
         entity_name[xb] = f"Alias {p} right"
         shared = tuple(f"pair{p}kw{j}" for j in range(5))
-        keyword_sets[xa] = KeywordSet(entity=xa, keywords=shared)
-        keyword_sets[xb] = KeywordSet(entity=xb, keywords=shared)
+        keyword_sets[xa] = keyword_sets[xb] = shared
 
     seen: set[Triple] = set()
 
@@ -221,7 +219,7 @@ def planted_alias_graph(
             valid.append(triple)
 
     entity_desc = {
-        entity: f"Synthetic node described by: {', '.join(keyword_sets[entity].keywords)}."
+        entity: f"Synthetic node described by: {', '.join(keyword_sets[entity])}."
         for entity in entity_name
     }
     kg = KnowledgeGraph(

@@ -26,7 +26,6 @@ from kgforge.harness import (
 )
 from kgforge.kg import augment_training_set
 from kgforge.structure import (
-    KeywordSet,
     StructureConfig,
     extract_structure,
     top_k_pairs,
@@ -175,10 +174,9 @@ def test_criterion_3_matching_score_law():
     for _ in range(n_pairs):
         sa = frozenset(rng.sample(vocabulary, rng.randint(1, 7)))
         sb = frozenset(rng.sample(vocabulary, rng.randint(1, 7)))
-        a = KeywordSet(entity="a", keywords=tuple(sorted(sa)))
-        b = KeywordSet(entity="b", keywords=tuple(sorted(sb)))
-        forward = match_score(a, b)
-        backward = match_score(b, a)
+        sets = {"a": tuple(sorted(sa)), "b": tuple(sorted(sb))}
+        forward = match_score(sets, "a", "b")
+        backward = match_score(sets, "b", "a")
         # Independent oracle: plain set intersection arithmetic.
         expected_matched = len(sa & sb)
         expected_score = expected_matched / min(len(sa), len(sb))
@@ -203,7 +201,7 @@ def test_criterion_4_top_k_brute_force_equivalence():
         sets = {}
         for i in range(n_entities):
             words = tuple(rng.sample(vocabulary, rng.randint(1, 7)))
-            sets[f"e{i:02d}"] = KeywordSet(entity=f"e{i:02d}", keywords=words)
+            sets[f"e{i:02d}"] = words
         k = rng.randint(1, 5)
         got = [
             (p.head, p.tail, p.score, p.n_matched)
@@ -310,9 +308,8 @@ def test_criterion_8_count_law(replay_gateway, k, self_loop):
     bundle = extract_structure(kg, gateway, cfg)
     augmented = augment_training_set(kg, bundle.extra_triples)
 
-    sets = {e: KeywordSet(entity=e, keywords=w) for e, w in bundle.keyword_sets.items()}
-    n_pairs = len(brute_force_top_k(sets, k))
-    expected = n_pairs + (len(sets) if self_loop else 0)
+    n_pairs = len(brute_force_top_k(bundle.keyword_sets, k))
+    expected = n_pairs + (len(bundle.keyword_sets) if self_loop else 0)
     assert len(augmented.train) - len(kg.train) == expected
     print(f"PASS criterion 8: count law holds for k={k} self_loop={self_loop} (+{expected})")
 

@@ -8,11 +8,12 @@ import pytest
 
 from kgforge.bundle import AugmentationBundle, FingerprintMismatchError, apply_bundles, write_json
 from kgforge.entity import expand_descriptions
+from kgforge.gateway import LlmGateway, ReplayBackend
 from kgforge.kg import FormatError, dataset_stats, kg_fingerprint, load_dataset, write_dataset
 from kgforge.relation import describe_relations
-from kgforge.structure import StructureConfig, extract_structure
+from kgforge.structure import StructureConfig, extract_structure, synthesize_triples, top_k_pairs
 from kgforge.synth import toy_graph
-from kgforge.templates import RelationMode
+from kgforge.templates import MODE_ORDER, RelationMode
 
 
 @pytest.fixture
@@ -44,6 +45,59 @@ def test_save_load_round_trip(bundles, tmp_path):
         assert loaded.extra_triples == bundle.extra_triples
         assert loaded.keyword_sets == bundle.keyword_sets
         assert loaded.items == bundle.items
+
+
+def test_loaded_structure_bundle_rederives_its_triples(bundles, tmp_path):
+    kg, cfg = toy_graph(), StructureConfig(k=1, self_loop=True)
+    loaded = AugmentationBundle.load(bundles["S"].save(tmp_path / "S"))
+    pairs = top_k_pairs(loaded.keyword_sets, cfg)
+    # keywords.json is key-sorted, so self-loops take graph order from the graph.
+    loops = [entity for entity in kg.entity_name if entity in loaded.keyword_sets]
+    assert loaded.extra_triples
+    assert tuple(synthesize_triples(pairs, kg, cfg, loops)) == loaded.extra_triples
+
+
+def run_strategy(strategy, kg, fixture_path):
+    """The bundle of one strategy over a fresh replay gateway, and the backend calls it made."""
+    gateway = LlmGateway(ReplayBackend(fixture_path))
+    if strategy == "E":
+        bundle = expand_descriptions(kg, gateway)
+    elif strategy == "R":
+        bundle = describe_relations(kg, gateway, modes=MODE_ORDER)
+    else:
+        bundle = extract_structure(kg, gateway, StructureConfig(k=1, self_loop=True))
+    return bundle, gateway.backend.calls
+
+
+@pytest.mark.parametrize("strategy", ["E", "R", "S"])
+def test_an_empty_name_fails_only_its_own_items(toy_fixture_path, strategy):
+    kg = toy_graph()
+    if strategy == "R":
+        subject, field = "/film/release_region", "{Relation Name}"
+        blank = replace(kg, relation_name={**kg.relation_name, subject: ""})
+    else:
+        subject = "/m/la"
+        field = "{Entity Name}" if strategy == "E" else "{Entity Description}"
+        # S falls back from an empty description to the name, so both are blanked.
+        desc = {e: text for e, text in kg.entity_desc.items() if e != subject}
+        blank = replace(kg, entity_name={**kg.entity_name, subject: ""}, entity_desc=desc)
+    full, full_calls = run_strategy(strategy, kg, toy_fixture_path)
+    bundle, calls = run_strategy(strategy, blank, toy_fixture_path)
+
+    assert [(i.subject, i.mode) for i in bundle.items] == [(i.subject, i.mode) for i in full.items]
+    failed = [item for item in bundle.items if item.subject == subject]
+    assert bundle.errors == failed and len(failed) == (3 if strategy == "R" else 1)
+    for item in failed:
+        assert (item.prompt_hash, item.response) == (None, None)
+        assert item.error == f"cannot fill {field} with an empty string"
+        assert item.flags == (("name fallback",) if strategy == "S" else ())
+    assert [i for i in bundle.items if i.subject != subject] == [i for i in full.items if i.subject != subject]
+    assert calls == full_calls - len(failed)
+    if strategy == "S":
+        assert subject not in bundle.keyword_sets
+        # With its description kept, an empty name changes nothing.
+        named = replace(kg, entity_name={**kg.entity_name, subject: ""})
+        assert run_strategy(strategy, named, toy_fixture_path)[0].items == full.items
 
 
 def test_load_rejects_unknown_schema_version(bundles, tmp_path):

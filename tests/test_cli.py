@@ -3,13 +3,14 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
 from kgforge.bundle import AugmentationBundle
 from kgforge.cli import main
 from kgforge.gateway import ReplayBackend
-from kgforge.kg import kg_fingerprint, load_dataset
+from kgforge.kg import kg_fingerprint, load_dataset, write_dataset
 from kgforge.synth import planted_alias_graph
 
 
@@ -112,6 +113,41 @@ def test_enrich_partial_failure_exit_codes(run_config, tmp_path, toy_fixture_pat
     assert (
         main(["enrich", "--config", str(config), "--strategy", "E", "--allow-partial"]) == 0
     )
+
+
+def test_enrich_empty_relation_name_is_a_per_item_error(run_config, tmp_path, toy_kg, capsys):
+    root = tmp_path / "blank"
+    write_dataset(replace(toy_kg, relation_name={**toy_kg.relation_name, "/film/release_region": ""}), root)
+    config = run_config(dataset={"root": str(root)})
+    args = ["enrich", "--config", str(config), "--strategy", "E", "--strategy", "R"]
+    assert main([*args, "--allow-partial"]) == 0
+    written = read_tree(tmp_path / "out")
+    assert {name.split(os.sep)[0] for name in written} == {"bundle_E", "bundle_R"}
+    audit = json.loads(written[os.path.join("bundle_R", "audit.json")])
+    assert audit["n_errors"] == 3
+    failed = [(item["subject"], item["mode"], item["prompt_hash"], item["error"]) for item in audit["items"] if item["error"]]
+    assert failed == [
+        ("/film/release_region", mode, None, "cannot fill {Relation Name} with an empty string")
+        for mode in ("global", "local", "reverse")
+    ]
+    capsys.readouterr()
+    # Without --allow-partial the same bundles are written and the run exits 1.
+    assert main(args) == 1
+    assert read_tree(tmp_path / "out") == written
+    assert capsys.readouterr().err == "enrichment finished with 3 per-item errors\n"
+
+
+def test_eval_rejects_datasets_over_different_entities(run_config, tmp_path, toy_root, toy_kg, capsys):
+    padded = tmp_path / "padded"
+    write_dataset(replace(toy_kg, entity_name={**toy_kg.entity_name, "/m/isolated": "Isolated"}), padded)
+    config = run_config()
+    out = tmp_path / "report.json"
+    args = ["eval", "--config", str(config), "--base", str(padded), "--augmented", str(toy_root), "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: base and augmented graphs must rank over the same entities\n"
+    )
+    assert not out.exists()
 
 
 def test_compose_without_bundles_copies_base(run_config, tmp_path, toy_root):
@@ -373,6 +409,5 @@ def test_fixtures_toy_and_planted(tmp_path, capsys):
     kg = load_dataset(planted_out)
     assert len(kg.entities) == 60
     _, keyword_sets = planted_alias_graph(seed=13)
-    keywords = {entity: list(ks.keywords) for entity, ks in keyword_sets.items()}
-    expected = json.dumps(keywords, indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(keyword_sets, indent=2, sort_keys=True) + "\n"
     assert (planted_out / "keywords.json").read_bytes() == expected.encode("utf-8")

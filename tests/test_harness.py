@@ -963,6 +963,19 @@ def test_ab_compare_rejects_split_mismatch():
         ab_compare(kg, other, TrainConfig(dim=8, epochs=5), n_seeds=1)
 
 
+def test_ab_compare_rejects_arms_over_different_entities():
+    # Isolated entities only on one side train nothing but lower that side's ranks.
+    kg, _ = planted_alias_graph()
+    padded = dataclasses.replace(kg, entity_name={**kg.entity_name, **{f"iso{i}": f"Isolated {i}" for i in range(5)}})
+    cfg = TrainConfig(epochs=1, seed=1)
+    for base, augmented in ((padded, kg), (kg, padded)):
+        with pytest.raises(SplitMismatchError, match="^base and augmented graphs must rank over the same entities$"):
+            ab_compare(base, augmented, cfg, n_seeds=1)
+    # The rule is on the set of entities, not their order.
+    reordered = dataclasses.replace(kg, entity_name=dict(reversed(kg.entity_name.items())))
+    assert len(ab_compare(kg, reordered, cfg, n_seeds=1).rows) == 1
+
+
 @pytest.mark.parametrize(
     "n_seeds, message",
     [

@@ -250,7 +250,7 @@ def test_every_split_row_is_a_sorted_id_position(toy_root, tmp_path):
     for relation in ("/a/same_as", "/film/m", "SameAs"):
         added = [Triple("/m/bay", relation, "/m/spielberg"), Triple("/m/la", relation, "/m/bay")]
         graphs[relation] = augment_training_set(base, added)
-        assert graphs[relation].train[-2:] == tuple(added) and graphs[relation].train[:-2] == base.train
+        assert tuple(graphs[relation].train[-2:]) == tuple(added) and graphs[relation].train[:-2] == base.train
         assert (graphs[relation].valid, graphs[relation].test) == (base.valid, base.test)
     for i, (name, kg) in enumerate(graphs.items()):
         entities, relations = sorted(kg.entities), sorted(kg.relations)
@@ -312,9 +312,9 @@ def test_lenient_warnings_follow_file_and_line_order(tmp_path):
         test="\nc\tq\tspook\n",
     )
     kg = load_dataset(tmp_path, mode="lenient")
-    assert kg.train == (Triple("b", "r", "c"),)
-    assert kg.valid == (Triple("a", "r", "b"), Triple("b", "r", "c"))
-    assert kg.test == ()
+    assert tuple(kg.train) == (Triple("b", "r", "c"),)
+    assert tuple(kg.valid) == (Triple("a", "r", "b"), Triple("b", "r", "c"))
+    assert tuple(kg.test) == ()
     assert kg.load_warnings == (
         "train.txt: triple ('a', 'r', 'ghost') references unknown entity 'ghost'",
         "train.txt: triple ('nobody', 'q', 'c') references unknown entity 'nobody', relation 'q'",
@@ -332,12 +332,12 @@ def test_split_behaves_like_the_tuple_it_replaces(toy_root, toy_kg):
     assert split[-1] == triples[-1] and split[-1].head == "/m/armageddon" and split[3].tail == "/m/spielberg"
     with pytest.raises(IndexError):
         split[12]
-    assert split[2:7] == triples[2:7] and split[::-3] == triples[::-3]
+    assert tuple(split[2:7]) == triples[2:7] and tuple(split[::-3]) == triples[::-3]
     assert isinstance(split[2:7], Split)
     assert [t.relation for t in split] == [t.relation for t in triples]
-    # Equal to tuples of the same triples and to equal splits of other graphs.
-    assert split == triples and triples == split and split == toy_kg.train
-    assert split != triples[:-1] and split != kg.valid and split != list(triples)
+    # Equal to equal splits of other graphs.
+    assert split == toy_kg.train
+    assert split != kg.valid and split != list(triples)
     reordered = replace(
         kg, entity_name=dict(reversed(kg.entity_name.items())), relation_name=dict(reversed(kg.relation_name.items()))
     )
@@ -399,10 +399,9 @@ def splits(draw):
 )
 def test_split_equality_is_that_of_its_triples(left, right):
     assert (left == right) is (right == left) is (tuple(left) == tuple(right))
-    assert (left == tuple(right)) is (tuple(left) == right) is (tuple(left) == tuple(right))
     assert left == left[:] and (left == left[1:]) is (len(left) == 0)
-    # Other tuples never raise, whatever their items.
-    others = [(("a", "r"),), (1, 2, 3)]
+    # Tuples never raise and never equal a split, not even the tuple of its own triples.
+    others = [(("a", "r"),), (1, 2, 3), tuple(left)]
     if left:
         others += [tuple(t[:2] for t in left), tuple(range(len(left)))]
     for other in others:

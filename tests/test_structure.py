@@ -1,6 +1,7 @@
 """Keyword parsing, matching score laws, top-k selection, triple synthesis."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,6 @@ from kgforge.gateway import GenerationParams, LlmGateway, ReplayBackend, write_f
 from kgforge.kg import DanglingReferenceError, Triple, augment_training_set, dataset_stats
 from kgforge.structure import (
     KeywordParseError,
-    KeywordSet,
     RelationCollisionError,
     StructureConfig,
     extract_structure,
@@ -24,18 +24,14 @@ from kgforge.synth import toy_fixture_records, toy_graph
 from kgforge.templates import render_keyword_prompt
 
 
-def kws(entity, *keywords):
-    return KeywordSet(entity=entity, keywords=tuple(keywords))
-
-
 def test_parse_enumerated_list():
     parsed = parse_keywords("1. film\n2. director\n3. action\n4. producer\n5. hollywood")
-    assert parsed.keywords == ("film", "director", "action", "producer", "hollywood")
+    assert parsed == ("film", "director", "action", "producer", "hollywood")
 
 
 def test_parse_comma_list_lowercases():
     parsed = parse_keywords("Film, Director, Action, Producer, Hollywood")
-    assert parsed.keywords == ("film", "director", "action", "producer", "hollywood")
+    assert parsed == ("film", "director", "action", "producer", "hollywood")
 
 
 def test_parse_blank_raises():
@@ -45,34 +41,41 @@ def test_parse_blank_raises():
 
 def test_parse_mixed_markers_and_dedup():
     raw = "- Film;* ACTION\n2) film\n• sci-fi."
-    assert parse_keywords(raw).keywords == ("film", "action", "sci-fi")
+    assert parse_keywords(raw) == ("film", "action", "sci-fi")
 
 
 def test_parse_keeps_multiword_keywords():
-    assert parse_keywords("north  america, west coast").keywords == ("north america", "west coast")
+    assert parse_keywords("north  america, west coast") == ("north america", "west coast")
 
 
 def test_match_score_identity():
-    a, b = kws("a", "film", "director"), kws("b", "film", "director")
-    assert match_score(a, b).score == 1.0
+    sets = {"a": ("film", "director"), "b": ("film", "director")}
+    assert match_score(sets, "a", "b").score == 1.0
 
 
 def test_match_score_three_of_five():
-    a = kws("a", "film", "director", "action", "producer", "hollywood")
-    b = kws("b", "film", "producer", "studio", "budget", "hollywood")
-    result = match_score(a, b)
+    sets = {
+        "a": ("film", "director", "action", "producer", "hollywood"),
+        "b": ("film", "producer", "studio", "budget", "hollywood"),
+    }
+    result = match_score(sets, "a", "b")
     assert result.n_matched == 3
     assert result.score == pytest.approx(3 / 5)
 
 
 def test_match_score_disjoint_and_guards():
-    assert match_score(kws("a", "x"), kws("b", "y")).score == 0.0
-    with pytest.raises(ValueError):
-        match_score(kws("a", "x"), kws("a", "y"))
-    with pytest.raises(ValueError):
-        KeywordSet(entity="e", keywords=())
-    with pytest.raises(ValueError):
-        KeywordSet(entity="e", keywords=("x", "x"))
+    assert match_score({"a": ("x",), "b": ("y",)}, "a", "b").score == 0.0
+    with pytest.raises(ValueError, match="distinct entities"):
+        match_score({"a": ("x",)}, "a", "a")
+    for bad in ((), ("x", "x")):
+        sets = {"e": bad, "f": ("x",)}
+        message = re.escape(f"keyword set for 'e' must be non-empty with no repeats, got {bad!r}")
+        for head, tail in (("e", "f"), ("f", "e")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                match_score(sets, head, tail)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                top_k_pairs(sets, StructureConfig(k=k))
 
 
 keyword_strategy = st.frozensets(st.sampled_from("abcdefghij"), min_size=1, max_size=7)
@@ -81,9 +84,8 @@ keyword_strategy = st.frozensets(st.sampled_from("abcdefghij"), min_size=1, max_
 @given(sa=keyword_strategy, sb=keyword_strategy)
 @settings(max_examples=300)
 def test_match_score_properties(sa, sb):
-    a = KeywordSet(entity="a", keywords=tuple(sorted(sa)))
-    b = KeywordSet(entity="b", keywords=tuple(sorted(sb)))
-    forward, backward = match_score(a, b), match_score(b, a)
+    sets = {"a": tuple(sorted(sa)), "b": tuple(sorted(sb))}
+    forward, backward = match_score(sets, "a", "b"), match_score(sets, "b", "a")
     assert forward.score == backward.score
     assert 0.0 <= forward.score <= 1.0
     assert forward.n_matched == len(sa & sb)
@@ -94,7 +96,7 @@ def test_match_score_properties(sa, sb):
 
 def brute_force_top_k(keyword_sets, k):
     """Independent oracle: exhaustive score-sort per head."""
-    words = {entity: set(ks.keywords) for entity, ks in keyword_sets.items()}
+    words = {entity: set(keywords) for entity, keywords in keyword_sets.items()}
     out = []
     for head in sorted(keyword_sets):
         rows = []
@@ -113,24 +115,24 @@ def brute_force_top_k(keyword_sets, k):
 
 def test_top_k_two_entities_match_third_is_silent():
     sets = {
-        "a": kws("a", "k1", "k2", "k3", "k4", "k5"),
-        "b": kws("b", "k1", "k2", "x3", "x4", "x5"),
-        "c": kws("c", "z1", "z2", "z3", "z4", "z5"),
+        "a": ("k1", "k2", "k3", "k4", "k5"),
+        "b": ("k1", "k2", "x3", "x4", "x5"),
+        "c": ("z1", "z2", "z3", "z4", "z5"),
     }
     pairs = top_k_pairs(sets, StructureConfig(k=1))
     assert [(p.head, p.tail, p.score) for p in pairs] == [("a", "b", 0.4), ("b", "a", 0.4)]
 
 
 def test_top_k_zero_returns_empty():
-    sets = {"a": kws("a", "x"), "b": kws("b", "x")}
+    sets = {"a": ("x",), "b": ("x",)}
     assert top_k_pairs(sets, StructureConfig(k=0)) == []
 
 
 def test_top_k_tie_breaks_by_partner_id():
     sets = {
-        "x": kws("x", "k1", "k2", "k3", "k4", "k5"),
-        "b": kws("b", "k1", "k2", "k3", "y4", "y5"),
-        "a": kws("a", "k1", "k2", "k3", "z4", "z5"),
+        "x": ("k1", "k2", "k3", "k4", "k5"),
+        "b": ("k1", "k2", "k3", "y4", "y5"),
+        "a": ("k1", "k2", "k3", "z4", "z5"),
     }
     pairs = top_k_pairs(sets, StructureConfig(k=1))
     chosen = {p.head: p.tail for p in pairs}
@@ -144,8 +146,7 @@ def keyword_mappings(draw):
     rng = draw(st.randoms(use_true_random=False))
     ids = rng.sample(range(10 * n + 1), n)  # sorted id order differs from insertion order
     return {
-        f"e{i}": KeywordSet(entity=f"e{i}", keywords=tuple(rng.sample("abcdefgh", rng.randint(1, 7))))
-        for i in ids
+        f"e{i}": tuple(rng.sample("abcdefgh", rng.randint(1, 7))) for i in ids
     }
 
 
@@ -161,17 +162,14 @@ def test_top_k_agrees_with_brute_force_on_random_instances(sets, data):
 def test_top_k_empty_mapping_and_single_entity():
     for k in (0, 1, 2):
         assert top_k_pairs({}, StructureConfig(k=k)) == []
-        assert top_k_pairs({"a": kws("a", "x", "y")}, StructureConfig(k=k)) == []
+        assert top_k_pairs({"a": ("x", "y")}, StructureConfig(k=k)) == []
 
 
 def test_top_k_at_fb15k237_entity_count():
     """14,541 entities, five keywords each from 2,000 words, k=3."""
     rng = random.Random(237)
     vocabulary = [f"w{i}" for i in range(2000)]
-    sets = {
-        f"/m/{i:05d}": KeywordSet(entity=f"/m/{i:05d}", keywords=tuple(rng.sample(vocabulary, 5)))
-        for i in range(14541)
-    }
+    sets = {f"/m/{i:05d}": tuple(rng.sample(vocabulary, 5)) for i in range(14541)}
     k = 3
     pairs = top_k_pairs(sets, StructureConfig(k=k))
     chosen: dict[str, list] = {}
@@ -179,14 +177,14 @@ def test_top_k_at_fb15k237_entity_count():
         chosen.setdefault(p.head, []).append((p.tail, p.score, p.n_matched))
 
     holders: dict[str, set[str]] = {}
-    for entity, kw in sets.items():
-        for word in kw.keywords:
+    for entity, words in sets.items():
+        for word in words:
             holders.setdefault(word, set()).add(entity)
-    for head, kw in sets.items():
-        n_overlapping = len(set().union(*(holders[w] for w in kw.keywords)) - {head})
+    for head, words in sets.items():
+        n_overlapping = len(set().union(*(holders[w] for w in words)) - {head})
         assert len(chosen.get(head, ())) == min(k, n_overlapping)
 
-    head_words = {head: set(kw.keywords) for head, kw in sets.items()}
+    head_words = {head: set(words) for head, words in sets.items()}
     for head in rng.sample(sorted(sets), 50):
         rows = []
         for tail, words in head_words.items():
@@ -200,10 +198,10 @@ def test_top_k_at_fb15k237_entity_count():
 def test_synthesize_counts_pairs_plus_self_loops():
     kg = toy_graph()
     sets = {
-        "/m/bay": kws("/m/bay", "k1", "k2"),
-        "/m/bryce": kws("/m/bryce", "k1", "k2"),
-        "/m/dotm": kws("/m/dotm", "q1", "q2"),
-        "/m/armageddon": kws("/m/armageddon", "q1", "q2"),
+        "/m/bay": ("k1", "k2"),
+        "/m/bryce": ("k1", "k2"),
+        "/m/dotm": ("q1", "q2"),
+        "/m/armageddon": ("q1", "q2"),
     }
     cfg = StructureConfig(k=1, self_loop=True)
     pairs = top_k_pairs(sets, cfg)
@@ -268,7 +266,7 @@ def test_extract_structure_end_to_end(replay_gateway):
     assert set(bundle.keyword_sets) == set(kg.entities)
     assert all(len(words) == 5 for words in bundle.keyword_sets.values())
 
-    sets = {e: KeywordSet(entity=e, keywords=words) for e, words in bundle.keyword_sets.items()}
+    sets = bundle.keyword_sets
     expected_pairs = brute_force_top_k(sets, cfg.k)
     n_pairs = len(expected_pairs)
     assert len(bundle.extra_triples) == n_pairs + len(sets)

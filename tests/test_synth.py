@@ -15,7 +15,7 @@ def test_planted_graph_shape_and_determinism():
     kg1, kws1 = planted_alias_graph()
     kg2, kws2 = planted_alias_graph()
     assert kg1 == kg2
-    assert {e: k.keywords for e, k in kws1.items()} == {e: k.keywords for e, k in kws2.items()}
+    assert kws1 == kws2
     stats = dataset_stats(kg1)
     assert stats.n_entities == 60
     assert stats.n_test == 20  # two cross-half queries per alias pair
@@ -25,7 +25,7 @@ def test_planted_alias_pairs_share_keywords_and_split_neighborhoods():
     kg, kws = planted_alias_graph()
     for p in range(10):
         xa, xb = f"alias{p:02d}_a", f"alias{p:02d}_b"
-        assert kws[xa].keywords == kws[xb].keywords
+        assert kws[xa] == kws[xb]
         half_a = {t.tail for t in kg.train if t.head == xa}
         half_b = {t.tail for t in kg.train if t.head == xb}
         assert half_a and half_b and not (half_a & half_b)
@@ -39,8 +39,8 @@ def test_planted_background_keywords_are_disjoint():
     backgrounds = [k for e, k in kws.items() if e.startswith("bg")]
     seen = set()
     for ks in backgrounds:
-        assert not (set(ks.keywords) & seen)
-        seen.update(ks.keywords)
+        assert not (set(ks) & seen)
+        seen.update(ks)
 
 
 def test_planted_splits_disjoint():
