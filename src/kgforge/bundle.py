@@ -17,7 +17,9 @@ On-disk layout (one directory per bundle):
 Every file is written through ``kg.write_text``; the two JSON files go through
 ``write_json``, which ``kgforge fixtures planted`` also uses for its keyword
 sets. ``load`` rejects a malformed ``audit.json`` or ``keywords.json`` with a
-``ValueError`` naming the file and the key.
+``ValueError`` naming the file and the key. Keyword lists and an item's
+``flags`` hold only strings; its ``prompt_hash``, ``response``, ``error`` and
+``mode`` are each a string or null.
 """
 
 from __future__ import annotations
@@ -78,13 +80,26 @@ def _json_object(value, where: str) -> dict:
 
 
 def _json_field(data: dict, key: str, kind: type, where: str, default=_MISSING):
-    """``data[key]`` (or ``default``) if it is a ``kind``, else a ``ValueError`` naming ``where`` and the key."""
+    """``data[key]`` (or ``default``) if it is a ``kind``, else a ``ValueError`` naming ``where`` and the key.
+
+    A key whose ``default`` is None may also hold null.
+    """
     value = data.get(key, default)
     if value is _MISSING:
         raise ValueError(f"{where}: missing key {key!r}")
-    if not isinstance(value, kind):
-        raise ValueError(f"{where}: key {key!r} must be a JSON {_JSON_TYPES[kind]}, not {type(value).__name__}")
+    if not isinstance(value, kind) and not (value is None and default is None):
+        expected = _JSON_TYPES[kind] + (" or null" if default is None else "")
+        raise ValueError(f"{where}: key {key!r} must be a JSON {expected}, not {type(value).__name__}")
     return value
+
+
+def _json_strings(data: dict, key: str, where: str, default=_MISSING) -> tuple[str, ...]:
+    """``_json_field(data, key, list, where, default)`` as a tuple; an element that is not a string is a ``ValueError`` too."""
+    values = _json_field(data, key, list, where, default)
+    for value in values:
+        if not isinstance(value, str):
+            raise ValueError(f"{where}: key {key!r} must hold only JSON strings, not {type(value).__name__}")
+    return tuple(values)
 
 
 @dataclass
@@ -99,14 +114,16 @@ class AuditItem:
     flags: tuple[str, ...] = ()
 
     @classmethod
-    def from_dict(cls, data: dict) -> "AuditItem":
+    def from_dict(cls, data, where: str) -> "AuditItem":
+        """The item ``data`` holds, or a ``ValueError`` naming ``where`` and the key."""
+        data = _json_object(data, where)
         return cls(
-            subject=data["subject"],
-            prompt_hash=data.get("prompt_hash"),
-            response=data.get("response"),
-            error=data.get("error"),
-            mode=data.get("mode"),
-            flags=tuple(data.get("flags", ())),
+            subject=_json_field(data, "subject", str, where),
+            prompt_hash=_json_field(data, "prompt_hash", str, where, default=None),
+            response=_json_field(data, "response", str, where, default=None),
+            error=_json_field(data, "error", str, where, default=None),
+            mode=_json_field(data, "mode", str, where, default=None),
+            flags=_json_strings(data, "flags", where, default=[]),
         )
 
 
@@ -167,14 +184,10 @@ class AugmentationBundle:
                 f"(expected {SCHEMA_VERSION})"
             )
         items = _json_field(audit, "items", list, where, default=[])
-        for i, item in enumerate(items):
-            _json_object(item, f"{where}: items[{i}]")
-            _json_field(item, "subject", str, f"{where}: items[{i}]")
-            _json_field(item, "flags", list, f"{where}: items[{i}]", default=[])
         bundle = cls(
             kind=_json_field(audit, "kind", str, where),
             fingerprint=_json_field(audit, "fingerprint", str, where),
-            items=[AuditItem.from_dict(item) for item in items],
+            items=[AuditItem.from_dict(item, f"{where}: items[{i}]") for i, item in enumerate(items)],
         )
         if (root / ENTITY_TEXT_FILE).is_file():
             bundle.entity_text = read_pairs(root / ENTITY_TEXT_FILE)
@@ -185,7 +198,7 @@ class AugmentationBundle:
         if (root / KEYWORDS_FILE).is_file():
             where = str(root / KEYWORDS_FILE)
             raw = _json_object(json.loads((root / KEYWORDS_FILE).read_text(encoding="utf-8")), where)
-            bundle.keyword_sets = {entity: tuple(_json_field(raw, entity, list, where)) for entity in raw}
+            bundle.keyword_sets = {entity: _json_strings(raw, entity, where) for entity in raw}
         return bundle
 
 

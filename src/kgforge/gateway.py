@@ -9,24 +9,24 @@ fixture (or persisted cache, same format) is keyed purely by content; both
 load into the same hash -> response map. ``LlmGateway.batch_query`` is the one
 way to query: it hashes each prompt once, sends each distinct miss to the
 backend, and returns an ``LlmExchange(key, response)`` or an in-place
-``GatewayError`` with the same ``key`` per prompt. Replay backends never
-touch the network and make whole pipeline runs bit-for-bit reproducible.
+``GatewayError`` with the same ``key`` per prompt. A batch owns the gateway's
+cache and cache file from lookup to result, so concurrent batches run in turn
+and the file is in prompt order at any backend concurrency. Replay backends
+never touch the network and make whole pipeline runs bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
-from numbers import Real
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .kg import require_int, write_text
+from .kg import require_finite, require_int, write_text
 
 if TYPE_CHECKING:
     import requests
@@ -72,9 +72,7 @@ class GenerationParams:
     model_id: str = "default"
 
     def __post_init__(self):
-        t = self.temperature
-        if isinstance(t, bool) or not isinstance(t, Real) or not 0 <= t < math.inf:
-            raise ValueError(f"temperature must be a finite number >= 0, got {t!r}")
+        require_finite("temperature", self.temperature)
         require_int("max_new_tokens", self.max_new_tokens, 1)
         if not isinstance(self.model_id, str):
             raise ValueError(f"model_id must be a string, got {self.model_id!r}")
@@ -163,7 +161,9 @@ class HttpBackend(Backend):
     Request body: {"model", "messages": [{"role": "user", "content": ...}],
     "temperature", "max_tokens"}; the response is read from the first
     choice's message content. Transient failures (connection errors, 429,
-    5xx) retry with exponential backoff up to ``max_retries``.
+    5xx) retry with exponential backoff up to ``max_retries``. Construction
+    checks that ``concurrency`` >= 1 and ``max_retries`` >= 0 are integers and
+    ``backoff_base`` >= 0 and ``timeout`` > 0 finite numbers.
 
     ``requests`` is imported only here, so runs that never build an
     ``HttpBackend`` never load it.
@@ -183,6 +183,8 @@ class HttpBackend(Backend):
     ):
         require_int("concurrency", concurrency, 1)
         require_int("max_retries", max_retries, 0)
+        require_finite("backoff_base", backoff_base)
+        require_finite("timeout", timeout, positive=True)
         import requests
 
         super().__init__()
@@ -286,59 +288,56 @@ class LlmGateway:
     def batch_query(self, texts: Sequence[str]) -> list[LlmExchange | GatewayError]:
         """Query many prompt texts; output order matches input order.
 
-        Each text is hashed once. Failures come back in-place as
-        :class:`GatewayError` values instead of raising, so one bad prompt
-        never sinks the batch. Duplicate prompts cost a single backend call.
+        Each text is hashed once, and each distinct miss costs one backend
+        call. Failures come back in-place as :class:`GatewayError` values
+        instead of raising, so one bad prompt never sinks the batch. A batch
+        holds the gateway from lookup to result, so concurrent batches run in turn.
         """
         keys = [prompt_key(text, self.params) for text in texts]
         with self._lock:
             misses = {key: text for key, text in zip(keys, texts) if key not in self._cache}
-        failures = self._fetch(misses)
-
-        with self._lock:
+            failures = self._fetch(misses) if misses else {}
             return [
                 failures[key] if key in failures else LlmExchange(key, self._cache[key])
                 for key in keys
             ]
 
     def _fetch(self, misses: dict[str, str]) -> dict[str, GatewayError]:
-        """Send each key -> text miss to the backend and cache its response.
+        """Send each key -> text miss to the backend; return the failures by key.
 
-        A persisted cache is opened once per call that has misses, after its
-        directory is created; each line is flushed as it is written, so a crash mid-batch leaves only
-        complete, replayable lines. Returns the failures by key, each
-        carrying its key.
+        Pool workers only call the backend. This thread stores the responses
+        in miss order and appends each to the persisted cache as one flushed
+        line, so the file is in prompt order and a crash leaves only complete,
+        replayable lines. The file is opened once, after its directory is made.
         """
-        if not misses:
-            return {}
-        if self._cache_path:
-            self._cache_path.parent.mkdir(parents=True, exist_ok=True)
-        with (
-            self._cache_path.open("a", encoding="utf-8", newline="\n")
-            if self._cache_path
-            else nullcontext()
-        ) as sink:
 
-            def fetch(item: tuple[str, str]) -> GatewayError | None:
-                key, text = item
-                try:
-                    response = self.backend.generate(text, self.params)
-                except GatewayError as exc:
-                    exc.key = key
-                    return exc
-                with self._lock:
-                    self._cache[key] = response
-                    if sink is not None:
-                        sink.write(_record_line(key, text, self.params, response))
-                        sink.flush()
-                return None
+        def generate(item: tuple[str, str]) -> str | GatewayError:
+            key, text = item
+            try:
+                return self.backend.generate(text, self.params)
+            except GatewayError as exc:
+                exc.key = key
+                return exc
 
-            workers = max(1, self.backend.concurrency)
-            if workers == 1:
-                outcomes = [fetch(item) for item in misses.items()]
+        failures: dict[str, GatewayError] = {}
+        with ExitStack() as stack:
+            sink = None
+            if self._cache_path:
+                self._cache_path.parent.mkdir(parents=True, exist_ok=True)
+                sink = stack.enter_context(self._cache_path.open("a", encoding="utf-8", newline="\n"))
+            if self.backend.concurrency == 1:
+                outcomes = map(generate, misses.items())
             else:
                 from concurrent.futures import ThreadPoolExecutor
 
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(fetch, misses.items()))
-        return {key: exc for key, exc in zip(misses, outcomes) if exc is not None}
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=self.backend.concurrency))
+                outcomes = pool.map(generate, misses.items())
+            for (key, text), outcome in zip(misses.items(), outcomes):
+                if isinstance(outcome, GatewayError):
+                    failures[key] = outcome
+                    continue
+                self._cache[key] = outcome
+                if sink is not None:
+                    sink.write(_record_line(key, text, self.params, outcome))
+                    sink.flush()
+        return failures

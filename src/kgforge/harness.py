@@ -28,14 +28,13 @@ seed reproduces embeddings bit for bit.
 from __future__ import annotations
 
 import json
-import math
 import statistics
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kg import SPLITS, KnowledgeGraph, Triple, _index_rows, _positions, kg_fingerprint, require_int
+from .kg import SPLITS, KnowledgeGraph, Triple, _index_rows, _positions, kg_fingerprint, require_finite, require_int
 
 MODEL_KINDS = ("transe", "distmult")
 METRICS = ("mr", "mrr", "hits1", "hits3", "hits10")
@@ -64,9 +63,7 @@ class TrainConfig:
             require_int(name, getattr(self, name), 1)
         require_int("seed", self.seed, 0)
         for name in ("learning_rate", "margin"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not 0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+            require_finite(name, getattr(self, name), positive=True)
         if isinstance(self.norm, bool) or self.norm not in (1, 2):
             raise ValueError(f"norm must be 1 or 2, got {self.norm!r}")
 

@@ -58,11 +58,13 @@ construction; build a changed graph with ``replace``.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 from collections.abc import Iterable, Iterator, KeysView, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, cycle, repeat
+from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
 
@@ -97,6 +99,12 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_finite(name: str, value, positive: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a finite real number (not bool) >= 0, or > 0 if ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < math.inf or (positive and not value):
+        raise ValueError(f"{name} must be a finite number {'> 0' if positive else '>= 0'}, got {value!r}")
 
 
 class DatasetError(Exception):

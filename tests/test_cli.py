@@ -231,9 +231,15 @@ def _without(data, key):
         ("audit.json", lambda audit: {**audit, "items": [_without(audit["items"][0], "subject")]}, "'subject'"),
         ("audit.json", lambda audit: {**audit, "items": ["an item"]}, "items[0]"),
         ("audit.json", lambda audit: {**audit, "items": [{**audit["items"][0], "flags": 3}]}, "'flags'"),
+        ("audit.json", lambda audit: {**audit, "items": [{**audit["items"][0], "flags": ["ok", None]}]}, "'flags'"),
+        ("audit.json", lambda audit: {**audit, "items": [{**audit["items"][0], "error": 5}]}, "'error'"),
+        ("audit.json", lambda audit: {**audit, "items": [{**audit["items"][0], "mode": ["m"]}]}, "'mode'"),
+        ("audit.json", lambda audit: {**audit, "items": [{**audit["items"][0], "prompt_hash": 7}]}, "'prompt_hash'"),
+        ("audit.json", lambda audit: {**audit, "items": [{**audit["items"][0], "response": {}}]}, "'response'"),
         ("audit.json", lambda audit: {**audit, "fingerprint": 7}, "'fingerprint'"),
         ("keywords.json", lambda keywords: list(keywords), "not list"),
         ("keywords.json", lambda keywords: dict.fromkeys(keywords, 5), "must be a JSON array"),
+        ("keywords.json", lambda keywords: {**keywords, min(keywords): ["ok", 1]}, "must hold only JSON strings"),
     ],
     ids=[
         "no-kind",
@@ -241,9 +247,15 @@ def _without(data, key):
         "no-subject",
         "item-not-object",
         "flags-not-list",
+        "flag-not-string",
+        "error-not-string",
+        "mode-not-string",
+        "prompt-hash-not-string",
+        "response-not-string",
         "fingerprint-not-string",
         "keywords-list",
         "keyword-set-not-list",
+        "keyword-not-string",
     ],
 )
 def test_compose_rejects_malformed_bundle_in_one_line(run_config, tmp_path, capsys, file_name, corrupt, named):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -298,17 +299,20 @@ def test_crash_mid_batch_leaves_complete_replayable_cache_lines(tmp_path):
     params = GenerationParams()
     prompts = [f"p{i}" for i in range(5)]
     responses = {p: f"r-{p}" for p in prompts}
-    cache_path = tmp_path / "cache.jsonl"
-    crashing = FailingBackend(responses, "p2", RuntimeError("backend crashed"))
-    with pytest.raises(RuntimeError, match="backend crashed"):
-        LlmGateway(crashing, params=params, cache_path=cache_path).batch_query(prompts)
-    assert cache_path.read_text(encoding="utf-8").endswith("\n")
-    assert read_fixture(cache_path) == {prompt_key(p, params): f"r-{p}" for p in prompts[:2]}
-    # A re-run resumes from the cache and fetches only what the crash lost.
-    resumed = ScriptedBackend(responses)
-    results = LlmGateway(resumed, params=params, cache_path=cache_path).batch_query(prompts)
-    assert [r.response for r in results] == [f"r-{p}" for p in prompts]
-    assert resumed.calls == 3
+    for concurrency in (1, 4):
+        cache_path = tmp_path / f"cache-{concurrency}.jsonl"
+        crashing = FailingBackend(responses, "p2", RuntimeError("backend crashed"))
+        crashing.concurrency = concurrency
+        with pytest.raises(RuntimeError, match="backend crashed"):
+            LlmGateway(crashing, params=params, cache_path=cache_path).batch_query(prompts)
+        assert cache_path.read_text(encoding="utf-8").endswith("\n")
+        # Responses are stored in prompt order, so only those before the crash are kept.
+        assert read_fixture(cache_path) == {prompt_key(p, params): f"r-{p}" for p in prompts[:2]}
+        # A re-run resumes from the cache and fetches only what the crash lost.
+        resumed = ScriptedBackend(responses)
+        results = LlmGateway(resumed, params=params, cache_path=cache_path).batch_query(prompts)
+        assert [r.response for r in results] == [f"r-{p}" for p in prompts]
+        assert resumed.calls == 3
 
 
 def test_batch_hashes_each_prompt_once(tmp_path, monkeypatch):
@@ -355,6 +359,57 @@ def test_threaded_batch_fetches_and_stores_each_miss_once(tmp_path):
     assert backend.calls == len(prompts)
     assert cache_path.read_text(encoding="utf-8").count("\n") == len(prompts)
     assert read_fixture(cache_path) == {prompt_key(p, gateway.params): f"r-{p}" for p in prompts}
+
+
+class DelayedEchoBackend(EchoBackend):
+    """Echo backend that sleeps ``delays[prompt]`` seconds before answering."""
+
+    def __init__(self, delays, concurrency):
+        super().__init__()
+        self.delays = delays
+        self.concurrency = concurrency
+
+    def generate(self, prompt_text, params):
+        time.sleep(self.delays[prompt_text])
+        return super().generate(prompt_text, params)
+
+
+def test_concurrent_batches_send_each_prompt_once(tmp_path):
+    prompts = ["p0", "p1"]
+    backend = DelayedEchoBackend(dict.fromkeys(prompts, 0.1), concurrency=1)
+    cache_path = tmp_path / "cache.jsonl"
+    gateway = LlmGateway(backend, cache_path=cache_path)
+    start = threading.Barrier(2)
+    results = []
+
+    def run():
+        start.wait(timeout=10)
+        results.append(gateway.batch_query(prompts))
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert [[r.response for r in batch] for batch in results] == [["r-p0", "r-p1"]] * 2
+    assert backend.calls == len(prompts)
+    fixture_path = tmp_path / "fx.jsonl"
+    write_fixture(fixture_path, [(p, gateway.params, f"r-{p}") for p in prompts])
+    assert cache_path.read_bytes() == fixture_path.read_bytes()
+
+
+def test_threaded_cache_file_is_in_prompt_order(tmp_path):
+    prompts = [f"p{i}" for i in range(4)]
+    # Later prompts answer sooner, so the backend finishes in reverse prompt order.
+    backend = DelayedEchoBackend({p: 0.05 * (len(prompts) - i) for i, p in enumerate(prompts)}, concurrency=4)
+    cache_path = tmp_path / "cache.jsonl"
+    gateway = LlmGateway(backend, cache_path=cache_path)
+    results = gateway.batch_query(prompts)
+    assert [r.response for r in results] == [f"r-{p}" for p in prompts]
+    fixture_path = tmp_path / "fx.jsonl"
+    write_fixture(fixture_path, [(p, gateway.params, f"r-{p}") for p in prompts])
+    assert cache_path.read_bytes() == fixture_path.read_bytes()
 
 
 def test_unicode_line_separators_round_trip(tmp_path):
@@ -519,12 +574,28 @@ def test_http_backend_gives_up_after_retries(chat_server):
         ({"concurrency": 0}, "concurrency must be >= 1, got 0"),
         ({"max_retries": -1}, "max_retries must be >= 0, got -1"),
         ({"concurrency": 1.5}, "concurrency must be an integer, got 1.5"),
+        ({"backoff_base": -1}, "backoff_base must be a finite number >= 0, got -1"),
+        ({"backoff_base": math.nan}, "backoff_base must be a finite number >= 0, got nan"),
+        ({"backoff_base": "0.5"}, "backoff_base must be a finite number >= 0, got '0.5'"),
+        ({"timeout": 0}, "timeout must be a finite number > 0, got 0"),
+        ({"timeout": -1}, "timeout must be a finite number > 0, got -1"),
+        ({"timeout": math.inf}, "timeout must be a finite number > 0, got inf"),
     ],
-    ids=["concurrency-0", "max-retries-negative", "concurrency-float"],
+    ids=[
+        "concurrency-0",
+        "max-retries-negative",
+        "concurrency-float",
+        "backoff-negative",
+        "backoff-nan",
+        "backoff-string",
+        "timeout-0",
+        "timeout-negative",
+        "timeout-inf",
+    ],
 )
 def test_http_backend_rejects_bad_arguments_before_any_request(chat_server, kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        HttpBackend(chat_server, backoff_base=0.01, **kwargs).generate("never", GenerationParams())
+        HttpBackend(chat_server, **{"backoff_base": 0.01, **kwargs}).generate("never", GenerationParams())
     assert _ChatHandler.seen_payloads == []
 
 

@@ -2,7 +2,8 @@
 
 Every artifact goes through ``kg.write_text``; ``bundle.write_json`` streams its
 JSON into it. The gateway's cache append in ``LlmGateway._fetch`` is the one
-other writer, because it flushes each record as the backend answers.
+other writer, because it flushes each record, in prompt order, as the batch
+stores it.
 """
 
 import ast
