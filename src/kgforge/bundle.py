@@ -1,9 +1,12 @@
 """Augmentation bundles: the serializable output of one enrichment run.
 
-A bundle holds replacement texts (entity descriptions, relation texts) and/or
-extra training triples, plus an audit trail of every LLM exchange behind them.
-Bundles embed a fingerprint of the base dataset so stale bundles cannot be
-composed onto a different graph.
+A bundle's kind says what it changes, and it carries only that payload: an
+entity bundle replacement descriptions, a relation bundle relation texts, a
+structure bundle extra training triples and the keyword sets behind them.
+Every bundle also holds an audit trail of every LLM exchange behind it and a
+fingerprint of the base dataset, so stale bundles cannot be composed onto a
+different graph. A bundle built or loaded with another kind's non-empty
+payload, such as a stray payload file, is a ``ValueError``.
 
 On-disk layout (one directory per bundle):
 
@@ -34,8 +37,8 @@ from .gateway import GatewayError, LlmGateway
 from .kg import (
     KnowledgeGraph,
     Triple,
+    _derived,
     _triple_blocks,
-    augment_training_set,
     kg_fingerprint,
     pair_lines,
     read_pairs,
@@ -53,6 +56,8 @@ AUDIT_FILE = "audit.json"
 SCHEMA_VERSION = 1
 
 KINDS = ("entity", "relation", "structure")
+#: The kind whose bundles alone may carry each payload field.
+_PAYLOAD_KIND = {"entity_text": "entity", "relation_text": "relation", "extra_triples": "structure", "keyword_sets": "structure"}
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string"}
 _MISSING = object()
@@ -140,6 +145,9 @@ class AugmentationBundle:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"bundle kind must be one of {KINDS}, got {self.kind!r}")
+        for name, kind in _PAYLOAD_KIND.items():
+            if kind != self.kind and getattr(self, name):
+                raise ValueError(f"{self.kind} bundle carries {name}; only {kind} bundles carry it")
 
     @property
     def errors(self) -> list[AuditItem]:
@@ -183,23 +191,22 @@ class AugmentationBundle:
                 f"unsupported bundle schema_version {version!r} in {audit_path} "
                 f"(expected {SCHEMA_VERSION})"
             )
+        kind = _json_field(audit, "kind", str, where)
+        fingerprint = _json_field(audit, "fingerprint", str, where)
         items = _json_field(audit, "items", list, where, default=[])
-        bundle = cls(
-            kind=_json_field(audit, "kind", str, where),
-            fingerprint=_json_field(audit, "fingerprint", str, where),
-            items=[AuditItem.from_dict(item, f"{where}: items[{i}]") for i, item in enumerate(items)],
-        )
+        items = [AuditItem.from_dict(item, f"{where}: items[{i}]") for i, item in enumerate(items)]
+        payload = {}
         if (root / ENTITY_TEXT_FILE).is_file():
-            bundle.entity_text = read_pairs(root / ENTITY_TEXT_FILE)
+            payload["entity_text"] = read_pairs(root / ENTITY_TEXT_FILE)
         if (root / RELATION_TEXT_FILE).is_file():
-            bundle.relation_text = read_pairs(root / RELATION_TEXT_FILE)
+            payload["relation_text"] = read_pairs(root / RELATION_TEXT_FILE)
         if (root / TRIPLES_FILE).is_file():
-            bundle.extra_triples = tuple(map(Triple._make, read_triples(root / TRIPLES_FILE)))
+            payload["extra_triples"] = tuple(map(Triple._make, read_triples(root / TRIPLES_FILE)))
         if (root / KEYWORDS_FILE).is_file():
             where = str(root / KEYWORDS_FILE)
             raw = _json_object(json.loads((root / KEYWORDS_FILE).read_text(encoding="utf-8")), where)
-            bundle.keyword_sets = {entity: _json_strings(raw, entity, where) for entity in raw}
-        return bundle
+            payload["keyword_sets"] = {entity: _json_strings(raw, entity, where) for entity in raw}
+        return cls(kind, fingerprint, items=items, **payload)
 
 
 def render_or_fail(render: Callable[..., RenderedPrompt], *args, subject_id: str) -> RenderedPrompt | AuditItem:
@@ -248,16 +255,14 @@ def query_audited(
     return items
 
 
-def apply_bundles(
-    kg: KnowledgeGraph, bundles: Sequence[AugmentationBundle]
-) -> KnowledgeGraph:
-    """Compose bundles onto a base graph.
+def apply_bundles(kg: KnowledgeGraph, bundles: Sequence[AugmentationBundle]) -> KnowledgeGraph:
+    """Compose bundles onto a base graph: all their texts and triples, in one construction.
 
-    Application order is fixed (entity texts, then relation texts, then extra
-    train triples) so composing the same set of bundles in any argument order
-    yields an identical graph. That holds only with at most one bundle per
-    kind, so two bundles of one kind raise ``ValueError``. Every bundle must
-    carry the base graph's fingerprint.
+    Each kind changes only its own payload, so with at most one bundle per
+    kind the result does not depend on argument order; two bundles of one
+    kind raise ``ValueError``. Every bundle must carry the base graph's
+    fingerprint and name only its ids. Like ``augment_training_set``, the
+    result keeps the base's ``load_warnings``.
     """
     kinds = [bundle.kind for bundle in bundles]
     for kind in KINDS:
@@ -270,27 +275,18 @@ def apply_bundles(
                 f"{bundle.kind} bundle was built from fingerprint {bundle.fingerprint[:12]}..., "
                 f"base dataset has {base_fp[:12]}..."
             )
-
-    ordered = sorted(bundles, key=lambda b: KINDS.index(b.kind))
-    result = kg
-    for bundle in ordered:
-        if bundle.entity_text:
-            desc = dict(result.entity_desc)
-            for entity, text in bundle.entity_text.items():
-                if entity not in result.entities:
-                    raise FingerprintMismatchError(f"bundle text for unknown entity {entity!r}")
-                if text:
-                    desc[entity] = text
-                else:
-                    desc.pop(entity, None)
-            result = replace(result, entity_desc=desc)
-        if bundle.relation_text:
-            names = dict(result.relation_name)
-            for relation, text in bundle.relation_text.items():
-                if relation not in result.relations:
-                    raise FingerprintMismatchError(f"bundle text for unknown relation {relation!r}")
-                names[relation] = text
-            result = replace(result, relation_name=names)
-        if bundle.extra_triples:
-            result = augment_training_set(result, bundle.extra_triples)
-    return result
+    desc, names, triples = dict(kg.entity_desc), dict(kg.relation_name), []
+    for bundle in bundles:
+        for entity, text in bundle.entity_text.items():
+            if entity not in kg.entity_name:
+                raise FingerprintMismatchError(f"bundle text for unknown entity {entity!r}")
+            if text:
+                desc[entity] = text
+            else:
+                desc.pop(entity, None)
+        for relation, text in bundle.relation_text.items():
+            if relation not in kg.relation_name:
+                raise FingerprintMismatchError(f"bundle text for unknown relation {relation!r}")
+            names[relation] = text
+        triples += bundle.extra_triples
+    return _derived(kg, desc, names, triples)

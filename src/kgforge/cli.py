@@ -41,13 +41,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_enrich(args: argparse.Namespace) -> int:
-    flags = {
-        "structure.k": args.k,
-        "structure.self_loop": args.self_loop,
-        "entity.budget_tokens": args.budget_tokens,
-        "relation.modes": None if args.modes is None else args.modes.split(","),
-    }
-    cfg = load_config(args.config, {key: value for key, value in flags.items() if value is not None})
+    # Each config flag's dest is its dotted config key.
+    flags = {key: value for key, value in vars(args).items() if "." in key and value is not None}
+    cfg = load_config(args.config, flags)
 
     strategies = list(dict.fromkeys(args.strategy))
     gateway = build_gateway(cfg.gateway)
@@ -139,12 +135,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="strategy to run (repeatable): E entity text, R relation text, S structure",
     )
     p_enrich.add_argument("--out", help="output directory (default: config output_dir)")
-    p_enrich.add_argument("--k", type=int, help="structure.k (top-k), over the config file's value")
+    p_enrich.add_argument("--k", dest="structure.k", type=int, help="structure.k (top-k), over the config file's value")
     p_enrich.add_argument(
-        "--self-loop", action="store_true", default=None, help="structure.self_loop: true, over the config file's value"
+        "--self-loop",
+        dest="structure.self_loop",
+        action="store_true",
+        default=None,
+        help="structure.self_loop: true, over the config file's value",
     )
-    p_enrich.add_argument("--budget-tokens", type=int, help="entity.budget_tokens, over the config file's value")
-    p_enrich.add_argument("--modes", help="relation.modes, comma-separated, over the config file's value")
+    p_enrich.add_argument(
+        "--budget-tokens", dest="entity.budget_tokens", type=int, help="entity.budget_tokens, over the config file's value"
+    )
+    p_enrich.add_argument(
+        "--modes",
+        dest="relation.modes",
+        type=lambda text: text.split(","),
+        help="relation.modes, comma-separated, over the config file's value",
+    )
     p_enrich.add_argument(
         "--allow-partial", action="store_true", help="exit 0 even with per-item errors"
     )

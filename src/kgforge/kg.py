@@ -46,7 +46,8 @@ or triples, as tab-separated lines.
 
 ``write_text`` is the one writer of text artifacts: datasets, bundle files
 (``bundle.write_json`` for their JSON), A/B reports and replay fixtures all go
-through it, as UTF-8 with LF endings, into a directory it creates.
+through it, as UTF-8 with LF endings, into a directory it creates. It writes
+each file whole or not at all, through a temporary file it moves into place.
 
 A graph caches one derived value, its fingerprint, computed on first use and
 held outside its fields. ``==``, ``repr``, ``asdict`` and ``replace`` see
@@ -60,6 +61,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import os
 from collections.abc import Iterable, Iterator, KeysView, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -511,21 +513,24 @@ def augment_training_set(kg: KnowledgeGraph, triples: Sequence[Triple]) -> Knowl
 
     Relations introduced by the new triples are registered with their id as
     display text, after the existing ones in ``relation_name``. A triple
-    referencing an unknown entity raises ``DanglingReferenceError``.
+    referencing an unknown entity raises ``DanglingReferenceError``. The
+    graph is built in one construction and, like every derived graph, keeps
+    the base's ``load_warnings``: it still lacks what loading the base dropped.
     """
-    if not triples:
-        return kg
-    relation_name = dict(kg.relation_name)
-    for triple in triples:
-        relation_name.setdefault(triple.relation, triple.relation)
+    return _derived(kg, kg.entity_desc, kg.relation_name, triples)
+
+
+def _derived(kg: KnowledgeGraph, desc: dict[str, str], names: dict[str, str], triples: Sequence[Triple]) -> KnowledgeGraph:
+    """``augment_training_set(kg, triples)`` over these descriptions and relation names (the base's, in its order)."""
+    names = names | {triple.relation: triple.relation for triple in triples if triple.relation not in names}
     # The new relations follow the base table; construction sorts them in.
-    entities, relations = kg.train.entities, kg.train.relations + tuple(relation_name)[len(kg.relation_name) :]
+    entities, relations = kg.train.entities, kg.train.relations + tuple(names)[len(kg.relation_name) :]
     try:
         extras = _index_rows(*_positions(entities, relations), triples)
     except KeyError as err:
         raise DanglingReferenceError(f"train split references {err.args[0]}") from None
     train = Split(np.concatenate((kg.train.rows, extras)), entities, relations)
-    return replace(kg, relation_name=relation_name, train=train, load_warnings=())
+    return replace(kg, entity_desc=desc, relation_name=names, train=train)
 
 
 def pair_lines(rows: Iterable[Sequence[str]]) -> str:
@@ -593,12 +598,20 @@ def write_text(path: str | Path, texts: Iterable[str]) -> None:
     """Write the strings to ``path`` as UTF-8 with LF endings, creating its directory.
 
     Each string is written as it comes, so a generator of blocks is never
-    held whole.
+    held whole. They go to a temporary file beside ``path`` that then
+    replaces it, so a failure partway leaves the old file, or none, and no
+    temporary file. A new file gets the permissions ``open(path, "w")``
+    gives.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as out:
-        out.writelines(texts)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with partial.open("w", encoding="utf-8", newline="\n") as out:
+            out.writelines(texts)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def kg_fingerprint(kg: KnowledgeGraph) -> str:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,16 @@ import pytest
 from kgforge.bundle import AugmentationBundle, FingerprintMismatchError, apply_bundles, write_json
 from kgforge.entity import expand_descriptions
 from kgforge.gateway import LlmGateway, ReplayBackend
-from kgforge.kg import FormatError, dataset_stats, kg_fingerprint, load_dataset, write_dataset
+from kgforge.kg import (
+    FormatError,
+    KnowledgeGraph,
+    Triple,
+    augment_training_set,
+    dataset_stats,
+    kg_fingerprint,
+    load_dataset,
+    write_dataset,
+)
 from kgforge.relation import describe_relations
 from kgforge.structure import StructureConfig, extract_structure, synthesize_triples, top_k_pairs
 from kgforge.synth import toy_graph
@@ -185,3 +195,85 @@ def test_composed_dataset_round_trips_through_disk(bundles, tmp_path):
     reloaded = load_dataset(out)
     assert dataset_stats(reloaded) == dataset_stats(composed)
     assert kg_fingerprint(reloaded) == kg_fingerprint(composed)
+
+
+#: The one kind that may carry each payload field, and a value for it over the toy graph.
+PAYLOADS = {
+    "entity_text": ("entity", {"/m/bay": "A director."}),
+    "relation_text": ("relation", {"/film/directed_by": "is directed by"}),
+    "extra_triples": ("structure", (Triple("/m/bay", "SameAs", "/m/la"),)),
+    "keyword_sets": ("structure", {"/m/bay": ("film",)}),
+}
+
+
+@pytest.mark.parametrize(
+    ("kind", "name"),
+    [(kind, name) for kind in ("entity", "relation", "structure") for name, (owner, _) in PAYLOADS.items() if owner != kind],
+)
+def test_a_bundle_with_another_kinds_payload_is_rejected(kind, name):
+    owner, value = PAYLOADS[name]
+    assert getattr(AugmentationBundle(owner, "f", **{name: value}), name) == value
+    with pytest.raises(ValueError, match=f"^{kind} bundle carries {name}; only {owner} bundles carry it$"):
+        AugmentationBundle(kind, "f", **{name: value})
+
+
+@pytest.mark.parametrize(
+    ("key", "file_name", "content", "name"),
+    [
+        ("E", "extra_triples.tsv", "/m/bay\tSameAs\t/m/la\n", "extra_triples"),
+        ("E", "keywords.json", '{"/m/bay": ["film"]}', "keyword_sets"),
+        ("R", "entity_text.tsv", "/m/bay\tA director.\n", "entity_text"),
+        ("S", "relation_text.tsv", "/film/directed_by\tis directed by\n", "relation_text"),
+    ],
+    ids=["E-extra_triples", "E-keywords", "R-entity_text", "S-relation_text"],
+)
+def test_load_rejects_a_stray_payload_file(bundles, tmp_path, key, file_name, content, name):
+    out = bundles[key].save(tmp_path / key)
+    (out / file_name).write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{bundles[key].kind} bundle carries {name}; "):
+        AugmentationBundle.load(out)
+
+
+def test_apply_constructs_one_graph(bundles, monkeypatch):
+    kg, built = toy_graph(), []
+    post_init = KnowledgeGraph.__post_init__
+
+    def counted(graph):
+        built.append(graph)
+        post_init(graph)
+
+    monkeypatch.setattr(KnowledgeGraph, "__post_init__", counted)
+    composed = apply_bundles(kg, [bundles["E"], bundles["R"], bundles["S"]])
+    assert len(built) == 1 and built[0] is composed
+
+
+@pytest.mark.parametrize(
+    ("kind", "payload", "message"),
+    [
+        ("entity", {"entity_text": {"/m/ghost": "x"}}, "bundle text for unknown entity '/m/ghost'"),
+        # SameAs is new in the structure bundle; a text may name only base ids.
+        ("relation", {"relation_text": {"SameAs": "x"}}, "bundle text for unknown relation 'SameAs'"),
+    ],
+)
+def test_apply_rejects_a_text_for_an_unknown_id(bundles, kind, payload, message):
+    kg = toy_graph()
+    bundle = AugmentationBundle(kind, kg_fingerprint(kg), **payload)
+    for order in ([bundle, bundles["S"]], [bundles["S"], bundle]):
+        with pytest.raises(FingerprintMismatchError, match=f"^{re.escape(message)}$"):
+            apply_bundles(kg, order)
+
+
+def test_derived_graphs_keep_the_base_load_warnings(tmp_path):
+    write_dataset(toy_graph(), tmp_path)
+    with (tmp_path / "train.txt").open("a", encoding="utf-8") as fh:
+        fh.write("/m/ghost\t/film/directed_by\t/m/bay\n")
+    kg = load_dataset(tmp_path, mode="lenient")
+    assert len(kg.load_warnings) == 1
+    fingerprint = kg_fingerprint(kg)
+    # One bundle per kind: entity text, relation text and extra triples.
+    payloads = list(PAYLOADS.items())[:3]
+    bundles = [AugmentationBundle(owner, fingerprint, **{name: value}) for name, (owner, value) in payloads]
+    derived = [augment_training_set(kg, PAYLOADS["extra_triples"][1]), apply_bundles(kg, []), apply_bundles(kg, bundles)]
+    derived += [apply_bundles(kg, [bundle]) for bundle in bundles]
+    for graph in derived:
+        assert graph.load_warnings == kg.load_warnings

@@ -272,6 +272,18 @@ def test_compose_rejects_malformed_bundle_in_one_line(run_config, tmp_path, caps
     assert not out.exists()
 
 
+def test_compose_rejects_a_stray_payload_file_in_one_line(run_config, tmp_path, capsys):
+    config = run_config()
+    assert main(["enrich", "--config", str(config), "--strategy", "E"]) == 0
+    bundle_dir = tmp_path / "out" / "bundle_E"
+    (bundle_dir / "extra_triples.tsv").write_text("/m/bay\tSameAs\t/m/la\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "never"
+    assert main(["compose", "--config", str(config), "--bundle", str(bundle_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: entity bundle carries extra_triples; only structure bundles carry it\n"
+    assert not out.exists()
+
+
 def test_eval_identical_datasets_zero_delta(run_config, tmp_path, toy_root, capsys):
     config = run_config()
     report_path = tmp_path / "report.json"
@@ -319,6 +331,13 @@ def test_config_validation_failures(tmp_path, toy_root, capsys):
         encoding="utf-8",
     )
     assert main(["enrich", "--config", str(missing_fixture), "--strategy", "E"]) == 2
+
+
+def test_enrich_help_names_each_flag_key(capsys):
+    assert main(["enrich", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    for key in ("structure.k", "structure.self_loop", "entity.budget_tokens", "relation.modes"):
+        assert key in help_text
 
 
 @pytest.mark.parametrize(

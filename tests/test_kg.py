@@ -114,6 +114,29 @@ def test_write_text_creates_its_directory_and_writes_utf8_with_lf(tmp_path):
     assert path.read_bytes() == "é\tx\ny\n".encode("utf-8")
 
 
+def test_write_text_failing_partway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n", encoding="utf-8")
+
+    def texts():
+        yield "new part\n"
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        write_text(path, texts())
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    write_text(path, ["new\n"])
+    assert path.read_text(encoding="utf-8") == "new\n" and os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_text_gives_a_new_file_the_permissions_of_open(tmp_path):
+    with open(tmp_path / "plain.txt", "w"):
+        pass
+    write_text(tmp_path / "new.txt", ["x\n"])
+    assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
 def test_read_pairs_maps_ids_to_texts_in_file_order(tmp_path):
     path = tmp_path / "pairs.txt"
     path.write_text("z\tlast letter\na\tfirst\n\nm\t\n", encoding="utf-8")
@@ -200,17 +223,15 @@ def test_derived_graphs_fingerprint_like_their_reloaded_files(tmp_path, toy_root
     base_fp = kg_fingerprint(base)
     base_rows = base.train.rows
     extra = [Triple("/m/bay", "SameAs", "/m/spielberg")]
-    bundle = AugmentationBundle(
-        kind="structure",
-        fingerprint=base_fp,
-        entity_text={"/m/la": "A city on the Pacific coast."},
-        relation_text={"/film/directed_by": "is directed by"},
-        extra_triples=extra,
-    )
+    bundles = [
+        AugmentationBundle(kind="entity", fingerprint=base_fp, entity_text={"/m/la": "A city on the Pacific coast."}),
+        AugmentationBundle(kind="relation", fingerprint=base_fp, relation_text={"/film/directed_by": "is directed by"}),
+        AugmentationBundle(kind="structure", fingerprint=base_fp, extra_triples=extra),
+    ]
     derived = {
         "replace": replace(base, test=base.test[:1]),
         "augment": augment_training_set(base, extra),
-        "apply": apply_bundles(base, [bundle]),
+        "apply": apply_bundles(base, bundles),
     }
     for name, kg in derived.items():
         write_dataset(kg, tmp_path / name)
@@ -227,12 +248,12 @@ def test_every_split_row_is_a_sorted_id_position(toy_root, tmp_path):
     # base rows' relation column, or leave it.
     base = load_dataset(toy_root)
     extra = [Triple("/m/bay", "SameAs", "/m/spielberg")]
-    bundle = AugmentationBundle(
-        kind="structure",
-        fingerprint=kg_fingerprint(base),
-        relation_text={"/film/directed_by": "is directed by"},
-        extra_triples=extra,
-    )
+    bundles = [
+        AugmentationBundle(
+            kind="relation", fingerprint=kg_fingerprint(base), relation_text={"/film/directed_by": "is directed by"}
+        ),
+        AugmentationBundle(kind="structure", fingerprint=kg_fingerprint(base), extra_triples=extra),
+    ]
     graphs = {
         "load": base,
         "reversed": replace(
@@ -240,7 +261,7 @@ def test_every_split_row_is_a_sorted_id_position(toy_root, tmp_path):
             entity_name=dict(reversed(base.entity_name.items())),
             relation_name=dict(reversed(base.relation_name.items())),
         ),
-        "apply": apply_bundles(base, [bundle]),
+        "apply": apply_bundles(base, bundles),
         # An entity that sorts first shifts every entity position, so the
         # base splits are converted from the base's tables.
         "first": replace(base, entity_name={"/a/first": "First", **base.entity_name}),

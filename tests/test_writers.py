@@ -1,9 +1,14 @@
 """Source guard: ``src/kgforge`` writes files in one place.
 
-Every artifact goes through ``kg.write_text``; ``bundle.write_json`` streams its
-JSON into it. The gateway's cache append in ``LlmGateway._fetch`` is the one
-other writer, because it flushes each record, in prompt order, as the batch
-stores it.
+Every artifact goes through ``kg.write_text``, which writes a temporary file
+and moves it over its target; ``bundle.write_json`` streams its JSON into it.
+The gateway's cache append in ``LlmGateway._fetch`` is the one other writer,
+because it flushes each record, in prompt order, as the batch stores it.
+
+A write is an ``open`` in a writing mode, ``.write_text``/``.write_bytes``, a
+move (``os.replace``/``os.rename``, ``Path.replace``/``Path.rename``,
+``shutil.move``) or a ``tempfile`` file. ``Path.replace`` is told from
+``str.replace`` by its one positional argument.
 """
 
 import ast
@@ -13,6 +18,8 @@ import kgforge
 
 SOURCE = Path(kgforge.__file__).parent
 WRITERS = {"kg.write_text", "gateway.LlmGateway._fetch"}
+MOVES = {("os", "replace"), ("shutil", "move")}
+TEMPFILES = {"mkstemp", "NamedTemporaryFile", "TemporaryFile", "SpooledTemporaryFile"}
 
 
 def _mode(call: ast.Call, position: int) -> ast.expr:
@@ -24,9 +31,17 @@ def _mode(call: ast.Call, position: int) -> ast.expr:
 
 
 def _writes(call: ast.Call) -> bool:
-    """Whether a call writes a file: ``.write_text``/``.write_bytes``, or ``open``/``.open`` not in a read mode."""
+    """Whether a call writes a file, in one of the forms the module docstring lists."""
     func = call.func
-    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+    owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+    if isinstance(func, ast.Attribute) and (
+        func.attr in ("write_text", "write_bytes", "rename")
+        or (func.attr == "replace" and len(call.args) == 1)
+        or (owner, func.attr) in MOVES
+        or (owner == "tempfile" and func.attr in TEMPFILES)
+    ):
+        return True
+    if isinstance(func, ast.Name) and func.id in TEMPFILES:
         return True
     if isinstance(func, ast.Name) and func.id == "open":
         mode = _mode(call, 1)
@@ -83,5 +98,25 @@ class Store:
         p.open("r+")
         p.write_text("")
         p.write_bytes(b"")
+
+def renames(p, q, text):
+    text.replace("a", "b")
+    text.replace("a", "b", 1)
+    replace(p, name=q)
+
+def move(p, q):
+    os.replace(p, q)
+    os.rename(p, q)
+    p.replace(q)
+    p.rename(q)
+    shutil.move(p, q)
+    tempfile.mkstemp()
+    tempfile.NamedTemporaryFile("w")
+    tempfile.TemporaryFile()
+    tempfile.SpooledTemporaryFile()
+    mkstemp(dir=p)
+    NamedTemporaryFile(dir=p)
 """
-    assert file_writes(source, "m") == [("m.Store.save", line) for line in range(12, 19)]
+    assert file_writes(source, "m") == [("m.Store.save", line) for line in range(12, 19)] + [
+        ("m.move", line) for line in range(26, 37)
+    ]
