@@ -19,15 +19,23 @@ On-disk layout (one directory per bundle):
 
 Every file is written through ``kg.write_text``; the two JSON files go through
 ``write_json``, which ``kgforge fixtures planted`` also uses for its keyword
-sets. ``load`` rejects a malformed ``audit.json`` or ``keywords.json`` with a
-``ValueError`` naming the file and the key. Keyword lists and an item's
-``flags`` hold only strings; its ``prompt_hash``, ``response``, ``error`` and
-``mode`` are each a string or null.
+sets. ``save`` checks the payload rule again before it writes a file, since
+strategies fill a bundle after constructing it. ``load`` rejects a malformed
+``audit.json`` or ``keywords.json`` with a ``ValueError`` naming the file and
+the key. Keyword lists and an item's ``flags`` hold only strings; its
+``prompt_hash``, ``response``, ``error`` and ``mode`` are each a string or
+null.
+
+``load`` reads ``audit.json`` as a stream, a bounded buffer at a time, and
+checks each audit item as it is decoded, so it holds neither the file's text
+nor its items: composing never reads them. A loaded bundle decodes its
+``items`` from the file through the same reader when they are first read.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -61,6 +69,11 @@ _PAYLOAD_KIND = {"entity_text": "entity", "relation_text": "relation", "extra_tr
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string"}
 _MISSING = object()
+#: Characters ``_JsonStream`` reads at a time, or more to hold a longer value. Such reads stay under
+#: glibc's 128 KiB mmap threshold, so they leave its dynamic threshold, and later peaks, as they were.
+_READ_CHARS = 1 << 15
+#: The whitespace ``json.loads`` skips between tokens.
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
 class FingerprintMismatchError(ValueError):
@@ -107,6 +120,83 @@ def _json_strings(data: dict, key: str, where: str, default=_MISSING) -> tuple[s
     return tuple(values)
 
 
+class _JsonStream:
+    """One JSON text read from an open file a bounded buffer at a time.
+
+    ``value`` decodes the next whole value with ``json.JSONDecoder.raw_decode``
+    and ``take`` consumes one structural character, so a caller walks the
+    outer containers and decodes only their elements whole. Together they
+    accept exactly the texts ``json.loads`` accepts. A syntax error is a
+    ``ValueError`` naming ``where``, the message of ``json.loads`` and the
+    character offset.
+    """
+
+    def __init__(self, file, where: str):
+        self._file, self._where = file, where
+        self._decode = json.JSONDecoder().raw_decode
+        self._buf, self._pos, self._offset, self._eof = "", 0, 0, False
+
+    def _read(self) -> bool:
+        """Drop the consumed text and append the next chunk; False at the end of the file."""
+        if self._eof:
+            return False
+        self._offset += self._pos
+        self._buf, self._pos = self._buf[self._pos :], 0
+        # Reading as much as is buffered keeps a value longer than a chunk linear to decode.
+        chunk = self._file.read(max(_READ_CHARS, len(self._buf)))
+        self._eof = not chunk
+        self._buf = self._buf + chunk
+        return not self._eof
+
+    def fail(self, message: str):
+        """Raise a syntax error at the next unread character."""
+        raise ValueError(f"{self._where}: invalid JSON: {message} at char {self._offset + self._pos}")
+
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at the end of the file."""
+        while True:
+            self._pos = _WHITESPACE.match(self._buf, self._pos).end()
+            if self._pos < len(self._buf) or not self._read():
+                return self._buf[self._pos : self._pos + 1]
+
+    def take(self, chars: str, expecting: str) -> str:
+        """Consume and return the next character if it is one of ``chars``; else fail with ``expecting``."""
+        char = self.peek()
+        if not char or char not in chars:
+            self.fail(f"Expecting {expecting}")
+        self._pos += 1
+        return char
+
+    def value(self):
+        """Decode the next value whole."""
+        self.peek()
+        while True:
+            start = self._pos
+            try:
+                value, end = self._decode(self._buf, start)
+            except json.JSONDecodeError as exc:
+                if self._read():
+                    continue
+                # _read may have moved the value's start to self._pos.
+                self._pos += exc.pos - start
+                self.fail(exc.msg)
+            # A number may go on past the buffer: "1" of "12", "1." of "1.5", "1e+" of "1e+5".
+            if end + 3 > len(self._buf) and self._read():
+                continue
+            self._pos += end - start
+            return value
+
+    def elements(self, close: str):
+        """Yield once per element of the container just opened, which the caller then decodes; consume ``close``."""
+        if self.peek() == close:
+            self._pos += 1
+            return
+        while True:
+            yield
+            if self.take("," + close, "',' delimiter") == close:
+                return
+
+
 @dataclass
 class AuditItem:
     """One enrichment attempt: which subject, which prompt, what came back."""
@@ -132,6 +222,70 @@ class AuditItem:
         )
 
 
+def _stream_items(stream: _JsonStream, where: str, keep: bool) -> tuple[list[AuditItem], ValueError | None]:
+    """Check each element of the array ``stream`` is at as it is decoded; the items kept and the first error."""
+    items, error = [], None
+    stream.take("[", "'['")
+    for i, _ in enumerate(stream.elements("]")):
+        data = stream.value()
+        if error is None:
+            try:
+                item = AuditItem.from_dict(data, f"{where}: items[{i}]")
+            except ValueError as exc:
+                error = exc
+            else:
+                if keep:
+                    items.append(item)
+    return items, error
+
+
+def _read_audit(path: Path, keep_items: bool) -> tuple[str, str, list[AuditItem]]:
+    """The kind, fingerprint and (if ``keep_items``) items of the ``audit.json`` at ``path``.
+
+    The file is read as a ``_JsonStream``. Each element of ``items`` goes
+    through ``AuditItem.from_dict`` as it is decoded and is then dropped
+    unless kept. The checks fail in the order of a whole-text parse: JSON
+    syntax to the end of the file, the top-level object, ``schema_version``,
+    ``kind``, ``fingerprint``, ``items`` and then the first bad item. As with
+    ``json.loads``, the last of repeated keys counts.
+    """
+    where = str(path)
+    items, error = [], None
+    with path.open(encoding="utf-8") as file:
+        stream = _JsonStream(file, where)
+        if stream.peek() != "{":
+            audit = stream.value()  # not an object: _json_object names its type below
+        else:
+            audit = {}
+            stream.take("{", "'{'")
+            for _ in stream.elements("}"):
+                if stream.peek() != '"':
+                    stream.fail("Expecting property name enclosed in double quotes")
+                key = stream.value()
+                stream.take(":", "':' delimiter")
+                if key == "items" and stream.peek() == "[":
+                    # Streamed items stand in as an empty array for the type check below.
+                    audit[key] = []
+                    items, error = _stream_items(stream, where, keep_items)
+                else:
+                    audit[key] = stream.value()
+        if stream.peek():
+            stream.fail("Extra data")
+    audit = _json_object(audit, where)
+    version = audit.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported bundle schema_version {version!r} in {path} "
+            f"(expected {SCHEMA_VERSION})"
+        )
+    kind = _json_field(audit, "kind", str, where)
+    fingerprint = _json_field(audit, "fingerprint", str, where)
+    _json_field(audit, "items", list, where, default=[])
+    if error is not None:
+        raise error
+    return kind, fingerprint, items
+
+
 @dataclass
 class AugmentationBundle:
     kind: str
@@ -143,18 +297,34 @@ class AugmentationBundle:
     items: list[AuditItem] = field(default_factory=list)
 
     def __post_init__(self):
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ``ValueError`` for an unknown kind or another kind's non-empty payload."""
         if self.kind not in KINDS:
             raise ValueError(f"bundle kind must be one of {KINDS}, got {self.kind!r}")
         for name, kind in _PAYLOAD_KIND.items():
             if kind != self.kind and getattr(self, name):
                 raise ValueError(f"{self.kind} bundle carries {name}; only {kind} bundles carry it")
 
+    def __getattr__(self, name: str):
+        """A loaded bundle's ``items``, decoded from its ``audit.json`` when first read."""
+        path = self.__dict__.get("_audit_path")
+        if name != "items" or path is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.items = _read_audit(path, keep_items=True)[2]
+        return self.items
+
     @property
     def errors(self) -> list[AuditItem]:
         return [item for item in self.items if item.error]
 
     def save(self, out_dir: str | Path, base_kg: KnowledgeGraph | None = None) -> Path:
-        """Write the bundle directory; pass ``base_kg`` to also emit the merged train file."""
+        """Write the bundle directory; pass ``base_kg`` to also emit the merged train file.
+
+        The bundle is checked as at construction before any file is written.
+        """
+        self._check()
         out = Path(out_dir)
         if self.entity_text:
             write_text(out / ENTITY_TEXT_FILE, [pair_lines(self.entity_text.items())])
@@ -178,23 +348,16 @@ class AugmentationBundle:
 
     @classmethod
     def load(cls, bundle_dir: str | Path) -> "AugmentationBundle":
-        """Read a bundle directory; a malformed ``audit.json`` or ``keywords.json`` is a ``ValueError`` naming the file and key."""
+        """Read a bundle directory; a malformed ``audit.json`` or ``keywords.json`` is a ``ValueError`` naming the file and key.
+
+        Every audit item is checked, but none is kept: ``items`` is decoded
+        from ``audit.json`` again when first read.
+        """
         root = Path(bundle_dir)
         audit_path = root / AUDIT_FILE
         if not audit_path.is_file():
             raise FileNotFoundError(f"not a bundle directory (no {AUDIT_FILE}): {root}")
-        where = str(audit_path)
-        audit = _json_object(json.loads(audit_path.read_text(encoding="utf-8")), where)
-        version = audit.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported bundle schema_version {version!r} in {audit_path} "
-                f"(expected {SCHEMA_VERSION})"
-            )
-        kind = _json_field(audit, "kind", str, where)
-        fingerprint = _json_field(audit, "fingerprint", str, where)
-        items = _json_field(audit, "items", list, where, default=[])
-        items = [AuditItem.from_dict(item, f"{where}: items[{i}]") for i, item in enumerate(items)]
+        kind, fingerprint, _ = _read_audit(audit_path, keep_items=False)
         payload = {}
         if (root / ENTITY_TEXT_FILE).is_file():
             payload["entity_text"] = read_pairs(root / ENTITY_TEXT_FILE)
@@ -206,7 +369,10 @@ class AugmentationBundle:
             where = str(root / KEYWORDS_FILE)
             raw = _json_object(json.loads((root / KEYWORDS_FILE).read_text(encoding="utf-8")), where)
             payload["keyword_sets"] = {entity: _json_strings(raw, entity, where) for entity in raw}
-        return cls(kind, fingerprint, items=items, **payload)
+        bundle = cls(kind, fingerprint, **payload)
+        del bundle.items  # __getattr__ decodes them when first read
+        bundle._audit_path = audit_path
+        return bundle
 
 
 def render_or_fail(render: Callable[..., RenderedPrompt], *args, subject_id: str) -> RenderedPrompt | AuditItem:

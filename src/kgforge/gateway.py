@@ -21,8 +21,10 @@ import hashlib
 import json
 import threading
 import time
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -36,6 +38,8 @@ API_KEY_ENV = "LLM_API_KEY"
 MODEL_ENV = "LLM_MODEL"
 
 TRANSIENT_STATUS = (429, 500, 502, 503, 504)
+#: Backend calls a threaded batch submits per worker ahead of the response being stored.
+_AHEAD_PER_WORKER = 2
 
 
 class GatewayError(Exception):
@@ -305,10 +309,13 @@ class LlmGateway:
     def _fetch(self, misses: dict[str, str]) -> dict[str, GatewayError]:
         """Send each key -> text miss to the backend; return the failures by key.
 
-        Pool workers only call the backend. This thread stores the responses
-        in miss order and appends each to the persisted cache as one flushed
-        line, so the file is in prompt order and a crash leaves only complete,
-        replayable lines. The file is opened once, after its directory is made.
+        Pool workers only call the backend, at most ``_AHEAD_PER_WORKER``
+        calls per worker ahead of the response being stored. This thread
+        stores the responses in miss order and appends each to the persisted
+        cache as one flushed line, so the file is in prompt order and a crash
+        leaves only complete, replayable lines; calls not yet started when an
+        exception leaves are cancelled. The file is opened once, after its
+        directory is made.
         """
 
         def generate(item: tuple[str, str]) -> str | GatewayError:
@@ -330,8 +337,9 @@ class LlmGateway:
             else:
                 from concurrent.futures import ThreadPoolExecutor
 
-                pool = stack.enter_context(ThreadPoolExecutor(max_workers=self.backend.concurrency))
-                outcomes = pool.map(generate, misses.items())
+                pool = ThreadPoolExecutor(max_workers=self.backend.concurrency)
+                stack.callback(pool.shutdown, cancel_futures=True)
+                outcomes = _map_ahead(pool, generate, misses.items(), _AHEAD_PER_WORKER * self.backend.concurrency)
             for (key, text), outcome in zip(misses.items(), outcomes):
                 if isinstance(outcome, GatewayError):
                     failures[key] = outcome
@@ -341,3 +349,13 @@ class LlmGateway:
                     sink.write(_record_line(key, text, self.params, outcome))
                     sink.flush()
         return failures
+
+
+def _map_ahead(pool, fn, items, ahead: int):
+    """``pool.map(fn, items)`` with at most ``ahead`` calls submitted past the result being read."""
+    items = iter(items)
+    futures = deque(pool.submit(fn, item) for item in islice(items, ahead))
+    while futures:
+        future = futures.popleft()
+        futures.extend(pool.submit(fn, item) for item in islice(items, 1))
+        yield future.result()

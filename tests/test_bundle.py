@@ -3,11 +3,16 @@
 import itertools
 import json
 import re
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kgforge.bundle import AugmentationBundle, FingerprintMismatchError, apply_bundles, write_json
+import kgforge.bundle
+from kgforge.bundle import AugmentationBundle, AuditItem, FingerprintMismatchError, apply_bundles, write_json
 from kgforge.entity import expand_descriptions
 from kgforge.gateway import LlmGateway, ReplayBackend
 from kgforge.kg import (
@@ -55,6 +60,75 @@ def test_save_load_round_trip(bundles, tmp_path):
         assert loaded.extra_triples == bundle.extra_triples
         assert loaded.keyword_sets == bundle.keyword_sets
         assert loaded.items == bundle.items
+
+
+#: Audit strings: any character but a lone surrogate, often a quote, backslash, control, U+2028 or non-BMP one.
+audit_text = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\n\x00\u2028\U0001f600'), max_size=8)
+audit_items = st.builds(
+    AuditItem,
+    subject=audit_text,
+    prompt_hash=st.none() | audit_text,
+    response=st.none() | audit_text,
+    error=st.none() | audit_text,
+    mode=st.none() | audit_text,
+    flags=st.lists(audit_text, max_size=2).map(tuple),
+)
+#: A top-level value the loader ignores, so numbers and literals are split across reads too.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | audit_text,
+    lambda values: st.lists(values, max_size=2) | st.dictionaries(audit_text, values, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    items=st.lists(audit_items, max_size=3),
+    note=json_values,
+    indent=st.sampled_from([None, 2]),
+    ensure_ascii=st.booleans(),
+    read_chars=st.integers(1, 7),
+    junk=st.text(min_size=1, max_size=3).filter(lambda text: text.strip(" \t\n\r")),
+)
+@example(
+    items=[AuditItem("\U0001f600\u2028", "h", "1e5", None, "m", ("\\", '"'))],
+    note=[-1.5e-07, True, None], indent=None, ensure_ascii=True, read_chars=1, junk="x",
+)
+def test_load_reads_audit_json_as_json_loads_does(tmp_path_factory, items, note, indent, ensure_ascii, read_chars, junk):
+    out = tmp_path_factory.mktemp("audit")
+    audit = {"fingerprint": "f", "items": [vars(item) for item in items], "kind": "entity", "note": note, "schema_version": 1}
+    text = json.dumps(audit, indent=indent, ensure_ascii=ensure_ascii) + "\n"
+    path = out / "audit.json"
+    with mock.patch.object(kgforge.bundle, "_READ_CHARS", read_chars):
+        path.write_text(text, encoding="utf-8")
+        loaded = AugmentationBundle.load(out)
+        assert (loaded.kind, loaded.fingerprint, loaded.items) == ("entity", "f", items)
+        # Every cut into the text and any trailing non-whitespace is a syntax error, as for json.loads.
+        for bad in [text[:end] for end in range(len(text.rstrip()))] + [text + junk]:
+            with pytest.raises(ValueError):
+                json.loads(bad)
+            path.write_text(bad, encoding="utf-8")
+            with pytest.raises(ValueError, match="audit.json: invalid JSON: "):
+                AugmentationBundle.load(out)
+
+
+def test_load_and_apply_hold_a_small_share_of_a_large_audit(tmp_path):
+    kg = toy_graph()
+    bundle = AugmentationBundle("entity", kg_fingerprint(kg), entity_text={"/m/bay": "A director."})
+    response = "word " * 200
+    bundle.items = [AuditItem(f"/m/{i}", prompt_hash=f"{i:064x}", response=response) for i in range(6000)]
+    out = bundle.save(tmp_path / "E")
+    del bundle
+    size = (out / "audit.json").stat().st_size
+    tracemalloc.start()
+    try:
+        composed = apply_bundles(kg, [AugmentationBundle.load(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert composed.desc_of("/m/bay") == "A director."
+    # A whole-text parse holds the text and every item at once: over twice the file's size.
+    assert peak < size / 4, (peak, size)
 
 
 def test_loaded_structure_bundle_rederives_its_triples(bundles, tmp_path):
@@ -210,11 +284,18 @@ PAYLOADS = {
     ("kind", "name"),
     [(kind, name) for kind in ("entity", "relation", "structure") for name, (owner, _) in PAYLOADS.items() if owner != kind],
 )
-def test_a_bundle_with_another_kinds_payload_is_rejected(kind, name):
+def test_a_bundle_with_another_kinds_payload_is_rejected(tmp_path, kind, name):
     owner, value = PAYLOADS[name]
     assert getattr(AugmentationBundle(owner, "f", **{name: value}), name) == value
-    with pytest.raises(ValueError, match=f"^{kind} bundle carries {name}; only {owner} bundles carry it$"):
+    message = f"^{kind} bundle carries {name}; only {owner} bundles carry it$"
+    with pytest.raises(ValueError, match=message):
         AugmentationBundle(kind, "f", **{name: value})
+    # Strategies fill a bundle after constructing it, so save checks again before writing.
+    bundle = AugmentationBundle(kind, "f")
+    setattr(bundle, name, value)
+    with pytest.raises(ValueError, match=message):
+        bundle.save(tmp_path / kind)
+    assert not (tmp_path / kind).exists()
 
 
 @pytest.mark.parametrize(

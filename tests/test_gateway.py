@@ -243,15 +243,19 @@ def test_cache_is_opened_once_per_batch_with_misses(tmp_path, monkeypatch):
 
 
 class FailingBackend(ScriptedBackend):
-    """Scripted backend that raises ``error`` for one prompt."""
+    """Scripted backend that raises ``error`` for one prompt, after ``delay`` seconds; it records every prompt asked."""
 
-    def __init__(self, responses, failing_prompt, error):
+    def __init__(self, responses, failing_prompt, error, delay=0.0):
         super().__init__(responses)
         self.failing_prompt = failing_prompt
         self.error = error
+        self.delay = delay
+        self.asked = []
 
     def generate(self, prompt_text, params):
+        self.asked.append(prompt_text)
         if prompt_text == self.failing_prompt:
+            time.sleep(self.delay)
             raise self.error
         return super().generate(prompt_text, params)
 
@@ -297,14 +301,16 @@ def test_audited_failure_keeps_its_prompt_hash_and_hashes_once(monkeypatch):
 
 def test_crash_mid_batch_leaves_complete_replayable_cache_lines(tmp_path):
     params = GenerationParams()
-    prompts = [f"p{i}" for i in range(5)]
+    prompts = [f"p{i}" for i in range(40)]
     responses = {p: f"r-{p}" for p in prompts}
     for concurrency in (1, 4):
         cache_path = tmp_path / f"cache-{concurrency}.jsonl"
-        crashing = FailingBackend(responses, "p2", RuntimeError("backend crashed"))
+        # While p2 fails slowly, the other workers run at most two calls each past it.
+        crashing = FailingBackend(responses, "p2", RuntimeError("backend crashed"), delay=0.05)
         crashing.concurrency = concurrency
         with pytest.raises(RuntimeError, match="backend crashed"):
             LlmGateway(crashing, params=params, cache_path=cache_path).batch_query(prompts)
+        assert set(crashing.asked) <= set(prompts[: 3 + 2 * concurrency])
         assert cache_path.read_text(encoding="utf-8").endswith("\n")
         # Responses are stored in prompt order, so only those before the crash are kept.
         assert read_fixture(cache_path) == {prompt_key(p, params): f"r-{p}" for p in prompts[:2]}
@@ -312,7 +318,7 @@ def test_crash_mid_batch_leaves_complete_replayable_cache_lines(tmp_path):
         resumed = ScriptedBackend(responses)
         results = LlmGateway(resumed, params=params, cache_path=cache_path).batch_query(prompts)
         assert [r.response for r in results] == [f"r-{p}" for p in prompts]
-        assert resumed.calls == 3
+        assert resumed.calls == len(prompts) - 2
 
 
 def test_batch_hashes_each_prompt_once(tmp_path, monkeypatch):
