@@ -17,14 +17,16 @@ On-disk layout (one directory per bundle):
     keywords.json       entity id -> keyword list               (structure kind)
     audit.json          kind, fingerprint, per-item records
 
-Every file is written through ``kg.write_text``; the two JSON files go through
-``write_json``, which ``kgforge fixtures planted`` also uses for its keyword
-sets. ``save`` checks the payload rule again before it writes a file, since
-strategies fill a bundle after constructing it. ``load`` rejects a malformed
-``audit.json`` or ``keywords.json`` with a ``ValueError`` naming the file and
-the key. Keyword lists and an item's ``flags`` hold only strings; its
-``prompt_hash``, ``response``, ``error`` and ``mode`` are each a string or
-null.
+Every file is written through ``kg.write_text``, and none is held whole. The
+id<TAB>text files and ``extra_triples.tsv`` go one line at a time
+(``kg.pair_lines``), the base train of ``train_augmented.txt`` in row blocks,
+and the two JSON files in encoder chunks through ``write_json``, which
+``kgforge fixtures planted`` also uses for its keyword sets. ``save`` checks
+the payload rule again before it writes a file, since strategies fill a
+bundle after constructing it. ``load`` rejects a malformed ``audit.json`` or
+``keywords.json`` with a ``ValueError`` naming the file and the key. Keyword
+lists and an item's ``flags`` hold only strings; its ``prompt_hash``,
+``response``, ``error`` and ``mode`` are each a string or null.
 
 ``load`` reads ``audit.json`` as a stream, a bounded buffer at a time, and
 checks each audit item as it is decoded, so it holds neither the file's text
@@ -327,9 +329,9 @@ class AugmentationBundle:
         self._check()
         out = Path(out_dir)
         if self.entity_text:
-            write_text(out / ENTITY_TEXT_FILE, [pair_lines(self.entity_text.items())])
+            write_text(out / ENTITY_TEXT_FILE, pair_lines(self.entity_text.items()))
         if self.relation_text:
-            write_text(out / RELATION_TEXT_FILE, [pair_lines(self.relation_text.items())])
+            write_text(out / RELATION_TEXT_FILE, pair_lines(self.relation_text.items()))
         if self.kind == "structure":
             write_text(out / TRIPLES_FILE, _triple_blocks(self.extra_triples))
             if base_kg is not None:

@@ -38,11 +38,11 @@ no -1; any other block is split line by line, then mapped, and its -1s are
 its dangling triples. So messages, line numbers and the strict/lenient rules
 are those of a line-by-line parse.
 
-Writing and fingerprinting work in row blocks too. ``_triple_blocks`` renders
-a split ``_BLOCK_ROWS`` rows at a time, ``write_dataset`` writes each block to
-its open file and the fingerprint feeds each to its running hash, so neither
-holds a whole split file's text. ``pair_lines`` renders any other rows, pairs
-or triples, as tab-separated lines.
+Writing and fingerprinting never hold a whole file's text. ``_triple_blocks``
+renders a split ``_BLOCK_ROWS`` rows at a time, and ``pair_lines`` yields any
+other rows, pairs or triples, one tab-separated line at a time.
+``write_dataset`` writes each block or line to its open file and the
+fingerprint feeds each to its running hash.
 
 ``write_text`` is the one writer of text artifacts: datasets, bundle files
 (``bundle.write_json`` for their JSON), A/B reports and replay fixtures all go
@@ -82,8 +82,8 @@ RELATION_NAME_FILE = "relation2text.txt"
 MODES = ("strict", "lenient")
 SPLITS = ("train", "valid", "test")
 
-#: Characters read per block of a split file, before the block is cut back to
-#: its last line break.
+#: Characters read per block of a text file (fewer for a smaller file), before
+#: the block is cut back to its last line break.
 _BLOCK_CHARS = 1 << 20
 #: Rows rendered per block when a split is written or fingerprinted. A block's
 #: transients (its cells, its text and that text's UTF-8 copy) grow with this,
@@ -312,16 +312,20 @@ def dataset_stats(kg: KnowledgeGraph) -> DatasetStats:
 def _blocks(path: Path) -> Iterator[str]:
     """The file's text as runs of whole lines of about ``_BLOCK_CHARS`` characters.
 
-    LF, CRLF and a lone CR all end a line, as in ``Path.read_text``, and
-    every block ends with a line break: a last line without one gets one.
-    Text that is not UTF-8 is a ``FormatError`` naming its line.
+    A read allocates a buffer of the size it asks for, and a file of n bytes
+    holds at most n characters, so a smaller file is read n + 1 characters
+    at a time. LF, CRLF and a lone CR all end a line, as in
+    ``Path.read_text``, and every block ends with a line break: a last line
+    without one gets one. Text that is not UTF-8 is a ``FormatError`` naming
+    its line.
     """
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file: {path}")
+    size = min(_BLOCK_CHARS, path.stat().st_size + 1)
     with path.open(encoding="utf-8") as text:
         rest = ""
         try:
-            while chunk := text.read(_BLOCK_CHARS):
+            while chunk := text.read(size):
                 cut = chunk.rfind("\n") + 1
                 if cut:
                     yield rest + chunk[:cut]
@@ -533,9 +537,12 @@ def _derived(kg: KnowledgeGraph, desc: dict[str, str], names: dict[str, str], tr
     return replace(kg, entity_desc=desc, relation_name=names, train=train)
 
 
-def pair_lines(rows: Iterable[Sequence[str]]) -> str:
-    """Serialize rows as tab-separated lines: pairs as ``read_pairs`` parses them, triples as ``read_triples``."""
-    return "".join("\t".join(row) + "\n" for row in rows)
+def pair_lines(rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """Serialize rows as tab-separated lines, one string each, rendered as consumed.
+
+    Pairs come as ``read_pairs`` parses them, triples as ``read_triples``.
+    """
+    return ("\t".join(row) + "\n" for row in rows)
 
 
 def _triple_blocks(triples: Iterable[Triple]) -> Iterator[str]:
@@ -543,11 +550,11 @@ def _triple_blocks(triples: Iterable[Triple]) -> Iterator[str]:
 
     A ``Split`` comes ``_BLOCK_ROWS`` rows per string: each row's
     ``"head\\t"``, ``"relation\\t"`` and ``"tail\\n"`` strings are taken
-    from its tables and joined once per block. Any other triples come as one
-    ``pair_lines`` string.
+    from its tables and joined once per block. Any other triples come line
+    by line from ``pair_lines``.
     """
     if not isinstance(triples, Split):
-        yield pair_lines(triples)
+        yield from pair_lines(triples)
         return
     ends = [
         np.array([name + end for name in table], dtype=object)
@@ -564,7 +571,7 @@ def _triple_blocks(triples: Iterable[Triple]) -> Iterator[str]:
 def _canonical_files(kg: KnowledgeGraph) -> Iterator[tuple[str, Iterable[str]]]:
     """Each file ``write_dataset`` emits, in name order, with its exact content as a run of strings.
 
-    A split's content comes in blocks of rows; a pair file's is one string.
+    A split's content comes in blocks of rows; a pair file's line by line.
     Each content is rendered only as it is consumed.
     """
     files = {
@@ -574,12 +581,11 @@ def _canonical_files(kg: KnowledgeGraph) -> Iterator[tuple[str, Iterable[str]]]:
         ENTITY_NAME_FILE: kg.entity_name.items(),
         RELATION_NAME_FILE: kg.relation_name.items(),
     }
-    descs = [(e, kg.entity_desc[e]) for e in kg.entity_name if kg.desc_of(e)]
-    if descs:
-        files[ENTITY_DESC_FILE] = descs
+    if any(map(kg.desc_of, kg.entity_name)):
+        files[ENTITY_DESC_FILE] = ((e, kg.entity_desc[e]) for e in kg.entity_name if kg.desc_of(e))
     for name in sorted(files):
         content = files[name]
-        yield name, _triple_blocks(content) if isinstance(content, Split) else (pair_lines(content),)
+        yield name, _triple_blocks(content) if isinstance(content, Split) else pair_lines(content)
 
 
 def write_dataset(kg: KnowledgeGraph, root_path: str | Path) -> None:
@@ -587,7 +593,7 @@ def write_dataset(kg: KnowledgeGraph, root_path: str | Path) -> None:
 
     The description file is emitted only when at least one description is
     non-empty, and lists entities in name-file order. Split files are written
-    block by block, never held whole.
+    block by block and the others line by line, so no file is held whole.
     """
     root = Path(root_path)
     for name, blocks in _canonical_files(kg):

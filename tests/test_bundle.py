@@ -271,6 +271,31 @@ def test_composed_dataset_round_trips_through_disk(bundles, tmp_path):
     assert kg_fingerprint(reloaded) == kg_fingerprint(composed)
 
 
+def test_text_files_hold_one_line_per_pair_and_round_trip(tmp_path):
+    kg = toy_graph()
+    fingerprint = kg_fingerprint(kg)
+    odd = "\tcol 2\u2028é 中 😀"
+    texts = {
+        "entity_text.tsv": {entity: f"{kg.entity_name[entity]}{odd}" for entity in kg.entity_name},
+        "relation_text.tsv": {relation: f"is {relation}{odd}" for relation in kg.relation_name},
+    }
+    bundles = [
+        AugmentationBundle("entity", fingerprint, entity_text=texts["entity_text.tsv"]),
+        AugmentationBundle("relation", fingerprint, relation_text=texts["relation_text.tsv"]),
+    ]
+    loaded = []
+    for bundle, (name, pairs) in zip(bundles, texts.items()):
+        out = bundle.save(tmp_path / bundle.kind)
+        assert (out / name).read_bytes() == "".join(f"{k}\t{v}\n" for k, v in pairs.items()).encode("utf-8")
+        loaded.append(AugmentationBundle.load(out))
+    assert loaded[0].entity_text == texts["entity_text.tsv"]
+    assert loaded[1].relation_text == texts["relation_text.tsv"]
+    composed, recomposed = apply_bundles(kg, bundles), apply_bundles(kg, loaded)
+    assert recomposed == composed
+    assert kg_fingerprint(recomposed) == kg_fingerprint(composed)
+    assert composed.desc_of("/m/bay").endswith(odd)
+
+
 #: The one kind that may carry each payload field, and a value for it over the toy graph.
 PAYLOADS = {
     "entity_text": ("entity", {"/m/bay": "A director."}),

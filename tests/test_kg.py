@@ -665,3 +665,44 @@ def test_writing_and_fingerprinting_hold_no_whole_split_file(tmp_path):
     size = (tmp_path / "train.txt").stat().st_size
     assert peak < size, (peak, size)
     assert fingerprint == whole_string_fingerprint({p.name: read(p) for p in tmp_path.iterdir()})
+
+
+def test_writing_fingerprinting_and_saving_hold_no_whole_pair_file(tmp_path):
+    entities = tuple(f"/m/e{i:05d}" for i in range(3000))
+    kg = KnowledgeGraph(
+        entity_name={e: f"name of {e}" for e in entities},
+        relation_name={"/r/related": "related"},
+        entity_desc={e: f"{e} is described at length, é {i}. " * 30 for i, e in enumerate(entities)},
+        train=(),
+        valid=(),
+        test=(),
+    )
+    merged = {e: f"{text} More from the model, ü." for e, text in kg.entity_desc.items()}
+    bundle = AugmentationBundle("entity", "0" * 64, entity_text=merged)
+    tracemalloc.start()
+    try:
+        fingerprint = kg_fingerprint(kg)
+        write_dataset(kg, tmp_path / "kg")
+        bundle.save(tmp_path / "E")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = [(tmp_path / name).stat().st_size for name in ("kg/entity2textlong.txt", "E/entity_text.tsv")]
+    # Joining a file into one string holds its text and that text's UTF-8 copy: over twice its size.
+    assert peak < min(sizes) / 4, (peak, sizes)
+    assert fingerprint == whole_string_fingerprint({p.name: read(p) for p in (tmp_path / "kg").iterdir()})
+    assert read_pairs(tmp_path / "E" / "entity_text.tsv") == merged
+
+
+def test_reading_a_one_line_file_reads_no_full_block(tmp_path):
+    path = tmp_path / "entity_text.tsv"
+    path.write_text("/m/e\t" + "A short description. " * 20 + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        pairs = read_pairs(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(pairs) == ["/m/e"]
+    # A read of _BLOCK_CHARS characters alone allocates a 1 MiB buffer.
+    assert peak < kgforge.kg._BLOCK_CHARS / 16, peak
