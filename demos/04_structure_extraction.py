@@ -15,8 +15,8 @@ from kgforge import (
     StructureConfig,
     augment_training_set,
     extract_structure,
-    match_score,
     parse_keywords,
+    top_k_pairs,
 )
 from kgforge.synth import toy_graph, write_toy_fixture
 
@@ -27,7 +27,7 @@ keyword_sets = {
     "a": parse_keywords("film, director, action, producer, hollywood"),
     "b": parse_keywords("film, producer, studio, budget, hollywood"),
 }
-score = match_score(keyword_sets, "a", "b")
+score = top_k_pairs(keyword_sets, StructureConfig(k=1))[0]  # a's best partner: b
 print(f"match a~b: {score.n_matched} shared -> score {score.score}")
 
 # The full pipeline against the replay fixture.

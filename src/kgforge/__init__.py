@@ -35,7 +35,6 @@ from .structure import (
     MatchScore,
     StructureConfig,
     extract_structure,
-    match_score,
     parse_keywords,
     synthesize_triples,
     top_k_pairs,
@@ -78,7 +77,6 @@ __all__ = [
     "kg_fingerprint",
     "link_prediction",
     "load_dataset",
-    "match_score",
     "merge_entity_text",
     "metrics_from_ranks",
     "parse_keywords",

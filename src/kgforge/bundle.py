@@ -17,16 +17,18 @@ On-disk layout (one directory per bundle):
     keywords.json       entity id -> keyword list               (structure kind)
     audit.json          kind, fingerprint, per-item records
 
-Every file is written through ``kg.write_text``, and none is held whole. The
-id<TAB>text files and ``extra_triples.tsv`` go one line at a time
-(``kg.pair_lines``), the base train of ``train_augmented.txt`` in row blocks,
-and the two JSON files in encoder chunks through ``write_json``, which
-``kgforge fixtures planted`` also uses for its keyword sets. ``save`` checks
-the payload rule again before it writes a file, since strategies fill a
-bundle after constructing it. ``load`` rejects a malformed ``audit.json`` or
-``keywords.json`` with a ``ValueError`` naming the file and the key. Keyword
-lists and an item's ``flags`` hold only strings; its ``prompt_hash``,
-``response``, ``error`` and ``mode`` are each a string or null.
+Each strategy builds its bundle in one construction, payload and audit items
+together. ``save`` checks the payload rule again, for a bundle filled after
+construction, then writes every payload file of its kind, even an empty one,
+so a reused directory never loads an old payload. ``train_augmented.txt`` is
+written only for a structure bundle saved with a base graph, and removed
+otherwise. Every file goes through ``kg.write_text`` and none is held whole:
+``kg._tsv_blocks`` renders the tab-separated files, a base train in row
+blocks, and ``write_json`` the JSON files in encoder chunks (``kgforge
+fixtures planted`` writes its keyword sets with it too). ``load`` rejects a
+malformed ``audit.json`` or ``keywords.json`` with a ``ValueError`` naming the
+file and the key. Keyword lists and an item's ``flags`` hold only strings; its
+``prompt_hash``, ``response``, ``error`` and ``mode`` are each a string or null.
 
 ``load`` reads ``audit.json`` as a stream, a bounded buffer at a time, and
 checks each audit item as it is decoded, so it holds neither the file's text
@@ -48,9 +50,8 @@ from .kg import (
     KnowledgeGraph,
     Triple,
     _derived,
-    _triple_blocks,
+    _tsv_blocks,
     kg_fingerprint,
-    pair_lines,
     read_pairs,
     read_triples,
     write_text,
@@ -325,20 +326,23 @@ class AugmentationBundle:
         """Write the bundle directory; pass ``base_kg`` to also emit the merged train file.
 
         The bundle is checked as at construction before any file is written.
+        Each payload file of the bundle's kind is written, even when empty.
+        Only a structure bundle saved with ``base_kg`` has a merged train
+        file; any other save removes one left in the directory.
         """
         self._check()
         out = Path(out_dir)
-        if self.entity_text:
-            write_text(out / ENTITY_TEXT_FILE, pair_lines(self.entity_text.items()))
-        if self.relation_text:
-            write_text(out / RELATION_TEXT_FILE, pair_lines(self.relation_text.items()))
-        if self.kind == "structure":
-            write_text(out / TRIPLES_FILE, _triple_blocks(self.extra_triples))
-            if base_kg is not None:
-                merged = chain(_triple_blocks(base_kg.train), _triple_blocks(self.extra_triples))
-                write_text(out / TRAIN_AUGMENTED_FILE, merged)
-        if self.keyword_sets:
+        if self.kind == "entity":
+            write_text(out / ENTITY_TEXT_FILE, _tsv_blocks(self.entity_text.items()))
+        elif self.kind == "relation":
+            write_text(out / RELATION_TEXT_FILE, _tsv_blocks(self.relation_text.items()))
+        else:
+            write_text(out / TRIPLES_FILE, _tsv_blocks(self.extra_triples))
             write_json(out / KEYWORDS_FILE, self.keyword_sets)
+        if self.kind == "structure" and base_kg is not None:
+            write_text(out / TRAIN_AUGMENTED_FILE, chain(_tsv_blocks(base_kg.train), _tsv_blocks(self.extra_triples)))
+        else:
+            (out / TRAIN_AUGMENTED_FILE).unlink(missing_ok=True)
         write_json(out / AUDIT_FILE, {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
@@ -386,16 +390,13 @@ def render_or_fail(render: Callable[..., RenderedPrompt], *args, subject_id: str
 
 
 def query_audited(
-    bundle: AugmentationBundle,
-    gateway: LlmGateway,
-    prompts: Sequence[RenderedPrompt | AuditItem],
-    modes: Sequence[str] | None = None,
+    gateway: LlmGateway, prompts: Sequence[RenderedPrompt | AuditItem], modes: Sequence[str] | None = None
 ) -> list[AuditItem]:
     """Send ``prompts`` through the gateway in one batch and audit every exchange.
 
-    Appends one item per prompt to ``bundle.items``, in prompt order, and
-    returns those items. Each item's subject is the prompt's subject id and
-    its mode is the matching entry of ``modes``, if given. A failed exchange
+    Returns one item per prompt, in prompt order; a strategy builds its
+    bundle from them. Each item's subject is the prompt's subject id and its
+    mode is the matching entry of ``modes``, if given. A failed exchange
     keeps the error and the hash its prompt would have had; it never aborts
     the batch. A prompt that could not be rendered, an ``AuditItem`` from
     ``render_or_fail``, keeps its place and error with no hash or backend call.
@@ -419,7 +420,6 @@ def query_audited(
                 mode=mode,
             )
         )
-    bundle.items.extend(items)
     return items
 
 

@@ -54,8 +54,9 @@ def expand_descriptions(
     the audit trail.
     """
     prompts = [render_or_fail(render_entity_prompt, name, subject_id=e) for e, name in kg.entity_name.items()]
-    bundle = AugmentationBundle(kind="entity", fingerprint=kg_fingerprint(kg))
-    for item in query_audited(bundle, gateway, prompts):
+    items = query_audited(gateway, prompts)
+    entity_text = {}
+    for item in items:
         if item.error is not None:
             continue
         original = kg.desc_of(item.subject)
@@ -64,5 +65,5 @@ def expand_descriptions(
             item.flags = (EMPTY_GENERATION_FLAG,)
         else:
             merged = merge_entity_text(original, item.response, budget_tokens)
-        bundle.entity_text[item.subject] = merged
-    return bundle
+        entity_text[item.subject] = merged
+    return AugmentationBundle("entity", kg_fingerprint(kg), entity_text=entity_text, items=items)

@@ -38,9 +38,9 @@ no -1; any other block is split line by line, then mapped, and its -1s are
 its dangling triples. So messages, line numbers and the strict/lenient rules
 are those of a line-by-line parse.
 
-Writing and fingerprinting never hold a whole file's text. ``_triple_blocks``
-renders a split ``_BLOCK_ROWS`` rows at a time, and ``pair_lines`` yields any
-other rows, pairs or triples, one tab-separated line at a time.
+Writing and fingerprinting never hold a whole file's text. ``_tsv_blocks`` is
+the one renderer of tab-separated lines: a split ``_BLOCK_ROWS`` rows at a
+time, any other rows, pairs or triples, one line at a time.
 ``write_dataset`` writes each block or line to its open file and the
 fingerprint feeds each to its running hash.
 
@@ -537,35 +537,27 @@ def _derived(kg: KnowledgeGraph, desc: dict[str, str], names: dict[str, str], tr
     return replace(kg, entity_desc=desc, relation_name=names, train=train)
 
 
-def pair_lines(rows: Iterable[Sequence[str]]) -> Iterator[str]:
-    """Serialize rows as tab-separated lines, one string each, rendered as consumed.
-
-    Pairs come as ``read_pairs`` parses them, triples as ``read_triples``.
-    """
-    return ("\t".join(row) + "\n" for row in rows)
-
-
-def _triple_blocks(triples: Iterable[Triple]) -> Iterator[str]:
-    """Serialize triples as the lines ``read_triples`` parses, in a run of strings.
+def _tsv_blocks(rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """Serialize rows as the tab-separated lines ``read_pairs`` or ``read_triples`` parses, in a run of strings.
 
     A ``Split`` comes ``_BLOCK_ROWS`` rows per string: each row's
     ``"head\\t"``, ``"relation\\t"`` and ``"tail\\n"`` strings are taken
-    from its tables and joined once per block. Any other triples come line
-    by line from ``pair_lines``.
+    from its tables and joined once per block, and an empty split renders
+    nothing. Any other rows come one line per string, rendered as consumed.
     """
-    if not isinstance(triples, Split):
-        yield from pair_lines(triples)
-        return
-    ends = [
-        np.array([name + end for name in table], dtype=object)
-        for table, end in zip((triples.entities, triples.relations, triples.entities), "\t\t\n")
-    ]
-    for start in range(0, len(triples.rows), _BLOCK_ROWS):
-        rows = triples.rows[start : start + _BLOCK_ROWS]
-        cells = np.empty(rows.shape, dtype=object)
-        for column, names in enumerate(ends):
-            cells[:, column] = names[rows[:, column]]
-        yield "".join(cells.ravel().tolist())
+    if not isinstance(rows, Split):
+        yield from ("\t".join(row) + "\n" for row in rows)
+    elif len(rows):
+        ends = [
+            np.array([name + end for name in table], dtype=object)
+            for table, end in zip((rows.entities, rows.relations, rows.entities), "\t\t\n")
+        ]
+        for start in range(0, len(rows.rows), _BLOCK_ROWS):
+            block = rows.rows[start : start + _BLOCK_ROWS]
+            cells = np.empty(block.shape, dtype=object)
+            for column, names in enumerate(ends):
+                cells[:, column] = names[block[:, column]]
+            yield "".join(cells.ravel().tolist())
 
 
 def _canonical_files(kg: KnowledgeGraph) -> Iterator[tuple[str, Iterable[str]]]:
@@ -584,20 +576,24 @@ def _canonical_files(kg: KnowledgeGraph) -> Iterator[tuple[str, Iterable[str]]]:
     if any(map(kg.desc_of, kg.entity_name)):
         files[ENTITY_DESC_FILE] = ((e, kg.entity_desc[e]) for e in kg.entity_name if kg.desc_of(e))
     for name in sorted(files):
-        content = files[name]
-        yield name, _triple_blocks(content) if isinstance(content, Split) else pair_lines(content)
+        yield name, _tsv_blocks(files[name])
 
 
 def write_dataset(kg: KnowledgeGraph, root_path: str | Path) -> None:
     """Write a graph back to the tab-separated layout (UTF-8, LF endings).
 
     The description file is emitted only when at least one description is
-    non-empty, and lists entities in name-file order. Split files are written
-    block by block and the others line by line, so no file is held whole.
+    non-empty, and lists entities in name-file order; otherwise one left in
+    the directory is removed, so the written graph is the one that loads.
+    Split files are written block by block and the others line by line, so
+    no file is held whole.
     """
     root = Path(root_path)
-    for name, blocks in _canonical_files(kg):
+    files = dict(_canonical_files(kg))
+    for name, blocks in files.items():
         write_text(root / name, blocks)
+    if ENTITY_DESC_FILE not in files:
+        (root / ENTITY_DESC_FILE).unlink(missing_ok=True)
 
 
 def write_text(path: str | Path, texts: Iterable[str]) -> None:

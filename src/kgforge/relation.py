@@ -71,17 +71,14 @@ def describe_relations(
     relations = list(kg.relation_name)
     jobs = [(relation, mode) for relation in relations for mode in ordered_modes]
     prompts = [render_or_fail(render_relation_prompt, kg.relation_name[r], m, subject_id=r) for r, m in jobs]
-    bundle = AugmentationBundle(kind="relation", fingerprint=kg_fingerprint(kg))
-    items = query_audited(bundle, gateway, prompts, modes=[mode.value for _, mode in jobs])
+    items = query_audited(gateway, prompts, modes=[mode.value for _, mode in jobs])
     texts_by_relation: dict[str, list[tuple[str, str]]] = {r: [] for r in relations}
     for item in items:
         if item.error is None:
             texts_by_relation[item.subject].append((item.mode, item.response))
-    for relation in relations:
-        texts = texts_by_relation[relation]
-        if not texts:
-            continue
-        bundle.relation_text[relation] = compose_relation_text(
-            kg.relation_name[relation], texts
-        )
-    return bundle
+    relation_text = {
+        relation: compose_relation_text(kg.relation_name[relation], texts)
+        for relation, texts in texts_by_relation.items()
+        if texts
+    }
+    return AugmentationBundle("relation", kg_fingerprint(kg), relation_text=relation_text, items=items)

@@ -8,9 +8,10 @@ matching score is
     score = |k_head & k_tail| / min(|k_head|, |k_tail|)
 
 over sets that must be non-empty and free of repeats, as ``parse_keywords``
-guarantees and ``match_score`` and ``top_k_pairs`` check. Top-k selection is
-per head entity, and optional self-loop triples reinforce the SameAs relation
-itself. All synthesized triples are appended to the training split only.
+guarantees and ``top_k_pairs``, the one place that computes it, checks.
+Top-k selection is per head entity, and optional self-loop triples reinforce
+the SameAs relation itself. All synthesized triples are appended to the
+training split only.
 """
 
 from __future__ import annotations
@@ -82,26 +83,10 @@ def parse_keywords(raw: str) -> tuple[str, ...]:
     return tuple(keywords)
 
 
-def _keywords(keyword_sets: Mapping[str, tuple[str, ...]], entity: str) -> tuple[str, ...]:
-    """``keyword_sets[entity]``, or a ``ValueError`` naming the entity if it is empty or repeats a keyword."""
-    words = keyword_sets[entity]
-    if not words or len(set(words)) != len(words):
-        raise ValueError(f"keyword set for {entity!r} must be non-empty with no repeats, got {words!r}")
-    return words
-
-
-def match_score(keyword_sets: Mapping[str, tuple[str, ...]], head: str, tail: str) -> MatchScore:
-    """Similarity of two distinct entities' keyword sets: matched count over the smaller set size."""
-    if head == tail:
-        raise ValueError(f"match_score requires distinct entities, got {head!r} twice")
-    kh, kt = _keywords(keyword_sets, head), _keywords(keyword_sets, tail)
-    matched = len(set(kh) & set(kt))
-    return MatchScore(head=head, tail=tail, score=matched / min(len(kh), len(kt)), n_matched=matched)
-
-
 def top_k_pairs(keyword_sets: Mapping[str, tuple[str, ...]], cfg: StructureConfig) -> list[MatchScore]:
-    """Best-matched partners per entity of ``keyword_sets`` (entity id -> keywords).
+    """Best-matched partners per entity of ``keyword_sets`` (entity id -> keywords), with their scores.
 
+    A pair's score is the matched keyword count over the smaller set's size.
     For every entity the k highest-scoring partners are selected; ties break
     by (score descending, partner id ascending) and zero-score partners are
     never selected. Heads are processed in sorted id order, so the output is
@@ -115,7 +100,10 @@ def top_k_pairs(keyword_sets: Mapping[str, tuple[str, ...]], cfg: StructureConfi
     heads = sorted(keyword_sets)
     postings: dict[str, list[int]] = {}
     for i, head in enumerate(heads):
-        for word in _keywords(keyword_sets, head):
+        words = keyword_sets[head]
+        if not words or len(set(words)) != len(words):
+            raise ValueError(f"keyword set for {head!r} must be non-empty with no repeats, got {words!r}")
+        for word in words:
             postings.setdefault(word, []).append(i)
     index = {word: np.array(ids) for word, ids in postings.items()}
     sizes = np.array([len(keyword_sets[head]) for head in heads])
@@ -170,7 +158,7 @@ def extract_structure(
     name; if that is empty too, the entity's item fails with an error naming
     ``{Entity Description}``, with no prompt hash and no backend call.
     Entities whose response yields no keywords are flagged and excluded from
-    matching. ``bundle.keyword_sets`` holds the entities that ended up with
+    matching. ``keyword_sets`` holds the entities that ended up with
     keywords, in graph order; self-loops (when enabled) cover exactly those.
     """
     prompts = []
@@ -181,9 +169,9 @@ def extract_structure(
             source = kg.entity_name[entity]
             fallback.add(entity)
         prompts.append(render_or_fail(render_keyword_prompt, source, subject_id=entity))
-    bundle = AugmentationBundle(kind="structure", fingerprint=kg_fingerprint(kg))
+    items = query_audited(gateway, prompts)
     keyword_sets: dict[str, tuple[str, ...]] = {}
-    for item in query_audited(bundle, gateway, prompts):
+    for item in items:
         if item.subject in fallback:
             item.flags = (NAME_FALLBACK_FLAG,)
         if item.error is not None:
@@ -192,7 +180,7 @@ def extract_structure(
             keyword_sets[item.subject] = parse_keywords(item.response)
         except KeywordParseError:
             item.flags += (NO_KEYWORDS_FLAG,)
-
-    bundle.extra_triples = tuple(synthesize_triples(top_k_pairs(keyword_sets, cfg), kg, cfg, keyword_sets))
-    bundle.keyword_sets = keyword_sets
-    return bundle
+    extra_triples = tuple(synthesize_triples(top_k_pairs(keyword_sets, cfg), kg, cfg, keyword_sets))
+    return AugmentationBundle(
+        "structure", kg_fingerprint(kg), extra_triples=extra_triples, keyword_sets=keyword_sets, items=items
+    )

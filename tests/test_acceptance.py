@@ -165,27 +165,31 @@ def test_criterion_2_template_fidelity():
 
 
 def test_criterion_3_matching_score_law():
-    from kgforge.structure import match_score
+    from kgforge.structure import StructureConfig, top_k_pairs
 
     rng = random.Random(333)
     vocabulary = [f"w{i}" for i in range(15)]
+    cfg = StructureConfig(k=1)
     start = time.perf_counter()
     n_pairs = 10_000
     for _ in range(n_pairs):
         sa = frozenset(rng.sample(vocabulary, rng.randint(1, 7)))
         sb = frozenset(rng.sample(vocabulary, rng.randint(1, 7)))
-        sets = {"a": tuple(sorted(sa)), "b": tuple(sorted(sb))}
-        forward = match_score(sets, "a", "b")
-        backward = match_score(sets, "b", "a")
+        pairs = top_k_pairs({"a": tuple(sorted(sa)), "b": tuple(sorted(sb))}, cfg)
         # Independent oracle: plain set intersection arithmetic.
         expected_matched = len(sa & sb)
+        if not expected_matched:
+            assert pairs == []
+            continue
         expected_score = expected_matched / min(len(sa), len(sb))
-        assert forward.n_matched == expected_matched
-        assert forward.score == expected_score
-        assert backward.score == forward.score
-        assert 0.0 <= forward.score <= 1.0
+        assert [(p.head, p.tail, p.n_matched, p.score) for p in pairs] == [
+            ("a", "b", expected_matched, expected_score),
+            ("b", "a", expected_matched, expected_score),
+        ]
+        score = pairs[0].score
+        assert 0.0 < score <= 1.0
         smaller, larger = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
-        assert (forward.score == 1.0) == smaller.issubset(larger)
+        assert (score == 1.0) == smaller.issubset(larger)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"PASS criterion 3: matching-score law over {n_pairs} pairs in {elapsed:.2f}s")

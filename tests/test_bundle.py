@@ -1,5 +1,6 @@
 """Bundle serialization and composition onto base graphs."""
 
+import copy
 import itertools
 import json
 import re
@@ -315,12 +316,50 @@ def test_a_bundle_with_another_kinds_payload_is_rejected(tmp_path, kind, name):
     message = f"^{kind} bundle carries {name}; only {owner} bundles carry it$"
     with pytest.raises(ValueError, match=message):
         AugmentationBundle(kind, "f", **{name: value})
-    # Strategies fill a bundle after constructing it, so save checks again before writing.
+    # A caller may fill a bundle after constructing it, so save checks again before writing.
     bundle = AugmentationBundle(kind, "f")
     setattr(bundle, name, value)
     with pytest.raises(ValueError, match=message):
         bundle.save(tmp_path / kind)
     assert not (tmp_path / kind).exists()
+
+
+def test_each_strategy_builds_its_bundle_in_one_construction(replay_gateway, monkeypatch):
+    built = []
+    post_init = AugmentationBundle.__post_init__
+
+    def counted(bundle):
+        # What the bundle holds at construction, which the payload check sees.
+        built.append((bundle, {name: copy.copy(value) for name, value in vars(bundle).items()}))
+        post_init(bundle)
+
+    monkeypatch.setattr(AugmentationBundle, "__post_init__", counted)
+    kg = toy_graph()
+    for strategy in (
+        lambda: expand_descriptions(kg, replay_gateway),
+        lambda: describe_relations(kg, replay_gateway, modes=MODE_ORDER),
+        lambda: extract_structure(kg, replay_gateway, StructureConfig(k=1, self_loop=True)),
+    ):
+        built.clear()
+        bundle = strategy()
+        assert len(built) == 1 and built[0][0] is bundle
+        assert built[0][1] == vars(bundle)
+        assert bundle.items and all(item.error is None for item in bundle.items)
+
+
+@pytest.mark.parametrize("name", list(PAYLOADS))
+def test_a_reused_bundle_directory_keeps_no_old_payload(tmp_path, name):
+    kind, value = PAYLOADS[name]
+    AugmentationBundle(kind, "f", **{name: value}).save(tmp_path, base_kg=toy_graph())
+    # Every generation failed, so the payload is empty; the save goes to the same directory.
+    AugmentationBundle(kind, "f").save(tmp_path)
+    assert getattr(AugmentationBundle.load(tmp_path), name) == type(value)()
+    files = {
+        "entity": ["audit.json", "entity_text.tsv"],
+        "relation": ["audit.json", "relation_text.tsv"],
+        "structure": ["audit.json", "extra_triples.tsv", "keywords.json"],
+    }
+    assert sorted(path.name for path in tmp_path.iterdir()) == files[kind]
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import kgforge.bundle
 import kgforge.gateway
-from kgforge.bundle import AugmentationBundle, query_audited
+from kgforge.bundle import query_audited
 from kgforge.gateway import (
     Backend,
     GatewayError,
@@ -289,11 +289,10 @@ def test_audited_failure_keeps_its_prompt_hash_and_hashes_once(monkeypatch):
     monkeypatch.setattr(kgforge.gateway, "prompt_key", counting_prompt_key)
     monkeypatch.setattr(kgforge.bundle, "prompt_key", counting_prompt_key, raising=False)
     backend = FailingBackend({p: f"r-{p}" for p in prompts}, "p2", HttpBackendError("down"))
-    bundle = AugmentationBundle(kind="entity", fingerprint="f")
     rendered = [RenderedPrompt(subject_id=f"s{i}", text=p) for i, p in enumerate(prompts)]
-    items = query_audited(bundle, LlmGateway(backend, params=params), rendered)
+    items = query_audited(LlmGateway(backend, params=params), rendered)
     assert calls == len(prompts)
-    assert [item.prompt_hash for item in items] == expected and bundle.items == items
+    assert [item.prompt_hash for item in items] == expected
     assert [(item.response, item.error) for item in items] == [
         (None, "down") if p == "p2" else (f"r-{p}", None) for p in prompts
     ]

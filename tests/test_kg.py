@@ -70,6 +70,15 @@ def test_load_write_load_round_trip(toy_root, tmp_path):
         assert read(out1 / name) == read(out2 / name), name
 
 
+def test_rewriting_without_descriptions_removes_the_old_description_file(toy_kg, tmp_path):
+    write_dataset(toy_kg, tmp_path)
+    assert len(load_dataset(tmp_path).entity_desc) == 8
+    bare = replace(toy_kg, entity_desc={})
+    write_dataset(bare, tmp_path)
+    assert not (tmp_path / "entity2textlong.txt").exists()
+    assert load_dataset(tmp_path) == bare and load_dataset(tmp_path).entity_desc == {}
+
+
 def test_writer_uses_lf_and_trailing_newline(toy_root, tmp_path):
     kg = load_dataset(toy_root)
     write_dataset(kg, tmp_path)
@@ -630,7 +639,7 @@ def test_block_rendering_equals_the_whole_string_oracle(kg, block):
     expected = whole_string_files(kg)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(kgforge.kg, "_BLOCK_ROWS", block)
-        blocks = list(kgforge.kg._triple_blocks(kg.train))
+        blocks = list(kgforge.kg._tsv_blocks(kg.train))
         write_dataset(kg, tmp)
         written = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
         fingerprint = kg_fingerprint(kg)
@@ -692,6 +701,31 @@ def test_writing_fingerprinting_and_saving_hold_no_whole_pair_file(tmp_path):
     assert peak < min(sizes) / 4, (peak, sizes)
     assert fingerprint == whole_string_fingerprint({p.name: read(p) for p in (tmp_path / "kg").iterdir()})
     assert read_pairs(tmp_path / "E" / "entity_text.tsv") == merged
+
+
+def test_an_empty_split_renders_nothing(tmp_path):
+    entities = tuple(f"/m/e{i:05d}" for i in range(3000))
+    kg = KnowledgeGraph(
+        entity_name=dict(zip(entities, entities)),
+        relation_name={"/r/related": "related"},
+        entity_desc={},
+        train=(),
+        valid=(),
+        test=(),
+    )
+    tracemalloc.start()
+    try:
+        blocks = [list(kgforge.kg._tsv_blocks(kg.split(name))) for name in ("train", "valid", "test")]
+        fingerprint = kg_fingerprint(kg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == [[], [], []]
+    # Rendering the 3,000 table entries' "id\t" and "id\n" strings alone takes over 400 KB.
+    assert peak < 16 * 1024, peak
+    write_dataset(kg, tmp_path)
+    assert [read(tmp_path / name) for name in ("train.txt", "valid.txt", "test.txt")] == ["", "", ""]
+    assert fingerprint == whole_string_fingerprint({p.name: read(p) for p in tmp_path.iterdir()})
 
 
 def test_reading_a_one_line_file_reads_no_full_block(tmp_path):

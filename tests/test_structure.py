@@ -15,7 +15,6 @@ from kgforge.structure import (
     RelationCollisionError,
     StructureConfig,
     extract_structure,
-    match_score,
     parse_keywords,
     synthesize_triples,
     top_k_pairs,
@@ -48,34 +47,33 @@ def test_parse_keeps_multiword_keywords():
     assert parse_keywords("north  america, west coast") == ("north america", "west coast")
 
 
+def two_entity_pairs(sa, sb):
+    """(head, tail, n_matched, score) of each pair ``top_k_pairs`` selects at k=1 over entities a and b."""
+    pairs = top_k_pairs({"a": tuple(sa), "b": tuple(sb)}, StructureConfig(k=1))
+    return [(p.head, p.tail, p.n_matched, p.score) for p in pairs]
+
+
 def test_match_score_identity():
-    sets = {"a": ("film", "director"), "b": ("film", "director")}
-    assert match_score(sets, "a", "b").score == 1.0
+    assert two_entity_pairs(("film", "director"), ("film", "director")) == [("a", "b", 2, 1.0), ("b", "a", 2, 1.0)]
 
 
 def test_match_score_three_of_five():
-    sets = {
-        "a": ("film", "director", "action", "producer", "hollywood"),
-        "b": ("film", "producer", "studio", "budget", "hollywood"),
-    }
-    result = match_score(sets, "a", "b")
-    assert result.n_matched == 3
-    assert result.score == pytest.approx(3 / 5)
+    pairs = two_entity_pairs(
+        ("film", "director", "action", "producer", "hollywood"),
+        ("film", "producer", "studio", "budget", "hollywood"),
+    )
+    assert pairs == [("a", "b", 3, 3 / 5), ("b", "a", 3, 3 / 5)]
 
 
 def test_match_score_disjoint_and_guards():
-    assert match_score({"a": ("x",), "b": ("y",)}, "a", "b").score == 0.0
-    with pytest.raises(ValueError, match="distinct entities"):
-        match_score({"a": ("x",)}, "a", "a")
+    assert two_entity_pairs(("x",), ("y",)) == []
     for bad in ((), ("x", "x")):
-        sets = {"e": bad, "f": ("x",)}
-        message = re.escape(f"keyword set for 'e' must be non-empty with no repeats, got {bad!r}")
-        for head, tail in (("e", "f"), ("f", "e")):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                match_score(sets, head, tail)
-        for k in (1, 2):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                top_k_pairs(sets, StructureConfig(k=k))
+        for bad_id, good_id in (("e", "f"), ("f", "e")):
+            sets = {bad_id: bad, good_id: ("x",)}
+            message = re.escape(f"keyword set for {bad_id!r} must be non-empty with no repeats, got {bad!r}")
+            for k in (1, 2):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    top_k_pairs(sets, StructureConfig(k=k))
 
 
 keyword_strategy = st.frozensets(st.sampled_from("abcdefghij"), min_size=1, max_size=7)
@@ -84,14 +82,17 @@ keyword_strategy = st.frozensets(st.sampled_from("abcdefghij"), min_size=1, max_
 @given(sa=keyword_strategy, sb=keyword_strategy)
 @settings(max_examples=300)
 def test_match_score_properties(sa, sb):
-    sets = {"a": tuple(sorted(sa)), "b": tuple(sorted(sb))}
-    forward, backward = match_score(sets, "a", "b"), match_score(sets, "b", "a")
-    assert forward.score == backward.score
-    assert 0.0 <= forward.score <= 1.0
-    assert forward.n_matched == len(sa & sb)
-    assert forward.score == pytest.approx(len(sa & sb) / min(len(sa), len(sb)))
+    pairs = two_entity_pairs(sorted(sa), sorted(sb))
+    matched = len(sa & sb)
+    if not matched:
+        assert pairs == []
+        return
+    expected = matched / min(len(sa), len(sb))
+    assert pairs == [("a", "b", matched, expected), ("b", "a", matched, expected)]
+    score = pairs[0][3]
+    assert 0.0 < score <= 1.0
     smaller, larger = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
-    assert (forward.score == 1.0) == smaller.issubset(larger)
+    assert (score == 1.0) == smaller.issubset(larger)
 
 
 def brute_force_top_k(keyword_sets, k):
