@@ -20,29 +20,34 @@ On-disk layout (one directory per bundle):
 Each strategy builds its bundle in one construction, payload and audit items
 together. ``save`` checks the payload rule again, for a bundle filled after
 construction, then writes every payload file of its kind, even an empty one,
-so a reused directory never loads an old payload. ``train_augmented.txt`` is
-written only for a structure bundle saved with a base graph, and removed
-otherwise. Every file goes through ``kg.write_text`` and none is held whole:
-``kg._tsv_blocks`` renders the tab-separated files, a base train in row
-blocks, and ``write_json`` the JSON files in encoder chunks (``kgforge
-fixtures planted`` writes its keyword sets with it too). ``load`` rejects a
-malformed ``audit.json`` or ``keywords.json`` with a ``ValueError`` naming the
-file and the key. Keyword lists and an item's ``flags`` hold only strings; its
-``prompt_hash``, ``response``, ``error`` and ``mode`` are each a string or null.
+and removes every other kind's, so a reused directory never loads an old
+payload. ``train_augmented.txt`` is written only for a structure bundle saved
+with a base graph, and removed otherwise. Every file goes through
+``kg.write_text`` and none is held whole: ``kg._tsv_blocks`` renders the
+tab-separated files, a base train in row blocks, and ``write_json`` the JSON
+files in encoder chunks (``kgforge fixtures planted`` writes its keyword sets
+with it too). ``load`` rejects a malformed ``audit.json`` or ``keywords.json``
+with a ``ValueError`` naming the file and the key. Keyword lists and an item's
+``flags`` hold only strings; its ``prompt_hash``, ``response``, ``error`` and
+``mode`` are each a string or null.
 
-``load`` reads ``audit.json`` as a stream, a bounded buffer at a time, and
-checks each audit item as it is decoded, so it holds neither the file's text
-nor its items: composing never reads them. A loaded bundle decodes its
-``items`` from the file through the same reader when they are first read.
+``load`` reads ``audit.json`` line by line in the layout ``save`` writes:
+under the line ``  "items": [``, each run of lines from ``    {`` to ``    }``
+or ``    },`` is one audit item, decoded with ``json.loads``, checked, and
+dropped. So it holds neither the file's text nor its items: composing never
+reads them. A file in another layout, such as compact JSON, is read as
+``json.loads`` reads it. A loaded bundle reads its ``items`` from the file,
+through the same reader, when they are first read, and a file replaced since
+``load`` is then a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 
 from .gateway import GatewayError, LlmGateway
@@ -69,14 +74,11 @@ SCHEMA_VERSION = 1
 KINDS = ("entity", "relation", "structure")
 #: The kind whose bundles alone may carry each payload field.
 _PAYLOAD_KIND = {"entity_text": "entity", "relation_text": "relation", "extra_triples": "structure", "keyword_sets": "structure"}
+#: The kind whose bundles alone write each payload file.
+_FILE_KIND = {ENTITY_TEXT_FILE: "entity", RELATION_TEXT_FILE: "relation", **dict.fromkeys((TRIPLES_FILE, KEYWORDS_FILE, TRAIN_AUGMENTED_FILE), "structure")}
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string"}
 _MISSING = object()
-#: Characters ``_JsonStream`` reads at a time, or more to hold a longer value. Such reads stay under
-#: glibc's 128 KiB mmap threshold, so they leave its dynamic threshold, and later peaks, as they were.
-_READ_CHARS = 1 << 15
-#: The whitespace ``json.loads`` skips between tokens.
-_WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
 class FingerprintMismatchError(ValueError):
@@ -123,83 +125,6 @@ def _json_strings(data: dict, key: str, where: str, default=_MISSING) -> tuple[s
     return tuple(values)
 
 
-class _JsonStream:
-    """One JSON text read from an open file a bounded buffer at a time.
-
-    ``value`` decodes the next whole value with ``json.JSONDecoder.raw_decode``
-    and ``take`` consumes one structural character, so a caller walks the
-    outer containers and decodes only their elements whole. Together they
-    accept exactly the texts ``json.loads`` accepts. A syntax error is a
-    ``ValueError`` naming ``where``, the message of ``json.loads`` and the
-    character offset.
-    """
-
-    def __init__(self, file, where: str):
-        self._file, self._where = file, where
-        self._decode = json.JSONDecoder().raw_decode
-        self._buf, self._pos, self._offset, self._eof = "", 0, 0, False
-
-    def _read(self) -> bool:
-        """Drop the consumed text and append the next chunk; False at the end of the file."""
-        if self._eof:
-            return False
-        self._offset += self._pos
-        self._buf, self._pos = self._buf[self._pos :], 0
-        # Reading as much as is buffered keeps a value longer than a chunk linear to decode.
-        chunk = self._file.read(max(_READ_CHARS, len(self._buf)))
-        self._eof = not chunk
-        self._buf = self._buf + chunk
-        return not self._eof
-
-    def fail(self, message: str):
-        """Raise a syntax error at the next unread character."""
-        raise ValueError(f"{self._where}: invalid JSON: {message} at char {self._offset + self._pos}")
-
-    def peek(self) -> str:
-        """Skip whitespace; the next character, or "" at the end of the file."""
-        while True:
-            self._pos = _WHITESPACE.match(self._buf, self._pos).end()
-            if self._pos < len(self._buf) or not self._read():
-                return self._buf[self._pos : self._pos + 1]
-
-    def take(self, chars: str, expecting: str) -> str:
-        """Consume and return the next character if it is one of ``chars``; else fail with ``expecting``."""
-        char = self.peek()
-        if not char or char not in chars:
-            self.fail(f"Expecting {expecting}")
-        self._pos += 1
-        return char
-
-    def value(self):
-        """Decode the next value whole."""
-        self.peek()
-        while True:
-            start = self._pos
-            try:
-                value, end = self._decode(self._buf, start)
-            except json.JSONDecodeError as exc:
-                if self._read():
-                    continue
-                # _read may have moved the value's start to self._pos.
-                self._pos += exc.pos - start
-                self.fail(exc.msg)
-            # A number may go on past the buffer: "1" of "12", "1." of "1.5", "1e+" of "1e+5".
-            if end + 3 > len(self._buf) and self._read():
-                continue
-            self._pos += end - start
-            return value
-
-    def elements(self, close: str):
-        """Yield once per element of the container just opened, which the caller then decodes; consume ``close``."""
-        if self.peek() == close:
-            self._pos += 1
-            return
-        while True:
-            yield
-            if self.take("," + close, "',' delimiter") == close:
-                return
-
-
 @dataclass
 class AuditItem:
     """One enrichment attempt: which subject, which prompt, what came back."""
@@ -225,68 +150,90 @@ class AuditItem:
         )
 
 
-def _stream_items(stream: _JsonStream, where: str, keep: bool) -> tuple[list[AuditItem], ValueError | None]:
-    """Check each element of the array ``stream`` is at as it is decoded; the items kept and the first error."""
+def _loads(text: str, where: str, lines: Sequence[int]):
+    """``json.loads(text)``; a syntax error names ``where`` and the file line that ``lines`` maps its line to."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}:{lines[exc.lineno - 1]}: invalid JSON: {exc.msg}") from exc
+
+
+def _read_audit(path: Path, keep_items: bool, stamp: tuple[int, int, int] | None = None) -> tuple[str, str, list[AuditItem], tuple[int, int, int]]:
+    """The kind, fingerprint, items (if ``keep_items``) and stamp (inode, size, mtime) of the ``audit.json`` at ``path``.
+
+    One pass over the lines decodes each item block (see the module
+    docstring) with ``json.loads`` and checks it with ``AuditItem.from_dict``;
+    every other line is the header, decoded after the pass with each block
+    standing as ``0``. A syntax error names the file's line. The checks fail
+    in the order of a whole-text parse: syntax, blocks mixed with inline
+    items, the top-level object, ``schema_version``, ``kind``,
+    ``fingerprint``, ``items``, then the first bad item. A file whose stamp
+    is not ``stamp``, when given, was replaced: a ``ValueError``.
+    """
+    where, index = str(path), count()
     items, error = [], None
-    stream.take("[", "'['")
-    for i, _ in enumerate(stream.elements("]")):
-        data = stream.value()
+
+    def check(data) -> None:
+        """Check the next item; keep it if asked, or record it as the first error."""
+        nonlocal error
         if error is None:
             try:
-                item = AuditItem.from_dict(data, f"{where}: items[{i}]")
+                item = AuditItem.from_dict(data, f"{where}: items[{next(index)}]")
             except ValueError as exc:
                 error = exc
             else:
-                if keep:
+                if keep_items:
                     items.append(item)
-    return items, error
 
-
-def _read_audit(path: Path, keep_items: bool) -> tuple[str, str, list[AuditItem]]:
-    """The kind, fingerprint and (if ``keep_items``) items of the ``audit.json`` at ``path``.
-
-    The file is read as a ``_JsonStream``. Each element of ``items`` goes
-    through ``AuditItem.from_dict`` as it is decoded and is then dropped
-    unless kept. The checks fail in the order of a whole-text parse: JSON
-    syntax to the end of the file, the top-level object, ``schema_version``,
-    ``kind``, ``fingerprint``, ``items`` and then the first bad item. As with
-    ``json.loads``, the last of repeated keys counts.
-    """
-    where = str(path)
-    items, error = [], None
-    with path.open(encoding="utf-8") as file:
-        stream = _JsonStream(file, where)
-        if stream.peek() != "{":
-            audit = stream.value()  # not an object: _json_object names its type below
-        else:
-            audit = {}
-            stream.take("{", "'{'")
-            for _ in stream.elements("}"):
-                if stream.peek() != '"':
-                    stream.fail("Expecting property name enclosed in double quotes")
-                key = stream.value()
-                stream.take(":", "':' delimiter")
-                if key == "items" and stream.peek() == "[":
-                    # Streamed items stand in as an empty array for the type check below.
-                    audit[key] = []
-                    items, error = _stream_items(stream, where, keep_items)
-                else:
-                    audit[key] = stream.value()
-        if stream.peek():
-            stream.fail("Extra data")
+    header, lines = [], []  # every line outside the item blocks, and the file line each stands for
+    block, first, start, in_items, zeros, comma_at, number = None, 0, 0, False, 0, -1, 0
+    with path.open(encoding="utf-8", newline="\n") as file:
+        status = os.fstat(file.fileno())
+        found = (status.st_ino, status.st_size, status.st_mtime_ns)
+        if stamp not in (None, found):
+            raise ValueError(f"{where} was replaced after its bundle was loaded")
+        for number, line in enumerate(file, 1):
+            if block is None:
+                if in_items and line == "    {\n":
+                    block, start, first = [line], number, first or number
+                    continue
+                in_items = line == '  "items": [\n' or in_items and not line.startswith("  ]")
+                header.append(line)
+                lines.append(number)
+                continue
+            block.append(line)
+            end = line.rstrip("\n")
+            if end not in ("    }", "    },"):
+                continue
+            block[-1] = "    }"
+            check(_loads("".join(block), where, range(start, number + 1)))
+            block, comma = None, end == "    },"
+            if comma and comma_at == len(header):
+                lines[-1] = number  # a run of blocks that end in commas stands as one "0" and one ","
+                continue
+            zeros += 1
+            header += ["0\n", ",\n"][: 1 + comma]
+            lines += [start, number][: 1 + comma]
+            comma_at = len(header) if comma else -1
+    if block is not None:
+        raise ValueError(f"{where}:{start}: invalid JSON: item block not closed")
+    lines.append(number + 1)  # the end of the file
+    audit = _loads("".join(header), where, lines)
+    if zeros and not (isinstance(audit, dict) and audit.get("items") == [0] * zeros):
+        raise ValueError(f"{where}:{first}: items written both inline and as blocks")
     audit = _json_object(audit, where)
     version = audit.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported bundle schema_version {version!r} in {path} "
-            f"(expected {SCHEMA_VERSION})"
-        )
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported bundle schema_version {version!r} in {path} (expected {SCHEMA_VERSION})")
     kind = _json_field(audit, "kind", str, where)
     fingerprint = _json_field(audit, "fingerprint", str, where)
-    _json_field(audit, "items", list, where, default=[])
+    inline = _json_field(audit, "items", list, where, default=[])
+    if not zeros:
+        for data in inline:
+            check(data)
     if error is not None:
         raise error
-    return kind, fingerprint, items
+    return kind, fingerprint, items, found
 
 
 @dataclass
@@ -311,11 +258,11 @@ class AugmentationBundle:
                 raise ValueError(f"{self.kind} bundle carries {name}; only {kind} bundles carry it")
 
     def __getattr__(self, name: str):
-        """A loaded bundle's ``items``, decoded from its ``audit.json`` when first read."""
-        path = self.__dict__.get("_audit_path")
-        if name != "items" or path is None:
+        """A loaded bundle's ``items``, decoded from its ``audit.json`` when first read; a replaced file is a ``ValueError``."""
+        audit = self.__dict__.get("_audit")
+        if name != "items" or audit is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.items = _read_audit(path, keep_items=True)[2]
+        self.items = _read_audit(audit[0], keep_items=True, stamp=audit[1])[2]
         return self.items
 
     @property
@@ -326,9 +273,9 @@ class AugmentationBundle:
         """Write the bundle directory; pass ``base_kg`` to also emit the merged train file.
 
         The bundle is checked as at construction before any file is written.
-        Each payload file of the bundle's kind is written, even when empty.
-        Only a structure bundle saved with ``base_kg`` has a merged train
-        file; any other save removes one left in the directory.
+        Each payload file of the bundle's kind is written, even when empty,
+        and every other kind's is removed. Only a structure bundle saved with
+        ``base_kg`` has a merged train file; any other save removes one.
         """
         self._check()
         out = Path(out_dir)
@@ -339,10 +286,11 @@ class AugmentationBundle:
         else:
             write_text(out / TRIPLES_FILE, _tsv_blocks(self.extra_triples))
             write_json(out / KEYWORDS_FILE, self.keyword_sets)
-        if self.kind == "structure" and base_kg is not None:
-            write_text(out / TRAIN_AUGMENTED_FILE, chain(_tsv_blocks(base_kg.train), _tsv_blocks(self.extra_triples)))
-        else:
-            (out / TRAIN_AUGMENTED_FILE).unlink(missing_ok=True)
+            if base_kg is not None:
+                write_text(out / TRAIN_AUGMENTED_FILE, chain(_tsv_blocks(base_kg.train), _tsv_blocks(self.extra_triples)))
+        for name, kind in _FILE_KIND.items():
+            if kind != self.kind or name == TRAIN_AUGMENTED_FILE and base_kg is None:
+                (out / name).unlink(missing_ok=True)
         write_json(out / AUDIT_FILE, {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
@@ -357,13 +305,13 @@ class AugmentationBundle:
         """Read a bundle directory; a malformed ``audit.json`` or ``keywords.json`` is a ``ValueError`` naming the file and key.
 
         Every audit item is checked, but none is kept: ``items`` is decoded
-        from ``audit.json`` again when first read.
+        from ``audit.json`` again when first read, unless it was replaced.
         """
         root = Path(bundle_dir)
         audit_path = root / AUDIT_FILE
         if not audit_path.is_file():
             raise FileNotFoundError(f"not a bundle directory (no {AUDIT_FILE}): {root}")
-        kind, fingerprint, _ = _read_audit(audit_path, keep_items=False)
+        kind, fingerprint, _, stamp = _read_audit(audit_path, keep_items=False)
         payload = {}
         if (root / ENTITY_TEXT_FILE).is_file():
             payload["entity_text"] = read_pairs(root / ENTITY_TEXT_FILE)
@@ -377,7 +325,7 @@ class AugmentationBundle:
             payload["keyword_sets"] = {entity: _json_strings(raw, entity, where) for entity in raw}
         bundle = cls(kind, fingerprint, **payload)
         del bundle.items  # __getattr__ decodes them when first read
-        bundle._audit_path = audit_path
+        bundle._audit = (audit_path, stamp)
         return bundle
 
 

@@ -6,13 +6,11 @@ import json
 import re
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import kgforge.bundle
 from kgforge.bundle import AugmentationBundle, AuditItem, FingerprintMismatchError, apply_bundles, write_json
 from kgforge.entity import expand_descriptions
 from kgforge.gateway import LlmGateway, ReplayBackend
@@ -74,43 +72,95 @@ audit_items = st.builds(
     mode=st.none() | audit_text,
     flags=st.lists(audit_text, max_size=2).map(tuple),
 )
-#: A top-level value the loader ignores, so numbers and literals are split across reads too.
+#: A top-level value the loader ignores.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | audit_text,
     lambda values: st.lists(values, max_size=2) | st.dictionaries(audit_text, values, max_size=2),
     max_leaves=4,
 )
+#: Strings that look like the lines of save's layout, which the reader splits on.
+LAYOUT_TEXT = ("    {", "},", '  "items": [', "    }", "\n", "\u2028")
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     items=st.lists(audit_items, max_size=3),
     note=json_values,
-    indent=st.sampled_from([None, 2]),
+    indent=st.sampled_from([None, 1, 2, 4]),
+    sort_keys=st.booleans(),
     ensure_ascii=st.booleans(),
-    read_chars=st.integers(1, 7),
     junk=st.text(min_size=1, max_size=3).filter(lambda text: text.strip(" \t\n\r")),
 )
 @example(
     items=[AuditItem("\U0001f600\u2028", "h", "1e5", None, "m", ("\\", '"'))],
-    note=[-1.5e-07, True, None], indent=None, ensure_ascii=True, read_chars=1, junk="x",
+    note=[-1.5e-07, True, None], indent=None, sort_keys=False, ensure_ascii=True, junk="x",
 )
-def test_load_reads_audit_json_as_json_loads_does(tmp_path_factory, items, note, indent, ensure_ascii, read_chars, junk):
+# The layout save writes, with no items and with items whose strings and flags look like its lines.
+@example(items=[], note=None, indent=2, sort_keys=True, ensure_ascii=False, junk="]")
+@example(
+    items=[AuditItem(text, text, text, text, text, LAYOUT_TEXT) for text in LAYOUT_TEXT],
+    note={"items": [{"subject": "n"}]}, indent=2, sort_keys=True, ensure_ascii=False, junk="}",
+)
+def test_load_reads_audit_json_in_any_layout_as_json_loads_does(tmp_path_factory, items, note, indent, sort_keys, ensure_ascii, junk):
     out = tmp_path_factory.mktemp("audit")
     audit = {"fingerprint": "f", "items": [vars(item) for item in items], "kind": "entity", "note": note, "schema_version": 1}
-    text = json.dumps(audit, indent=indent, ensure_ascii=ensure_ascii) + "\n"
+    text = json.dumps(audit, indent=indent, sort_keys=sort_keys, ensure_ascii=ensure_ascii) + "\n"
     path = out / "audit.json"
-    with mock.patch.object(kgforge.bundle, "_READ_CHARS", read_chars):
-        path.write_text(text, encoding="utf-8")
-        loaded = AugmentationBundle.load(out)
-        assert (loaded.kind, loaded.fingerprint, loaded.items) == ("entity", "f", items)
-        # Every cut into the text and any trailing non-whitespace is a syntax error, as for json.loads.
-        for bad in [text[:end] for end in range(len(text.rstrip()))] + [text + junk]:
-            with pytest.raises(ValueError):
-                json.loads(bad)
-            path.write_text(bad, encoding="utf-8")
-            with pytest.raises(ValueError, match="audit.json: invalid JSON: "):
-                AugmentationBundle.load(out)
+    path.write_text(text, encoding="utf-8")
+    loaded = AugmentationBundle.load(out)
+    expected = json.loads(text)
+    parsed = [AuditItem.from_dict(item, "item") for item in expected["items"]]
+    assert (loaded.kind, loaded.fingerprint, loaded.items) == (expected["kind"], expected["fingerprint"], parsed)
+    # Every cut into the text and any trailing non-whitespace is a syntax error, as for json.loads.
+    for bad in [text[:end] for end in range(len(text.rstrip()))] + [text + junk]:
+        with pytest.raises(ValueError):
+            json.loads(bad)
+        path.write_text(bad, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"audit\.json:\d+: invalid JSON: "):
+            AugmentationBundle.load(out)
+
+
+def _saved_audit_lines(tmp_path, n_items: int) -> list[str]:
+    """The lines of a saved entity bundle's audit.json with ``n_items`` items."""
+    items = [AuditItem(f"/m/{i}", prompt_hash=f"{i:064x}", response="r", flags=("f",)) for i in range(n_items)]
+    out = AugmentationBundle("entity", kg_fingerprint(toy_graph()), items=items).save(tmp_path)
+    return (out / "audit.json").read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def test_a_syntax_error_after_many_items_names_its_file_line(tmp_path):
+    lines = _saved_audit_lines(tmp_path, 1000)
+    number = lines.index('  "kind": "entity",\n')
+    lines[number] = '  "kind": "entity" "entity",\n'
+    (tmp_path / "audit.json").write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"audit\.json:{number + 1}: invalid JSON: Expecting ',' delimiter$"):
+        AugmentationBundle.load(tmp_path)
+
+
+@pytest.mark.parametrize("fault", ["missing-comma", "trailing-comma", "unclosed-block", "inline-and-blocks"])
+def test_load_rejects_a_broken_item_block_at_its_file_line(tmp_path, fault):
+    lines = _saved_audit_lines(tmp_path, 3)
+    starts = [number for number, line in enumerate(lines, 1) if line == "    {\n"]
+    ends = [number for number, line in enumerate(lines, 1) if line.startswith("    }")]
+    if fault == "missing-comma":
+        lines[ends[0] - 1] = "    }\n"
+    elif fault == "trailing-comma":
+        lines[ends[-1] - 1] = "    },\n"
+    elif fault == "unclosed-block":
+        del lines[ends[-1] - 1 :]
+        expected = f"{starts[-1]}: invalid JSON: item block not closed"
+    else:
+        # Valid JSON, but the streamed blocks would not be the items.
+        lines.insert(ends[0], '    "an item",\n')
+        expected = f"{starts[0]}: items written both inline and as blocks"
+    text = "".join(lines)
+    if fault.endswith("comma"):
+        # A fault between blocks reads as json.loads reports it on the whole text.
+        with pytest.raises(json.JSONDecodeError) as error:
+            json.loads(text)
+        expected = f"{error.value.lineno}: invalid JSON: {error.value.msg}"
+    (tmp_path / "audit.json").write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"audit\.json:{re.escape(expected)}$"):
+        AugmentationBundle.load(tmp_path)
 
 
 def test_load_and_apply_hold_a_small_share_of_a_large_audit(tmp_path):
@@ -189,10 +239,21 @@ def test_load_rejects_unknown_schema_version(bundles, tmp_path):
     out = bundles["E"].save(tmp_path / "E")
     audit_path = out / "audit.json"
     audit = json.loads(audit_path.read_text(encoding="utf-8"))
-    audit["schema_version"] = 2
-    audit_path.write_text(json.dumps(audit), encoding="utf-8")
-    with pytest.raises(ValueError, match="schema_version 2"):
-        AugmentationBundle.load(out)
+    # True == 1 and 1.0 == 1, but neither is the integer 1.
+    for version in (2, True, 1.0):
+        write_json(audit_path, {**audit, "schema_version": version})
+        with pytest.raises(ValueError, match=f"schema_version {version!r} "):
+            AugmentationBundle.load(out)
+
+
+def test_loaded_items_are_not_read_from_a_replaced_audit(tmp_path):
+    fingerprint = kg_fingerprint(toy_graph())
+    AugmentationBundle("entity", fingerprint, items=[AuditItem("/m/bay", response="r")]).save(tmp_path)
+    loaded = AugmentationBundle.load(tmp_path)
+    AugmentationBundle("relation", "0" * 64, items=[AuditItem("/film/directed_by", error="e")]).save(tmp_path)
+    with pytest.raises(ValueError, match="audit.json was replaced after its bundle was loaded$"):
+        loaded.errors
+    assert AugmentationBundle.load(tmp_path).errors == [AuditItem("/film/directed_by", error="e")]
 
 
 def test_load_rejects_malformed_triple_line(bundles, tmp_path):
@@ -360,6 +421,18 @@ def test_a_reused_bundle_directory_keeps_no_old_payload(tmp_path, name):
         "structure": ["audit.json", "extra_triples.tsv", "keywords.json"],
     }
     assert sorted(path.name for path in tmp_path.iterdir()) == files[kind]
+
+
+@pytest.mark.parametrize(("first", "second"), list(itertools.permutations(["entity_text", "relation_text", "extra_triples"], 2)))
+def test_a_bundle_directory_reused_by_another_kind_keeps_no_old_payload(tmp_path, first, second):
+    (kind, value), (second_kind, second_value) = PAYLOADS[first], PAYLOADS[second]
+    structure = {"keyword_sets": PAYLOADS["keyword_sets"][1]} if kind == "structure" else {}
+    AugmentationBundle(kind, "f", **{first: value}, **structure).save(tmp_path, base_kg=toy_graph())
+    AugmentationBundle(second_kind, "f", **{second: second_value}).save(tmp_path)
+    loaded = AugmentationBundle.load(tmp_path)
+    assert (loaded.kind, getattr(loaded, second)) == (second_kind, second_value)
+    names = {"entity_text": ["entity_text.tsv"], "relation_text": ["relation_text.tsv"], "extra_triples": ["extra_triples.tsv", "keywords.json"]}
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["audit.json", *names[second]])
 
 
 @pytest.mark.parametrize(
