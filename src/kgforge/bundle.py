@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, count
 from pathlib import Path
 
@@ -337,25 +337,21 @@ def render_or_fail(render: Callable[..., RenderedPrompt], *args, subject_id: str
         return AuditItem(subject=subject_id, error=str(exc))
 
 
-def query_audited(
-    gateway: LlmGateway, prompts: Sequence[RenderedPrompt | AuditItem], modes: Sequence[str] | None = None
-) -> list[AuditItem]:
+def query_audited(gateway: LlmGateway, prompts: Sequence[RenderedPrompt | AuditItem]) -> list[AuditItem]:
     """Send ``prompts`` through the gateway in one batch and audit every exchange.
 
-    Returns one item per prompt, in prompt order; a strategy builds its
-    bundle from them. Each item's subject is the prompt's subject id and its
-    mode is the matching entry of ``modes``, if given. A failed exchange
-    keeps the error and the hash its prompt would have had; it never aborts
-    the batch. A prompt that could not be rendered, an ``AuditItem`` from
-    ``render_or_fail``, keeps its place and error with no hash or backend call.
+    Returns one item per prompt, in prompt order, with the prompt's subject
+    id; a strategy labels the items (``mode``, ``flags``) and builds its
+    bundle from them. A failed exchange keeps the error and the hash its
+    prompt would have had; it never aborts the batch. A prompt that could not
+    be rendered, an ``AuditItem`` from ``render_or_fail``, is that item, in
+    its place, with no hash or backend call.
     """
     results = iter(gateway.batch_query([p.text for p in prompts if isinstance(p, RenderedPrompt)]))
-    if modes is None:
-        modes = [None] * len(prompts)
     items = []
-    for prompt, mode in zip(prompts, modes):
+    for prompt in prompts:
         if isinstance(prompt, AuditItem):
-            items.append(replace(prompt, mode=mode))
+            items.append(prompt)
             continue
         result = next(results)
         failed = isinstance(result, GatewayError)
@@ -365,7 +361,6 @@ def query_audited(
                 prompt_hash=result.key,
                 response=None if failed else result.response,
                 error=str(result) if failed else None,
-                mode=mode,
             )
         )
     return items

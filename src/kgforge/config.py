@@ -17,18 +17,21 @@ Schema (every key optional except dataset.root):
 A key the file omits takes its default from the dataclass it sets:
 RunConfig, StructureConfig, GatewaySettings or TrainConfig. The top-level
 "seed" is the default for train.seed. Values are taken as typed; a wrong
-type or an out-of-range value is a ConfigError. The replay fixture is
-checked only when ``enrich`` builds the gateway, so compose and eval run
-without one.
+type or an out-of-range value is a ConfigError. Each dataclass checks its
+own values, so a RunConfig built directly is checked as ``load_config``'s
+are; relation.modes keeps each mode once, in canonical order. The replay
+fixture is checked only when ``enrich`` builds the gateway, so compose and
+eval run without one.
 
-``load_config`` is the one way to build a RunConfig. Its ``flags`` set dotted
+``load_config`` builds a RunConfig from a file. Its ``flags`` set dotted
 file keys over the file's values: the ``enrich`` flags --k, --self-loop,
 --budget-tokens and --modes set structure.k, structure.self_loop,
 entity.budget_tokens and relation.modes, and each is parsed, checked and
 reported exactly like the same key in the file.
 
 Gateway endpoint, API key and model fall back to the LLM_ENDPOINT,
-LLM_API_KEY, and LLM_MODEL environment variables.
+LLM_API_KEY, and LLM_MODEL environment variables, and the model then to
+``GenerationParams``' default.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .gateway import (
 from .harness import TrainConfig
 from .kg import MODES, require_int
 from .structure import StructureConfig
-from .templates import MODE_ORDER, RelationMode
+from .templates import MODE_ORDER, RelationMode, parse_modes
 
 
 class ConfigError(ValueError):
@@ -90,15 +93,6 @@ class GatewaySettings:
         require_int("gateway.max_retries", self.max_retries, 0)
 
 
-def parse_relation_modes(names) -> tuple[RelationMode, ...]:
-    """Parse relation mode names, as listed in relation.modes."""
-    try:
-        return tuple(RelationMode(name) for name in names)
-    except (TypeError, ValueError):
-        valid = [mode.value for mode in MODE_ORDER]
-        raise ConfigError(f"relation modes must be drawn from {valid}, got {names!r}") from None
-
-
 def _file_key(key: str, parse=None, **kwargs):
     """A RunConfig field that the file sets at ``key`` ("section.name" or a top-level name)."""
     return field(metadata={"json": key, "parse": parse}, **kwargs)
@@ -110,9 +104,7 @@ class RunConfig:
     dataset_mode: str = _file_key("dataset.mode", default=MODES[0])
     output_dir: Path = _file_key("output_dir", Path, default=Path("out"))
     budget_tokens: int = _file_key("entity.budget_tokens", default=DEFAULT_BUDGET_TOKENS)
-    relation_modes: tuple[RelationMode, ...] = _file_key(
-        "relation.modes", parse_relation_modes, default=MODE_ORDER
-    )
+    relation_modes: tuple[RelationMode, ...] = _file_key("relation.modes", default=MODE_ORDER)
     structure: StructureConfig = field(default_factory=StructureConfig)
     gateway: GatewaySettings = field(default_factory=GatewaySettings)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -124,8 +116,10 @@ class RunConfig:
             raise ConfigError(f"dataset.mode must be one of {MODES}, got {self.dataset_mode!r}")
         if self.eval_split not in ("valid", "test"):
             raise ConfigError(f"eval.split must be valid or test, got {self.eval_split!r}")
-        if not self.relation_modes:
-            raise ConfigError("relation.modes must name at least one mode")
+        try:
+            object.__setattr__(self, "relation_modes", parse_modes(self.relation_modes))
+        except ValueError as exc:
+            raise ConfigError(f"relation.{exc}") from None
         require_int("eval.n_seeds", self.n_seeds, 1)
         require_int("entity.budget_tokens", self.budget_tokens, 1)
 
@@ -185,15 +179,6 @@ def load_config(path: str | Path, flags: Mapping[str, object] | None = None) -> 
     return cfg
 
 
-def generation_params(settings: GatewaySettings) -> GenerationParams:
-    model = settings.model or os.environ.get(MODEL_ENV) or "default"
-    return GenerationParams(
-        temperature=settings.temperature,
-        max_new_tokens=settings.max_new_tokens,
-        model_id=model,
-    )
-
-
 def build_gateway(settings: GatewaySettings) -> LlmGateway:
     """Construct the configured gateway (replay or live HTTP).
 
@@ -221,4 +206,6 @@ def build_gateway(settings: GatewaySettings) -> LlmGateway:
             concurrency=settings.concurrency,
             max_retries=settings.max_retries,
         )
-    return LlmGateway(backend, params=generation_params(settings), cache_path=settings.cache)
+    model = settings.model or os.environ.get(MODEL_ENV) or GenerationParams.model_id
+    params = GenerationParams(temperature=settings.temperature, max_new_tokens=settings.max_new_tokens, model_id=model)
+    return LlmGateway(backend, params=params, cache_path=settings.cache)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .bundle import AugmentationBundle, query_audited, render_or_fail
 from .gateway import LlmGateway
-from .kg import KnowledgeGraph, kg_fingerprint
+from .kg import KnowledgeGraph, kg_fingerprint, require_int
 from .templates import render_entity_prompt
 
 DEFAULT_BUDGET_TOKENS = 70
@@ -26,8 +26,7 @@ def merge_entity_text(original: str, generated: str, budget_tokens: int) -> str:
     for the tab-separated export). When the original alone exceeds the budget
     it is cut to the first ``budget_tokens`` tokens.
     """
-    if budget_tokens < 1:
-        raise ValueError(f"budget_tokens must be >= 1, got {budget_tokens}")
+    require_int("budget_tokens", budget_tokens, 1)
     original_tokens = original.split()
     if len(original_tokens) >= budget_tokens:
         return " ".join(original_tokens[:budget_tokens])
@@ -51,8 +50,9 @@ def expand_descriptions(
     ``{Entity Name}``, with no prompt hash and no backend call. Entities whose
     generation failed keep no replacement text, so composition leaves their
     original description untouched. Raw responses are preserved verbatim in
-    the audit trail.
+    the audit trail. ``budget_tokens`` is checked before any query.
     """
+    require_int("budget_tokens", budget_tokens, 1)
     prompts = [render_or_fail(render_entity_prompt, name, subject_id=e) for e, name in kg.entity_name.items()]
     items = query_audited(gateway, prompts)
     entity_text = {}

@@ -120,7 +120,8 @@ def read_fixture(path: str | Path) -> dict[str, str]:
 
     The file is read line by line, never whole. LF, CRLF and a lone CR end
     a record, but U+2028, U+2029 and U+0085 do not: responses may hold them,
-    as ``json.dumps(ensure_ascii=False)`` leaves them unescaped.
+    as ``json.dumps(ensure_ascii=False)`` leaves them unescaped. A response
+    that is not UTF-8 text, such as an escaped lone surrogate, is a bad record.
     """
     responses: dict[str, str] = {}
     path = Path(path)
@@ -135,7 +136,8 @@ def read_fixture(path: str | Path) -> dict[str, str]:
                 key, response = record["hash"], record["response"]
                 if not (isinstance(key, str) and isinstance(response, str)):
                     raise TypeError("hash and response must be strings")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                response.encode("utf-8")
+            except (json.JSONDecodeError, KeyError, TypeError, UnicodeEncodeError) as exc:
                 raise GatewayError(f"{path.name}:{lineno}: bad fixture record ({exc})")
             responses[key] = response
     return responses
@@ -164,10 +166,11 @@ class HttpBackend(Backend):
 
     Request body: {"model", "messages": [{"role": "user", "content": ...}],
     "temperature", "max_tokens"}; the response is read from the first
-    choice's message content. Transient failures (connection errors, 429,
-    5xx) retry with exponential backoff up to ``max_retries``. Construction
-    checks that ``concurrency`` >= 1 and ``max_retries`` >= 0 are integers and
-    ``backoff_base`` >= 0 and ``timeout`` > 0 finite numbers.
+    choice's message content, which must be a string of UTF-8 text.
+    Transient failures (connection errors, 429, 5xx) retry with exponential
+    backoff up to ``max_retries``. Construction checks that ``concurrency``
+    >= 1 and ``max_retries`` >= 0 are integers and ``backoff_base`` >= 0 and
+    ``timeout`` > 0 finite numbers.
 
     ``requests`` is imported only here, so runs that never build an
     ``HttpBackend`` never load it.
@@ -239,12 +242,13 @@ class HttpBackend(Backend):
     @staticmethod
     def _extract_content(resp: requests.Response) -> str:
         try:
-            body = resp.json()
-            content = body["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise MalformedResponseError(f"message content is {type(content).__name__}, not str")
+            # JSON may escape a lone surrogate, which no UTF-8 file can hold.
+            content.encode("utf-8")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedResponseError(f"cannot read chat-completion body: {exc}")
-        if not isinstance(content, str):
-            raise MalformedResponseError(f"message content is {type(content).__name__}, not str")
         return content
 
 

@@ -114,7 +114,7 @@ class DatasetError(Exception):
 
 
 class FormatError(DatasetError):
-    """A line does not match the expected tab-separated layout."""
+    """A line does not match the expected tab-separated layout, or a graph holds text it cannot."""
 
 
 class DanglingReferenceError(DatasetError):
@@ -206,6 +206,9 @@ class KnowledgeGraph:
     ``_index_rows`` into new rows, a ``Split`` table by table and any other
     sequence triple by triple, and an id the maps do not declare raises
     ``DanglingReferenceError``. Graphs compare through their splits' ``==``.
+    An id that is empty or holds a TAB, CR or LF, or a name or description
+    that holds CR or LF, is a ``FormatError`` naming the id: read back from
+    the tab-separated files, it would be another graph, of equal fingerprint.
 
     Only the fingerprint is cached: computed on first use and kept on the
     instance, outside the dataclass fields. Nothing refreshes it, so the maps
@@ -221,6 +224,12 @@ class KnowledgeGraph:
     load_warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
+        for attr in ("entity_name", "relation_name", "entity_desc"):
+            for key, text in getattr(self, attr).items():
+                if not key or "\t" in key or "\n" in key or "\r" in key:
+                    raise FormatError(f"{attr} id {key!r} is empty or holds a TAB, CR or LF")
+                if "\n" in text or "\r" in text:
+                    raise FormatError(f"{attr}[{key!r}] holds CR or LF")
         tables = tuple(sorted(self.entity_name)), tuple(sorted(self.relation_name))
         index = _positions(*tables)
         for name in SPLITS:

@@ -12,7 +12,7 @@ from typing import Iterable
 from .bundle import AugmentationBundle, query_audited, render_or_fail
 from .gateway import LlmGateway
 from .kg import KnowledgeGraph, kg_fingerprint
-from .templates import MODE_ORDER, RelationMode, render_relation_prompt
+from .templates import MODE_ORDER, RelationMode, parse_modes, render_relation_prompt
 
 SEPARATOR = "[SEP]"
 _ESCAPED = "[SEP ]"
@@ -51,31 +51,24 @@ def compose_relation_text(name: str, texts: Iterable[tuple[RelationMode, str]]) 
     return name + " " + f" {SEPARATOR} ".join(parts)
 
 
-def describe_relations(
-    kg: KnowledgeGraph,
-    gateway: LlmGateway,
-    modes: Iterable[RelationMode | str],
-) -> AugmentationBundle:
+def describe_relations(kg: KnowledgeGraph, gateway: LlmGateway, modes: Iterable[RelationMode | str]) -> AugmentationBundle:
     """Generate explanations for every relation in every requested mode.
 
-    Failures are captured per (relation, mode); a relation with partial
-    failures is still composed from whichever mode texts succeeded. An empty
-    name fails every mode: each item's error names ``{Relation Name}``, with
-    no prompt hash and no backend call.
+    ``parse_modes`` checks ``modes`` first, even on a graph with no relations.
+    Failures are captured per (relation, mode) item, labelled with the mode;
+    a relation with partial failures is still composed from whichever mode
+    texts succeeded. An empty name fails every mode: each item's error names
+    ``{Relation Name}``, with no prompt hash and no backend call.
     """
-    mode_set = {RelationMode(m) for m in modes}
-    if not mode_set:
-        raise ValueError("modes must be a non-empty subset of {global, local, reverse}")
-    ordered_modes = [m for m in MODE_ORDER if m in mode_set]
-
-    relations = list(kg.relation_name)
-    jobs = [(relation, mode) for relation in relations for mode in ordered_modes]
+    modes = parse_modes(modes)
+    jobs = [(relation, mode) for relation in kg.relation_name for mode in modes]
     prompts = [render_or_fail(render_relation_prompt, kg.relation_name[r], m, subject_id=r) for r, m in jobs]
-    items = query_audited(gateway, prompts, modes=[mode.value for _, mode in jobs])
-    texts_by_relation: dict[str, list[tuple[str, str]]] = {r: [] for r in relations}
-    for item in items:
+    items = query_audited(gateway, prompts)
+    texts_by_relation: dict[str, list[tuple[RelationMode, str]]] = {r: [] for r in kg.relation_name}
+    for item, (_, mode) in zip(items, jobs):
+        item.mode = mode.value
         if item.error is None:
-            texts_by_relation[item.subject].append((item.mode, item.response))
+            texts_by_relation[item.subject].append((mode, item.response))
     relation_text = {
         relation: compose_relation_text(kg.relation_name[relation], texts)
         for relation, texts in texts_by_relation.items()

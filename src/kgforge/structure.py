@@ -93,10 +93,8 @@ def top_k_pairs(keyword_sets: Mapping[str, tuple[str, ...]], cfg: StructureConfi
     a pure function of the mapping contents. Candidates come from a keyword
     -> entity postings index, so the cost scales with the number of pairs
     that share a keyword, not with the square of the entity count. An empty
-    or repeating keyword set raises ``ValueError`` naming its entity.
+    or repeating keyword set raises ``ValueError`` naming its entity, at any k.
     """
-    if cfg.k == 0:
-        return []
     heads = sorted(keyword_sets)
     postings: dict[str, list[int]] = {}
     for i, head in enumerate(heads):
@@ -105,6 +103,8 @@ def top_k_pairs(keyword_sets: Mapping[str, tuple[str, ...]], cfg: StructureConfi
             raise ValueError(f"keyword set for {head!r} must be non-empty with no repeats, got {words!r}")
         for word in words:
             postings.setdefault(word, []).append(i)
+    if cfg.k == 0:
+        return []
     index = {word: np.array(ids) for word, ids in postings.items()}
     sizes = np.array([len(keyword_sets[head]) for head in heads])
     selected: list[MatchScore] = []

@@ -19,11 +19,19 @@ class RelationMode(str, enum.Enum):
 
 
 #: Canonical order relation texts are composed in, whatever order they were generated.
-MODE_ORDER: tuple[RelationMode, ...] = (
-    RelationMode.GLOBAL,
-    RelationMode.LOCAL,
-    RelationMode.REVERSE,
-)
+MODE_ORDER: tuple[RelationMode, ...] = tuple(RelationMode)
+
+
+def parse_modes(names) -> tuple[RelationMode, ...]:
+    """Each mode ``names`` holds, once, in ``MODE_ORDER``; empty or unknown ``names`` is a ``ValueError``."""
+    try:
+        modes = {RelationMode(name) for name in names}
+    except (TypeError, ValueError):
+        modes = set()
+    if not modes:
+        raise ValueError(f"modes must be a non-empty subset of {[m.value for m in MODE_ORDER]}, got {names!r}")
+    return tuple(m for m in MODE_ORDER if m in modes)
+
 
 _ENTITY_TEMPLATE = (
     "Please provide all information about {Entity Name}. Give the rationale before answering:"

@@ -12,7 +12,6 @@ from kgforge.config import (
     GatewaySettings,
     RunConfig,
     build_gateway,
-    generation_params,
     load_config,
 )
 from kgforge.gateway import (
@@ -26,6 +25,7 @@ from kgforge.gateway import (
 )
 from kgforge.harness import TrainConfig
 from kgforge.structure import StructureConfig
+from kgforge.templates import RelationMode
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "run.example.json"
 
@@ -108,6 +108,16 @@ def test_http_with_cache_builds_a_persisting_gateway(tmp_path, monkeypatch):
     assert replayed.batch_query(["p"])[0].response == "echo: p"
 
 
-def test_settings_defaults_match_generation_params(monkeypatch):
+def test_settings_defaults_match_generation_params(monkeypatch, toy_fixture_path):
     monkeypatch.delenv(MODEL_ENV, raising=False)
-    assert generation_params(GatewaySettings()) == GenerationParams()
+    assert build_gateway(GatewaySettings(fixture=str(toy_fixture_path))).params == GenerationParams()
+
+
+def test_run_config_built_directly_parses_its_modes(tmp_path):
+    assert RunConfig(dataset_root=tmp_path, relation_modes=["reverse", "global", "reverse"]).relation_modes == (
+        RelationMode.GLOBAL,
+        RelationMode.REVERSE,
+    )
+    for modes in ([], ["global", "bogus"]):
+        with pytest.raises(ConfigError, match=r"^relation\.modes must be a non-empty subset of \['global'"):
+            RunConfig(dataset_root=tmp_path, relation_modes=modes)

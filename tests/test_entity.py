@@ -25,6 +25,15 @@ def test_merge_rejects_zero_budget():
         merge_entity_text("a", "b", 0)
 
 
+@pytest.mark.parametrize("budget", [0, 2.5, True, "70"])
+def test_a_budget_that_is_not_an_integer_of_at_least_one_is_rejected_before_any_query(replay_gateway, budget):
+    with pytest.raises(ValueError, match="^budget_tokens must be"):
+        merge_entity_text("a", "b", budget)
+    with pytest.raises(ValueError, match="^budget_tokens must be"):
+        expand_descriptions(toy_graph(), replay_gateway, budget_tokens=budget)
+    assert replay_gateway.backend.calls == 0
+
+
 words = st.text(alphabet="abcdef", min_size=1, max_size=6)
 texts = st.lists(words, max_size=30).map(" ".join)
 

@@ -131,8 +131,9 @@ def test_replay_miss_names_the_hash(tmp_path):
         {"hash": "k", "prompt": "p", "response": None},
         {"hash": "k", "prompt": "p", "response": 3},
         {"hash": None, "prompt": "p", "response": "r"},
+        {"hash": "k", "prompt": "p", "response": "x\ud800"},
     ],
-    ids=["null-response", "int-response", "null-hash"],
+    ids=["null-response", "int-response", "null-hash", "lone-surrogate-response"],
 )
 def test_fixture_record_needs_string_hash_and_response(tmp_path, record):
     path = tmp_path / "fx.jsonl"
@@ -602,6 +603,42 @@ def test_http_backend_rejects_bad_arguments_before_any_request(chat_server, kwar
     with pytest.raises(ValueError, match=f"^{message}$"):
         HttpBackend(chat_server, **{"backoff_base": 0.01, **kwargs}).generate("never", GenerationParams())
     assert _ChatHandler.seen_payloads == []
+
+
+class _Response:
+    status_code = 200
+
+    def __init__(self, text):
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class _EchoSession:
+    """A duck-typed ``requests.Session`` whose replies hold the prompt's JSON-escaped content."""
+
+    def __init__(self, contents):
+        self.contents = contents
+        self.sent = []
+
+    def post(self, endpoint, json, headers, timeout):
+        prompt = json["messages"][0]["content"]
+        self.sent.append(prompt)
+        return _Response(f'{{"choices": [{{"message": {{"content": "{self.contents[prompt]}"}}}}]}}')
+
+
+def test_a_lone_surrogate_in_a_response_fails_one_item_not_the_batch(tmp_path):
+    session = _EchoSession({"a": "ra", "b": "r\\ud800b", "c": "rc"})
+    backend = HttpBackend("http://unused.invalid", concurrency=1, session=session)
+    cache_path = tmp_path / "cache.jsonl"
+    params = GenerationParams()
+    results = LlmGateway(backend, params=params, cache_path=cache_path).batch_query(["a", "b", "c"])
+    assert [getattr(result, "response", None) for result in results] == ["ra", None, "rc"]
+    assert isinstance(results[1], MalformedResponseError)
+    assert "surrogates not allowed" in str(results[1])
+    assert session.sent == ["a", "b", "c"]
+    assert read_fixture(cache_path) == {prompt_key("a", params): "ra", prompt_key("c", params): "rc"}
 
 
 def test_http_backend_rejects_malformed_body(chat_server):

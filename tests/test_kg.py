@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import os
+import re
 import tempfile
 import tracemalloc
 from dataclasses import asdict, replace
@@ -388,6 +389,41 @@ def test_construction_rejects_undeclared_split_ids(toy_kg):
     fewer = {e: n for e, n in toy_kg.entity_name.items() if e != "/m/spielberg"}
     with pytest.raises(DanglingReferenceError, match="^train split references unknown entity '/m/spielberg'$"):
         replace(toy_kg, entity_name=fewer)
+
+
+def test_graphs_that_their_files_cannot_tell_apart_cannot_be_built(tmp_path):
+    triples = [Triple("e1", "r", "e3")]
+    kw = dict(relation_name={"r": "r"}, entity_desc={}, train=triples, valid=(), test=())
+    b = KnowledgeGraph(entity_name={"e1": "x", "e2": "y", "e3": "z"}, **kw)
+    with pytest.raises(FormatError, match=r"^entity_name\['e1'\] holds CR or LF$"):
+        KnowledgeGraph(entity_name={"e1": "x\ne2\ty", "e3": "z"}, **kw)
+    write_dataset(b, tmp_path)
+    assert load_dataset(tmp_path) == b
+
+
+@pytest.mark.parametrize(
+    "field_name, bad, message",
+    [
+        ("entity_name", {"": "blank"}, "entity_name id '' is empty or holds a TAB, CR or LF"),
+        ("entity_name", {"a\tb": "n"}, "entity_name id 'a\\tb' is empty or holds a TAB, CR or LF"),
+        ("entity_name", {"a\nb": "n"}, "entity_name id 'a\\nb' is empty or holds a TAB, CR or LF"),
+        ("entity_name", {"a\rb": "n"}, "entity_name id 'a\\rb' is empty or holds a TAB, CR or LF"),
+        ("entity_name", {"/m/new": "two\rlines"}, "entity_name['/m/new'] holds CR or LF"),
+        ("relation_name", {"": "blank"}, "relation_name id '' is empty or holds a TAB, CR or LF"),
+        ("relation_name", {"r\tx": "n"}, "relation_name id 'r\\tx' is empty or holds a TAB, CR or LF"),
+        ("relation_name", {"r\nx": "n"}, "relation_name id 'r\\nx' is empty or holds a TAB, CR or LF"),
+        ("relation_name", {"r\rx": "n"}, "relation_name id 'r\\rx' is empty or holds a TAB, CR or LF"),
+        ("relation_name", {"/r/new": "two\nlines"}, "relation_name['/r/new'] holds CR or LF"),
+        ("entity_desc", {"/m/bay": "two\nlines"}, "entity_desc['/m/bay'] holds CR or LF"),
+        ("entity_desc", {"/m/bay": "two\rlines"}, "entity_desc['/m/bay'] holds CR or LF"),
+    ],
+)
+def test_construction_rejects_text_the_tab_separated_files_cannot_hold(toy_kg, field_name, bad, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        replace(toy_kg, **{field_name: getattr(toy_kg, field_name) | bad})
+    # A TAB in a name or description is kept: it is the last field of its line.
+    tabbed = replace(toy_kg, entity_desc=toy_kg.entity_desc | {"/m/bay": "a\tb"})
+    assert tabbed.entity_desc["/m/bay"] == "a\tb"
 
 
 def test_index_rows_of_a_split_equal_those_of_its_triples():

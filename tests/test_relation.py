@@ -1,5 +1,7 @@
 """Relation text composition and generation fan-out."""
 
+from dataclasses import replace
+
 import pytest
 
 from kgforge.gateway import GenerationParams, LlmGateway, ReplayBackend, write_fixture
@@ -78,6 +80,23 @@ def test_describe_relations_all_modes(replay_gateway):
 def test_describe_relations_rejects_empty_modes(replay_gateway):
     with pytest.raises(ValueError, match="non-empty"):
         describe_relations(toy_graph(), replay_gateway, modes=set())
+
+
+@pytest.mark.parametrize("modes", [set(), ["global", "bogus"]])
+def test_describe_relations_checks_modes_on_a_graph_with_no_relations(replay_gateway, modes):
+    kg = toy_graph()
+    bare = replace(kg, relation_name={}, train=(), valid=(), test=())
+    with pytest.raises(ValueError, match="non-empty subset"):
+        describe_relations(bare, replay_gateway, modes=modes)
+    assert replay_gateway.backend.calls == 0
+
+
+def test_describe_relations_labels_each_item_with_its_mode_in_canonical_order(replay_gateway):
+    kg = toy_graph()
+    bundle = describe_relations(kg, replay_gateway, modes=["reverse", "global", "reverse"])
+    assert [(item.subject, item.mode) for item in bundle.items] == [
+        (relation, mode) for relation in kg.relations for mode in ("global", "reverse")
+    ]
 
 
 def test_partial_mode_failure_composes_the_rest(tmp_path):

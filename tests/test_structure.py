@@ -71,7 +71,7 @@ def test_match_score_disjoint_and_guards():
         for bad_id, good_id in (("e", "f"), ("f", "e")):
             sets = {bad_id: bad, good_id: ("x",)}
             message = re.escape(f"keyword set for {bad_id!r} must be non-empty with no repeats, got {bad!r}")
-            for k in (1, 2):
+            for k in (0, 1, 2):
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     top_k_pairs(sets, StructureConfig(k=k))
 

@@ -5,6 +5,7 @@ import pytest
 from kgforge.templates import (
     RelationMode,
     TemplateError,
+    parse_modes,
     render_entity_prompt,
     render_keyword_prompt,
     render_relation_prompt,
@@ -98,3 +99,25 @@ def test_subject_id_defaults_to_value():
 def test_leftover_placeholder_rejected(render):
     with pytest.raises(TemplateError, match="still contains placeholder"):
         render()
+
+
+G, L, R = RelationMode.GLOBAL, RelationMode.LOCAL, RelationMode.REVERSE
+
+
+@pytest.mark.parametrize(
+    "names, expected",
+    [
+        (["reverse", "global"], (G, R)),
+        ([L, "local", L], (L,)),
+        ({R, L, G}, (G, L, R)),
+        (iter(["local", "global"]), (G, L)),
+    ],
+)
+def test_parse_modes_keeps_each_mode_once_in_canonical_order(names, expected):
+    assert parse_modes(names) == expected
+
+
+@pytest.mark.parametrize("names", [[], set(), [""], ["global", "bogus"], "global", None, 5, [["global"]]])
+def test_parse_modes_rejects_empty_or_unknown_names_listing_the_valid_ones(names):
+    with pytest.raises(ValueError, match=r"non-empty subset of \['global', 'local', 'reverse'\]"):
+        parse_modes(names)
